@@ -16,7 +16,7 @@ import tempfile
 from repro.core import PagodaConfig, run_multi_gpu_pagoda
 from repro.gpu.phases import Phase
 from repro.tasks import TaskSpec
-from repro.traceviz import export_chrome_trace
+from repro.obs.perfetto import export_chrome_trace
 
 
 def heavy_kernel(task, block_id, warp_id):

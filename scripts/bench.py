@@ -3,9 +3,8 @@
 
 Runs the hot-path scenarios of ``benchmarks/test_simulator_throughput.py``
 (engine ping-pong, processor-sharing churn, end-to-end Pagoda stack),
-the wide-fan lane comparison (the same many-tickers scenario on the
-default and fast engine lanes; their ratio is ``engine_lane_speedup``,
-guarded by an absolute >=2x floor), microbenchmarks of the indexed
+a wide fan of tickers colliding on every instant
+(``engine_events_per_s_fan``), microbenchmarks of the indexed
 runtime structures (scheduler dirty-row wakes, WarpTable
 dispatch/retire), the serving frontend end-to-end (arrivals through
 latency accounting), the cluster fleet sequentially vs sharded across
@@ -18,7 +17,7 @@ deterministic virtual-time shape metrics of the SR-IOV-style compute
 partitioning), the full incident-scenario catalog (``scenarios`` in
 the record: per-scenario pass/fail from ``repro.scenarios`` — every
 catalog scenario must pass, an absolute deterministic guard), plus a
-small Fig. 5 slice on each lane, and writes ``BENCH_simcore.json`` at
+small Fig. 5 slice, and writes ``BENCH_simcore.json`` at
 the repo root so every PR leaves a perf data point behind.  Guards
 that stand down on this host (for example the cluster speedup floor
 on small machines) are listed under ``skipped`` in the record *and*
@@ -77,11 +76,6 @@ FIG5_SLICE_TASKS = 48
 #: Obs context ever costs more than 4x it stopped being "observability"
 #: and became the workload.
 OBS_OVERHEAD_FLOOR = 0.25
-#: hard floor on the fast-lane/default-lane throughput ratio of the
-#: wide-fan scenario (the regime the batch drain exists for): if the
-#: fast lane stops paying at least 2x on its home turf it has become
-#: dead weight and the guard should say so.
-LANE_SPEEDUP_FLOOR = 2.0
 #: wide-fan scenario shape: many identical tickers colliding on every
 #: instant -> FAN_TICKERS * FAN_TICKS timer events per run.
 FAN_TICKERS = 64
@@ -153,18 +147,16 @@ def bench_engine_events(repeats: int = 5):
     return events / wall, wall
 
 
-def bench_engine_fan(lane: str, repeats: int = 5):
-    """Wide fan of identical tickers -> events/s on the chosen lane.
+def bench_engine_fan(repeats: int = 5):
+    """Wide fan of identical tickers -> events/s.
 
-    Every instant carries ``FAN_TICKERS`` simultaneous timer firings —
-    the same-timestamp regime the fast lane's batch drain targets.  The
-    scenario is run on both lanes with identical inputs; the ratio is
-    the ``engine_lane_speedup`` guard metric (a like-for-like compare,
-    unlike ``engine_events_per_s`` whose single-ticker ping-pong never
-    forms a batch).
+    Every instant carries ``FAN_TICKERS`` simultaneous timer firings,
+    so the heap holds many equal timestamps (unlike
+    ``engine_events_per_s``, whose single-ticker ping-pong keeps one
+    record queued).
     """
     def run():
-        eng = Engine(lane=lane)
+        eng = Engine()
 
         def ticker():
             for _ in range(FAN_TICKS):
@@ -397,18 +389,16 @@ def bench_scenarios():
     }
 
 
-def bench_fig5_slice(repeats: int = 1, lane: str = "default"):
+def bench_fig5_slice(repeats: int = 1):
     """Small Fig. 5 slice: full multi-runtime sweep wall time."""
-    _, wall = _best_of(
-        lambda: fig5.run(num_tasks=FIG5_SLICE_TASKS, lane=lane), repeats)
+    _, wall = _best_of(lambda: fig5.run(num_tasks=FIG5_SLICE_TASKS), repeats)
     return wall
 
 
 def measure() -> dict:
     """Run every scenario and assemble the record."""
     events_per_s, events_wall = bench_engine_events()
-    fan_per_s, fan_wall = bench_engine_fan("default")
-    fast_per_s, fast_wall = bench_engine_fan("fast")
+    fan_per_s, fan_wall = bench_engine_fan()
     jobs_per_s, ps_wall = bench_ps_churn()
     tasks_per_s, pagoda_wall = bench_pagoda_stack()
     obs_tasks_per_s, obs_wall, stats_snapshot = bench_obs_overhead()
@@ -420,12 +410,9 @@ def measure() -> dict:
     partition_measured = bench_partition()
     scenarios_measured = bench_scenarios()
     fig5_wall = bench_fig5_slice()
-    fig5_fast_wall = bench_fig5_slice(lane="fast")
     metrics = {
         "engine_events_per_s": round(events_per_s, 1),
         "engine_events_per_s_fan": round(fan_per_s, 1),
-        "engine_events_per_s_fast": round(fast_per_s, 1),
-        "engine_lane_speedup": round(fast_per_s / fan_per_s, 2),
         "ps_jobs_per_s": round(jobs_per_s, 1),
         "pagoda_tasks_per_s": round(tasks_per_s, 1),
         "pagoda_tasks_per_s_obs": round(obs_tasks_per_s, 1),
@@ -444,8 +431,7 @@ def measure() -> dict:
         "metrics": metrics,
         "wall_s": {
             "engine_ping_pong": round(events_wall, 4),
-            "engine_fan_default": round(fan_wall, 4),
-            "engine_fan_fast": round(fast_wall, 4),
+            "engine_fan": round(fan_wall, 4),
             "ps_churn": round(ps_wall, 4),
             "pagoda_stack": round(pagoda_wall, 4),
             "pagoda_stack_obs": round(obs_wall, 4),
@@ -458,8 +444,6 @@ def measure() -> dict:
             "partition_isolation": partition_measured["partition_wall_s"],
             "scenario_catalog": scenarios_measured["wall_s"],
             f"fig5_slice_{FIG5_SLICE_TASKS}_tasks": round(fig5_wall, 2),
-            f"fig5_slice_fast_{FIG5_SLICE_TASKS}_tasks":
-                round(fig5_fast_wall, 2),
         },
         "stats_snapshot": stats_snapshot,
         "scenarios": {k: v for k, v in scenarios_measured.items()
@@ -499,7 +483,7 @@ def load_baseline(baseline_path: pathlib.Path):
 
 
 # Guard metrics with their own dedicated checks (the obs overhead
-# ratio and the lane speedup have hard floors above) are excluded from
+# ratio has a hard floor above) are excluded from
 # the generic >20% throughput comparison: a ratio of two noisy timings
 # swings far more run-to-run than either timing alone.
 # ``fleet_degraded_throughput`` is excluded for the opposite reason —
@@ -507,7 +491,6 @@ def load_baseline(baseline_path: pathlib.Path):
 # any change is a semantic change in the reliability lane, not a host
 # perf regression the generic wall-clock guard should judge.
 _NON_THROUGHPUT_METRICS = frozenset({"obs_on_off_ratio",
-                                     "engine_lane_speedup",
                                      "cluster_speedup",
                                      "fleet_degraded_throughput",
                                      "partition_p99_ratio",
@@ -577,16 +560,6 @@ def main(argv=None) -> int:
         say(f"\nWARNING: obs_on_off_ratio {ratio:.3f} is below the "
             f"{OBS_OVERHEAD_FLOOR} floor: observability costs more "
             "than its budget")
-        if not args.no_fail:
-            return finish(1)
-
-    # likewise absolute: the fast lane's whole reason to exist is the
-    # wide-fan win, so the floor applies from the first run
-    lane_speedup = record["metrics"].get("engine_lane_speedup")
-    if lane_speedup is not None and lane_speedup < LANE_SPEEDUP_FLOOR:
-        say(f"\nWARNING: engine_lane_speedup {lane_speedup:.2f}x is "
-            f"below the {LANE_SPEEDUP_FLOOR}x floor: the fast lane "
-            "stopped paying for itself on the wide-fan scenario")
         if not args.no_fail:
             return finish(1)
 

@@ -74,11 +74,10 @@ def run_static_fusion(tasks: List[TaskSpec],
                       timing: Optional[TimingModel] = None,
                       fused_threads: int = DEFAULT_FUSED_THREADS,
                       copy_inputs: bool = True,
-                      copy_outputs: bool = True,
-                      lane: str = "default") -> RunStats:
+                      copy_outputs: bool = True) -> RunStats:
     """Execute ``tasks`` as one statically fused kernel."""
     timing = timing or DEFAULT_TIMING
-    engine = Engine(lane=lane)
+    engine = Engine()
     gpu = Gpu(engine, spec or titan_x(), timing)
     bus = PcieBus(engine, timing)
     rt = CudaRuntime(engine, gpu, bus)

@@ -51,8 +51,6 @@ class GemtcConfig:
     copy_outputs: bool = True
     spawn_gap_ns: float = 0.0
     functional: bool = False
-    #: engine lane ("default" or "fast"; see PagodaConfig.lane)
-    lane: str = "default"
 
 
 class _GemtcDevice:
@@ -143,7 +141,7 @@ def run_gemtc(tasks: List[TaskSpec],
             raise ValueError(
                 f"GeMTC has no shared-memory support (task {task.name!r})"
             )
-    engine = Engine(lane=config.lane)
+    engine = Engine()
     gpu = Gpu(engine, spec or titan_x(), timing)
     bus = PcieBus(engine, timing)
     device = _GemtcDevice(engine, gpu, timing, config.worker_threads,

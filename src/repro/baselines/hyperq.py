@@ -33,8 +33,6 @@ class HyperQConfig:
     #: open-loop arrivals (see PagodaConfig.open_loop)
     open_loop: bool = False
     functional: bool = False
-    #: engine lane ("default" or "fast"; see PagodaConfig.lane)
-    lane: str = "default"
 
 
 def run_hyperq(tasks: List[TaskSpec],
@@ -44,7 +42,7 @@ def run_hyperq(tasks: List[TaskSpec],
     """Execute ``tasks`` as individual kernels under HyperQ."""
     config = config or HyperQConfig()
     timing = timing or DEFAULT_TIMING
-    engine = Engine(lane=config.lane)
+    engine = Engine()
     gpu = Gpu(engine, spec or titan_x(), timing)
     bus = PcieBus(engine, timing)
     rt = CudaRuntime(engine, gpu, bus, functional=config.functional)

@@ -30,23 +30,18 @@ THREADS_PER_TASK = 128
 PAPER_GEOMEANS = {"pthreads": 5.70, "hyperq": 1.51, "gemtc": 1.69}
 
 
-def run(num_tasks: Optional[int] = None, seed: int = 0,
-        lane: str = "default") -> Dict:
-    """Execute the Fig. 5 grid; returns per-workload speedup maps.
-
-    ``lane`` selects the engine lane for every runtime in the grid
-    (results are bit-identical across lanes; only wall time differs).
-    """
+def run(num_tasks: Optional[int] = None, seed: int = 0) -> Dict:
+    """Execute the Fig. 5 grid; returns per-workload speedup maps."""
     per_workload: Dict[str, Dict[str, float]] = {}
     raw: Dict[str, Dict] = {}
     for workload in WORKLOADS:
         n = num_tasks if num_tasks is not None else default_num_tasks(workload)
         tasks = make_tasks(workload, n, THREADS_PER_TASK, seed)
-        stats = {"sequential": run_tasks(tasks, "sequential", lane=lane)}
+        stats = {"sequential": run_tasks(tasks, "sequential")}
         for runtime in RUNTIMES:
             if workload == "slud" and runtime == "gemtc":
                 continue  # GeMTC needs a static task count (§6.2)
-            stats[runtime] = run_tasks(tasks, runtime, lane=lane)
+            stats[runtime] = run_tasks(tasks, runtime)
         per_workload[workload] = speedups_vs(stats, "sequential")
         raw[workload] = stats
     geomeans = {}

@@ -63,27 +63,21 @@ def make_tasks(workload: str, num_tasks: Optional[int] = None,
 
 
 # -- runtime registry -----------------------------------------------------------
-# Every runner defaults to the fast engine lane (bit-identical to the
-# default lane by the differential contract, ~2x wall-clock on wide
-# fans); pass ``lane="default"`` to opt out.
 
 def _run_pagoda(tasks, copies=True, **kw):
     return run_pagoda(tasks, config=PagodaConfig(
-        copy_inputs=copies, copy_outputs=copies,
-        lane=kw.get("lane", "fast")))
+        copy_inputs=copies, copy_outputs=copies))
 
 
 def _run_pagoda_batching(tasks, copies=True, **kw):
     batch = kw.get("batch_size", 384)
     return run_pagoda(tasks, config=PagodaConfig(
-        copy_inputs=copies, copy_outputs=copies, batch_size=batch,
-        lane=kw.get("lane", "fast")))
+        copy_inputs=copies, copy_outputs=copies, batch_size=batch))
 
 
 def _run_hyperq(tasks, copies=True, **kw):
     return run_hyperq(tasks, config=HyperQConfig(
-        copy_inputs=copies, copy_outputs=copies,
-        lane=kw.get("lane", "fast")))
+        copy_inputs=copies, copy_outputs=copies))
 
 
 def _run_gemtc(tasks, copies=True, **kw):
@@ -91,24 +85,21 @@ def _run_gemtc(tasks, copies=True, **kw):
     return run_gemtc(tasks, config=GemtcConfig(
         worker_threads=max(64, worker_threads),
         batch_size=kw.get("batch_size"),
-        copy_inputs=copies, copy_outputs=copies,
-        lane=kw.get("lane", "fast")))
+        copy_inputs=copies, copy_outputs=copies))
 
 
 def _run_fusion(tasks, copies=True, **kw):
     fused_threads = kw.get("fused_threads", 256)
     return run_static_fusion(tasks, fused_threads=fused_threads,
-                             copy_inputs=copies, copy_outputs=copies,
-                             lane=kw.get("lane", "fast"))
+                             copy_inputs=copies, copy_outputs=copies)
 
 
 def _run_pthreads(tasks, copies=True, **kw):
-    return run_pthreads(tasks, num_cores=PTHREADS_CORES,
-                        lane=kw.get("lane", "fast"))
+    return run_pthreads(tasks, num_cores=PTHREADS_CORES)
 
 
 def _run_sequential(tasks, copies=True, **kw):
-    return run_sequential(tasks, lane=kw.get("lane", "fast"))
+    return run_sequential(tasks)
 
 
 RUNTIMES: Dict[str, Callable[..., RunStats]] = {

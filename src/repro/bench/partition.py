@@ -132,8 +132,8 @@ def _cell(reports, utilization: float, moves: int) -> Dict[str, float]:
     }
 
 
-def _run_shared(tenants: List[TenantSpec], lane: str) -> Dict[str, float]:
-    config = ServeConfig(pagoda=PagodaConfig(lane=lane), label="shared")
+def _run_shared(tenants: List[TenantSpec]) -> Dict[str, float]:
+    config = ServeConfig(label="shared")
     server = TaskServer(tenants, config)
     report = server.run()
     util = _issue_utilization(server.node.sessions[0].gpu,
@@ -141,32 +141,30 @@ def _run_shared(tenants: List[TenantSpec], lane: str) -> Dict[str, float]:
     return _cell([report], util, moves=0)
 
 
-def _run_partitioned(tenants: List[TenantSpec], lane: str,
+def _run_partitioned(tenants: List[TenantSpec],
                      elastic: Optional[ElasticConfig],
                      label: str) -> Dict[str, float]:
     plan = _plan(elastic)
-    config = ServeConfig(pagoda=PagodaConfig(lane=lane, partition=plan),
-                         label=label)
-    stack = PartitionedStack(plan, config=PagodaConfig(lane=lane))
+    config = ServeConfig(pagoda=PagodaConfig(partition=plan), label=label)
+    stack = PartitionedStack(plan)
     reports = serve_partitioned(tenants, config, stack=stack)
     makespan = max(r.makespan_ns for r in reports.values())
     util = _issue_utilization(stack.gpu, makespan)
     return _cell(list(reports.values()), util, moves=len(stack.moves))
 
 
-def run(num_tasks: int = 96, seed: int = 0,
-        lane: str = "fast") -> Dict:
+def run(num_tasks: int = 96, seed: int = 0) -> Dict:
     """One victim/aggressor pair through all three modes, same seed."""
     num_victim = 2 * num_tasks
     num_aggressor = 2 * num_tasks
     results = {
         "shared": _run_shared(
-            _tenants(num_victim, num_aggressor, seed, False), lane),
+            _tenants(num_victim, num_aggressor, seed, False)),
         "static": _run_partitioned(
-            _tenants(num_victim, num_aggressor, seed, True), lane,
+            _tenants(num_victim, num_aggressor, seed, True),
             None, "static"),
         "elastic": _run_partitioned(
-            _tenants(num_victim, num_aggressor, seed, True), lane,
+            _tenants(num_victim, num_aggressor, seed, True),
             ELASTIC, "elastic"),
     }
     shared, static, elastic = (results[m]["utilization"]
@@ -176,7 +174,6 @@ def run(num_tasks: int = 96, seed: int = 0,
     return {
         "num_victim": num_victim,
         "num_aggressor": num_aggressor,
-        "lane": lane,
         "results": results,
         "p99_shared_over_static":
             results["shared"]["victim_p99_us"]
@@ -202,8 +199,7 @@ def report(results: Dict) -> str:
         ["metric"] + modes, rows,
         title=(f"PARTITION: noisy-neighbor isolation, "
                f"{results['num_victim']} victim + "
-               f"{results['num_aggressor']} aggressor tasks "
-               f"[{results['lane']} lane]"),
+               f"{results['num_aggressor']} aggressor tasks"),
     )
     shape = (
         f"\nShape check: static partitioning cuts the victim's p99 "

@@ -16,7 +16,6 @@ from repro.bench import (
     cluster,
     config_sweeps,
     fig5,
-    lanes,
     latency_under_load,
     obs_profile,
     partition,
@@ -42,7 +41,6 @@ EXPERIMENTS = {
     "sweeps": config_sweeps,
     "serve_p99_under_load": serve_load,
     "obs": obs_profile,
-    "lanes": lanes,
     "cluster": cluster,
     "partition_isolation": partition,
     "scenarios": scenarios,
@@ -51,7 +49,7 @@ EXPERIMENTS = {
 #: experiments whose run() takes a num_tasks argument
 TASK_SIZED = {"fig5", "fig7", "fig9", "fig11", "tab3", "tab5",
               "ablations", "load", "priorities", "sweeps",
-              "serve_p99_under_load", "obs", "lanes",
+              "serve_p99_under_load", "obs",
               "partition_isolation"}
 
 

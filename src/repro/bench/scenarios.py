@@ -2,10 +2,7 @@
 
 Runs every registered :mod:`repro.scenarios` scenario at its default
 seed and reports one pass/fail line per scenario (the same lines the
-CI ``scenario-matrix`` job puts in its summary).  The cell also
-re-asserts the catalog's core promise before reporting: each
-scenario's result digest is byte-identical across engine lanes — a
-verdict that depends on the execution strategy is not a verdict.
+CI ``scenario-matrix`` job puts in its summary).
 
 ``python -m repro.bench scenarios --check`` exits non-zero if any
 scenario fails, which is how CI and ``scripts/bench.py`` consume it.
@@ -16,10 +13,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.scenarios import names, run_scenario
-
-#: scenarios whose lane-identity is re-asserted by the bench cell (one
-#: per layer keeps the cell fast; tests/scenarios covers the rest).
-IDENTITY_PROBES = ("serve.trace_replay", "cluster.lossy_fabric")
 
 
 def run() -> Dict:
@@ -40,19 +33,11 @@ def run() -> Dict:
             "failures": [v.to_dict() for v in result.verdicts
                          if not v.passed],
         })
-    for name in IDENTITY_PROBES:
-        fast = run_scenario(name, lane="fast").to_json()
-        default = run_scenario(name, lane="default").to_json()
-        if fast != default:
-            raise RuntimeError(
-                f"scenario {name!r} result bytes differ across lanes"
-            )
     return {
         "scenarios": rows,
         "passed": sum(1 for r in rows if r["passed"]),
         "total": len(rows),
         "all_passed": all(r["passed"] for r in rows),
-        "identity_probes": list(IDENTITY_PROBES),
     }
 
 
@@ -60,8 +45,7 @@ def report(results: Dict) -> str:
     """One line per scenario, plus any failing detector's evidence."""
     lines = [
         f"SCENARIOS: incident catalog, {results['passed']}/"
-        f"{results['total']} passed (lane identity verified on "
-        f"{', '.join(results['identity_probes'])})"
+        f"{results['total']} passed"
     ]
     for row in results["scenarios"]:
         lines.append("  " + row["line"])

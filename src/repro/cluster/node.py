@@ -1,8 +1,7 @@
 """One fleet shard: a self-contained GPU node behind a frontend.
 
 A :class:`NodeShard` owns everything a simulated box owns — its own
-:class:`~repro.sim.Engine` (fast lane by default, via the serve
-config), Pagoda runtime stack(s), and a
+:class:`~repro.sim.Engine`, Pagoda runtime stack(s), and a
 :class:`~repro.serve.remote.NodeFrontend` — and exposes exactly the
 epoch protocol the coordinator speaks: *deliver, step, report*.
 Shards are constructed **from plain data** (a

@@ -44,7 +44,7 @@ class MultiGpuPagoda:
         if num_gpus < 1:
             raise ValueError("num_gpus must be >= 1")
         self.config = config or PagodaConfig()
-        self.engine = Engine(lane=self.config.lane)
+        self.engine = Engine()
         self.sessions: List[PagodaSession] = [
             PagodaSession(spec, timing, self.config, engine=self.engine)
             for _ in range(num_gpus)

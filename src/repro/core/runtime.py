@@ -88,11 +88,6 @@ class PagodaConfig:
     #: and puts a ``stats_snapshot`` into ``RunStats.meta``.  ``None``
     #: (the default) leaves the run bit-identical and unslowed.
     obs: Optional[object] = None
-    #: engine lane: "default" (per-record heap pops) or "fast"
-    #: (same-timestamp batch drain).  Bit-identical schedules either
-    #: way (docs/INTERNALS.md §10); ignored when an explicit ``engine``
-    #: is handed to :class:`PagodaSession`.
-    lane: str = "default"
     #: optional :class:`repro.partition.PartitionPlan`: split the GPU
     #: into isolated compute partitions (SPX/DPX/QPX or arbitrary SMM
     #: masks), each with its own MasterKernel/TaskTable/host.  A plain
@@ -121,7 +116,7 @@ class PagodaSession:
             )
         # a shared engine lets several sessions (e.g. one per GPU of a
         # multi-GPU node) advance on one simulated clock
-        self.engine = engine or Engine(lane=self.config.lane)
+        self.engine = engine or Engine()
         #: seeded fault injector shared by every layer (None when the
         #: config carries no fault plan).
         self.faults = None

@@ -22,7 +22,6 @@ def run_pthreads(
     num_cores: int = 20,
     timing: Optional[TimingModel] = None,
     spawn_gap_ns: float = 0.0,
-    lane: str = "default",
 ) -> RunStats:
     """Execute ``tasks`` on a PThreads-style pool; returns RunStats.
 
@@ -30,7 +29,7 @@ def run_pthreads(
     the same arrival process so comparisons stay fair).
     """
     timing = timing or DEFAULT_TIMING
-    engine = Engine(lane=lane)
+    engine = Engine()
     cpu = HostCpu(engine, timing, num_cores=num_cores)
     results: List[TaskResult] = []
 
@@ -68,11 +67,10 @@ def run_pthreads(
 
 def run_sequential(
     tasks: List[TaskSpec], timing: Optional[TimingModel] = None,
-    lane: str = "default",
 ) -> RunStats:
     """Single-core reference execution (Fig. 5's speedup denominator)."""
     timing = timing or DEFAULT_TIMING
-    engine = Engine(lane=lane)
+    engine = Engine()
     cpu = HostCpu(engine, timing, num_cores=1)
     results: List[TaskResult] = []
 

@@ -96,7 +96,7 @@ def occupancy(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized variants (the fast lane's one-array-pass occupancy kernel)
+# Vectorized variants (one-array-pass occupancy kernel)
 # ---------------------------------------------------------------------------
 
 try:  # degrade gracefully on bare installs; the scalar path always works

@@ -10,10 +10,9 @@ bandwidth) plus the paper's own measurements (e.g. Table 3's data-copy
 fractions imply the copy-vs-compute balance), then frozen.  Experiments
 vary *workloads and runtimes*, never these constants.
 
-This module also hosts the **vectorized timing kernels** for the fast
-lane (docs/INTERNALS.md §10): numpy array passes that replace per-warp
-Python loops in the processor-sharing hot path while remaining
-bit-identical to the scalar math.  They change *how fast* numbers are
+This module also hosts the **vectorized timing kernels**: numpy array
+passes that replace per-warp Python loops in the processor-sharing hot
+path while remaining bit-identical to the scalar math.  They change *how fast* numbers are
 computed, never *which* numbers — the differential suite
 (``tests/differential/``) pins that down.
 """
@@ -65,9 +64,9 @@ def ps_completion_times(
     so completions are computed tag-by-tag with a vectorized prefix
     pass over the per-interval service increments.
 
-    This is the fast lane's *oracle* for per-SMM warp completion: one
-    array pass instead of stepping the event loop per warp.  The
-    differential suite bit-compares it against the scalar recurrence
+    This is the *oracle* for per-SMM warp completion: one array pass
+    instead of stepping the event loop per warp.  The differential
+    suite bit-compares it against the scalar recurrence
     (`_ps_completion_times_scalar`) and against event-loop timings.
     """
     tags = sorted(finish_tags)

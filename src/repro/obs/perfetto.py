@@ -15,9 +15,6 @@ carrying up to four layers:
   promote/schedule/defer decisions, drops), rendered as Chrome instant
   events on their own track.
 
-:mod:`repro.traceviz` re-exports the plain-run and serve entry points,
-so existing callers keep working; the obs-aware exporters live here.
-
 Note on the queued span: a task spawned at t=0 whose scheduling also
 happened at t=0 *was* queued (for zero time) and gets a zero-duration
 span — dropping it (as the seed's ``sched_time > 0`` predicate did)

@@ -77,14 +77,7 @@ class SimProfiler:
                 except StopIteration as stop:
                     return stop.value
                 stat.events += 1
-                # Lane-invariant queue depth: pending scheduled records
-                # live in the heap on the default lane and in the
-                # timestamp buckets (plus the not-yet-dispatched tail of
-                # an in-flight batch) on the fast lane.  The sum reads
-                # the same number on either lane, so heap_peak stays
-                # byte-identical across lanes.
-                depth = (len(queue) + engine._nbucketed
-                         + engine._batch_sched_rem)
+                depth = len(queue)
                 if depth > self.heap_peak:
                     self.heap_peak = depth
                 before = engine.now

@@ -267,7 +267,7 @@ class PartitionedStack:
                 "(PartitionSpec.fault_plan), not a device-wide one"
             )
         plan.validate(self.spec.num_smms)
-        self.engine = engine or Engine(lane=self.config.lane)
+        self.engine = engine or Engine()
         self.obs = self.config.obs
         if self.obs is not None and getattr(self.obs, "profiler", None):
             self.engine.profiler = self.obs.profiler

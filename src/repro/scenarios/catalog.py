@@ -4,8 +4,8 @@ Each scenario is one packaged incident with the detectors that decide
 whether the stack handled it — the experiment definitions ROADMAP
 item 4 asked for.  Every workload here is deliberately small: the
 whole catalog runs in seconds so CI can matrix it, and each runner is
-a pure function of ``(seed, lane, workers)`` with lane/workers
-changing nothing but wall time.
+a pure function of ``(seed, workers)`` with workers changing nothing
+but wall time.
 
 Kernels and runners are module-level so cluster scenarios pickle into
 worker processes under the spawn start method.
@@ -60,12 +60,12 @@ def _serve_tasks(prefix: str, n: int) -> List[TaskSpec]:
             for i in range(n)]
 
 
-def _obs_config(lane: str, **pagoda_kwargs):
+def _obs_config(**pagoda_kwargs):
     """A ServeConfig wired for snapshots (profile off: scenario results
     must not carry host-time numbers)."""
     obs = Obs(profile=False)
     config = ServeConfig(
-        pagoda=PagodaConfig(lane=lane, obs=obs, **pagoda_kwargs))
+        pagoda=PagodaConfig(obs=obs, **pagoda_kwargs))
     return config, obs
 
 
@@ -85,8 +85,7 @@ def _overload_runner(params: ScenarioParams) -> ScenarioOutcome:
     cal = serve(
         [TenantSpec("cal", _serve_tasks("c", 150),
                     DeterministicArrivals(100.0))],
-        ServeConfig(pagoda=PagodaConfig(lane=params.lane),
-                    label="calibrate"),
+        ServeConfig(label="calibrate"),
     )
     capacity = cal.completed * 1e9 / cal.makespan_ns
 
@@ -99,9 +98,8 @@ def _overload_runner(params: ScenarioParams) -> ScenarioOutcome:
 
     baseline = serve(
         overload_tenant(),
-        ServeConfig(pagoda=PagodaConfig(lane=params.lane),
-                    label="baseline"))
-    config, obs = _obs_config(params.lane)
+        ServeConfig(label="baseline"))
+    config, obs = _obs_config()
     config.policy = TokenBucket(rate_per_s=0.8 * capacity, burst=8)
     config.label = "protected"
     protected, snap = _serve_with_obs(overload_tenant(), config, obs)
@@ -145,7 +143,7 @@ def _brownout_runner(params: ScenarioParams) -> ScenarioOutcome:
     plan = FaultPlan.generate(seed=params.seed + 3, n_faults=6,
                               horizon_ns=300_000.0, columns=48)
     watchdog = 2_000_000.0 if plan.needs_watchdog() else None
-    config, obs = _obs_config(params.lane, fault_plan=plan,
+    config, obs = _obs_config(fault_plan=plan,
                               watchdog_deadline_ns=watchdog)
     config.policy = TokenBucket(rate_per_s=1_500_000.0, burst=8)
     config.label = "brownout"
@@ -199,7 +197,7 @@ def _trace_runner(params: ScenarioParams) -> ScenarioOutcome:
                    arrivals[task_type])
         for task_type, count in mix.items()
     ]
-    config, obs = _obs_config(params.lane)
+    config, obs = _obs_config()
     config.label = "trace-replay"
     report, snap = _serve_with_obs(tenants, config, obs)
     return ScenarioOutcome(
@@ -362,14 +360,12 @@ def _nn_tenants(seed: int, partitioned: bool) -> List[TenantSpec]:
 def _noisy_neighbor_runner(params: ScenarioParams) -> ScenarioOutcome:
     shared = serve(
         _nn_tenants(params.seed, False),
-        ServeConfig(pagoda=PagodaConfig(lane=params.lane),
-                    label="shared"))
+        ServeConfig(label="shared"))
     plan = PartitionPlan.from_mode("DPX", oversubscribe=1.5,
                                    names=["victim", "aggressor"])
     parts = serve(
         _nn_tenants(params.seed, True),
-        ServeConfig(pagoda=PagodaConfig(lane=params.lane,
-                                        partition=plan),
+        ServeConfig(pagoda=PagodaConfig(partition=plan),
                     label="static"))
     shared_p99 = shared.tenant_stats["victim"]["hist"].percentile(99)
     static_p99 = parts["victim"].tenant_stats["victim"][

@@ -5,8 +5,8 @@ the report digest, a comparison, a bound — so a scenario definition
 reads like the incident postmortem it encodes ("token bucket holds
 victim p99 under 2x overload", "quarantine readmits within 8 epochs
 of the heal").  Anything a detector quotes in its detail string is a
-virtual-time value, keeping verdict bytes identical across lanes and
-worker counts.
+virtual-time value, keeping verdict bytes identical across worker
+counts.
 
 The dotted-path convention: ``"totals.completed"`` walks nested dicts
 in ``ctx.report``; integer segments index into lists

@@ -55,18 +55,17 @@ def get(name: str) -> Scenario:
 
 
 def run_scenario(name: str, seed: Optional[int] = None,
-                 lane: str = "fast", workers: int = 0) -> ScenarioResult:
+                 workers: int = 0) -> ScenarioResult:
     """Run one scenario end to end: runner, then every detector.
 
-    ``seed`` defaults to the scenario's ``default_seed``; ``lane`` and
-    ``workers`` pick the execution strategy and must not change one
-    byte of the result (``tests/scenarios`` holds the registry to
-    that).
+    ``seed`` defaults to the scenario's ``default_seed``; ``workers``
+    picks the execution strategy and must not change one byte of the
+    result (``tests/scenarios`` holds the registry to that).
     """
     scenario = get(name)
     params = ScenarioParams(
         seed=scenario.default_seed if seed is None else seed,
-        lane=lane, workers=workers,
+        workers=workers,
     )
     outcome = scenario.runner(params)
     ctx = ScenarioContext(scenario=scenario, params=params,
@@ -77,8 +76,8 @@ def run_scenario(name: str, seed: Optional[int] = None,
                           outcome=outcome, verdicts=verdicts)
 
 
-def run_catalog(seed: Optional[int] = None, lane: str = "fast",
+def run_catalog(seed: Optional[int] = None,
                 workers: int = 0) -> List[ScenarioResult]:
     """Run every registered scenario, in name order."""
-    return [run_scenario(n, seed=seed, lane=lane, workers=workers)
+    return [run_scenario(n, seed=seed, workers=workers)
             for n in names()]

@@ -15,9 +15,8 @@ Determinism is the whole point.  A scenario run is a pure function of
 simulation is deterministic by the engine's contract, and detector
 details quote virtual-time values only — so the
 :meth:`ScenarioResult.to_json` bytes are identical across repeated
-runs, across engine lanes (the differential contract), and for any
-cluster worker count (the fleet contract).  ``tests/scenarios``
-asserts all three.
+runs and for any cluster worker count (the fleet contract).
+``tests/scenarios`` asserts both.
 """
 
 from __future__ import annotations
@@ -38,12 +37,11 @@ LAYERS = ("serve", "fault", "cluster", "partition")
 class ScenarioParams:
     """Per-run knobs a caller may vary without changing the verdicts.
 
-    ``lane`` and ``workers`` select *how* the simulation executes, not
-    what it computes — the result bytes must not depend on them.
+    ``workers`` selects *how* the simulation executes, not what it
+    computes — the result bytes must not depend on it.
     """
 
     seed: int
-    lane: str = "fast"
     workers: int = 0
 
 
@@ -121,8 +119,8 @@ class Scenario:
     layer: str
     description: str
     #: builds the seeded inputs, runs the simulation, returns the
-    #: outcome.  Must honor ``params.lane`` / ``params.workers``
-    #: without letting either into the outcome's bytes.
+    #: outcome.  Must honor ``params.workers`` without letting it
+    #: into the outcome's bytes.
     runner: Callable[[ScenarioParams], ScenarioOutcome]
     detectors: Tuple[Detector, ...]
     default_seed: int = 0
@@ -169,9 +167,9 @@ class ScenarioResult:
 
     def to_dict(self) -> dict:
         """The canonical digest.  Deliberately **excludes** the params
-        that must not matter (lane, workers): identical bytes across
+        that must not matter (workers): identical bytes across
         execution strategies is the contract ``tests/scenarios``
-        checks, and leaking either knob here would fake it."""
+        checks, and leaking the knob here would fake it."""
         digest = {
             "schema": SCHEMA,
             "scenario": self.scenario.name,
@@ -190,8 +188,7 @@ class ScenarioResult:
         return digest
 
     def to_json(self) -> str:
-        """Canonical serialization: byte-identical across lanes and
-        worker counts (sorted keys, fixed separators, pre-rounded
-        floats)."""
+        """Canonical serialization: byte-identical across worker
+        counts (sorted keys, fixed separators, pre-rounded floats)."""
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))

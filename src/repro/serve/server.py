@@ -196,11 +196,7 @@ class ServeConfig:
     batch: BatchPolicy = field(default_factory=BatchPolicy)
     #: the underlying runtime's configuration (fault plans, watchdog,
     #: deferred scheduling for SLO priorities, ... all plug in here).
-    #: Serving defaults to the **fast engine lane** (bit-identical to
-    #: the default lane by the differential contract, ~2x on wide
-    #: fans); pass ``PagodaConfig(lane="default")`` to opt out.
-    pagoda: PagodaConfig = field(
-        default_factory=lambda: PagodaConfig(lane="fast"))
+    pagoda: PagodaConfig = field(default_factory=PagodaConfig)
     #: Pagoda stacks behind the one ingress queue (shortest-queue
     #: placement; ``gpu.die`` fault specs are not served — device
     #: failover stays with :func:`repro.core.run_multi_gpu_pagoda`).
@@ -285,7 +281,7 @@ class TaskServer:
         }
         #: counter timeline: (t_ns, queue_depth, inflight, dropped,
         #: finished) — one row per state change (same-instant rows
-        #: coalesced), feeding the traceviz counter export.
+        #: coalesced), feeding the Perfetto counter export.
         self.timeline: List[tuple] = []
 
         self._work = Signal()

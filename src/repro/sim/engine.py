@@ -20,7 +20,7 @@ Hot-path design (the fast paths that make paper-scale runs practical):
 - **Slotted timer records.**  Heap entries are plain 5-tuples
   ``(when, seq, kind, payload, value)``.  ``kind`` discriminates a bare
   callback (``payload()``) from a process resume
-  (``_step(payload, value)``), so the common resume case allocates *no*
+  (``payload(value)``), so the common resume case allocates *no*
   lambda closure — the seed implementation paid one closure plus one
   3-tuple per event.  ``seq`` is unique, so heap comparisons never
   reach the non-comparable payload.
@@ -32,22 +32,17 @@ Hot-path design (the fast paths that make paper-scale runs practical):
   order (ring entries all carry ``when == now``), so observable event
   ordering is bit-identical to the seed's all-heap behaviour while
   same-timestamp wakeups cost O(1) instead of O(log n).
-- **Branch-first dispatch.**  ``_step`` inlines the command dispatch
-  and tests ``type(command) is float`` first — the overwhelmingly
-  common numeric-delay case pays a single pointer compare.
-- **Specialized run loops.**  ``run()`` with neither ``until`` nor
-  ``max_events`` takes an unguarded loop body; the ``None`` checks are
-  hoisted out so the common case pays nothing per event.
-- **Engine lanes.**  ``Engine(lane="fast")`` selects the batch-drain
-  fast lane: scheduled records are kept in per-timestamp *buckets*
-  (a dict keyed by ``when`` plus a heap of distinct timestamps), and
-  the run loop drains every record sharing the current instant into
-  one flat batch before dispatching.  Same-timestamp-heavy workloads
-  (sibling warps, wide task fans) pay O(1) dict ops per event instead
-  of O(log n) heap sifts.  Batches are dispatched in global
-  ``(when, seq)`` order, so schedules, clocks, and event counts are
-  bit-identical to the default lane (see docs/INTERNALS.md §10 and
-  ``tests/differential/``).
+- **Branch-first dispatch.**  The run loop and
+  :meth:`Process.__call__` inline the command dispatch and test
+  ``type(command) is float`` first — the overwhelmingly common
+  numeric-delay case pays a single pointer compare.
+- **One run loop.**  ``run``, ``run_until`` and
+  ``run_until_idle_processes`` all drain through :meth:`Engine._drain`,
+  one record at a time in global ``(when, seq)`` order.  A bound
+  (``until``, ``max_events``, idle) only stops the loop between
+  records, so the undispatched records stay queued where they were and
+  a later drain resumes in exactly the original order
+  (docs/INTERNALS.md §10).
 """
 
 from __future__ import annotations
@@ -61,6 +56,8 @@ from repro.sim.events import Event
 #: ``kind`` values for slotted timer records.
 _FN = 0      # payload is a zero-argument callable
 _RESUME = 1  # payload is a Process; resume it with ``value``
+
+_INF = float("inf")
 
 
 class DeadlockError(RuntimeError):
@@ -155,7 +152,7 @@ class Process:
 
         The engine's live-process count is settled here: a process
         blocked on an event that never fires has no scheduled resume,
-        so deferring the decrement to the next ``_step`` (as the seed
+        so deferring the decrement to the next resume (as the seed
         did) leaked the live count and made
         :meth:`Engine.run_until_idle_processes` spin past the true
         idle point.
@@ -178,8 +175,7 @@ class Process:
         the process object directly as an event/join waiter instead of
         allocating a closure per wait — event waits are the dominant
         command on the Pagoda control path.  The engine's resume body
-        is inlined here (rather than bouncing through ``_step``)
-        because every event fire lands in this frame.
+        is inlined here because every event fire lands in this frame.
         """
         if not self.alive:
             return  # interrupted; interrupt() already settled _nlive
@@ -194,21 +190,10 @@ class Process:
             if command < 0.0:
                 raise ValueError(f"cannot schedule in the past: {command!r}")
             engine._seq = seq = engine._seq + 1
-            if engine._fast:
-                when = engine.now + command
-                buckets = engine._buckets
-                b = buckets.get(when)
-                if b is None:
-                    buckets[when] = [(seq, _RESUME, self, None)]
-                    heapq.heappush(engine._times, when)
-                else:
-                    b.append((seq, _RESUME, self, None))
-                engine._nbucketed += 1
-            else:
-                heapq.heappush(
-                    engine._queue,
-                    (engine.now + command, seq, _RESUME, self, None),
-                )
+            heapq.heappush(
+                engine._queue,
+                (engine.now + command, seq, _RESUME, self, None),
+            )
         else:
             engine._dispatch_slow(self, command)
 
@@ -225,31 +210,10 @@ class Engine:
     itself is unit-agnostic.
     """
 
-    def __init__(self, lane: str = "default") -> None:
-        if lane not in ("default", "fast"):
-            raise ValueError(f"unknown engine lane: {lane!r}")
-        #: which run-loop implementation this engine uses: "default"
-        #: (per-record heap pops) or "fast" (same-timestamp batch
-        #: drain).  Both produce bit-identical schedules.
-        self.lane = lane
-        self._fast = lane == "fast"
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: list = []    # heap of (when, seq, kind, payload, value)
         self._ready: deque = deque()  # ring of (seq, kind, payload, value)
-        #: fast lane: scheduled records bucketed by timestamp —
-        #: ``when -> [(seq, kind, payload, value), ...]`` (each list is
-        #: seq-sorted by construction) plus a heap of the distinct
-        #: pending timestamps.  Unused (empty) on the default lane.
-        self._buckets: dict = {}
-        self._times: list = []
-        #: records currently parked in ``_buckets`` (0 on the default
-        #: lane); the profiler adds it to ``len(_queue)`` so queue-depth
-        #: sampling reads the same number on either lane.
-        self._nbucketed = 0
-        #: scheduled-origin records of an in-flight guarded batch not
-        #: yet dispatched (maintained only while a profiler is
-        #: attached; part of the same depth identity).
-        self._batch_sched_rem = 0
         self._seq = 0
         self._nlive = 0
         #: every live process (for the deadlock reporter).
@@ -271,26 +235,14 @@ class Engine:
         self._push(when, _FN, fn, None)
 
     def _push(self, when: float, kind: int, payload: Any, value: Any) -> None:
-        """Schedule one slotted record at ``when`` on the active lane.
+        """Schedule one slotted record at ``when``.
 
         The per-event hot paths (:meth:`Process.__call__`, the run
-        loops, ``ProcessorSharing``) inline this body instead of
-        calling it; every other scheduling site routes through here so
-        new event sources are lane-safe by construction.
+        loop, ``ProcessorSharing``) inline this body instead of
+        calling it.
         """
         self._seq += 1
-        if self._fast:
-            b = self._buckets.get(when)
-            if b is None:
-                self._buckets[when] = [(self._seq, kind, payload, value)]
-                heapq.heappush(self._times, when)
-            else:
-                b.append((self._seq, kind, payload, value))
-            self._nbucketed += 1
-        else:
-            heapq.heappush(
-                self._queue, (when, self._seq, kind, payload, value)
-            )
+        heapq.heappush(self._queue, (when, self._seq, kind, payload, value))
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` simulated time units."""
@@ -315,11 +267,6 @@ class Engine:
         self._seq += 1
         self._ready.append((self._seq, _RESUME, proc, None))
         return proc
-
-    def _step(self, proc: Process, value: Any) -> None:
-        """Resume ``proc`` with ``value`` (the guarded run loops' entry
-        point; the resume body lives in :meth:`Process.__call__`)."""
-        proc(value)
 
     def _dispatch_slow(self, proc: Process, command: Any) -> None:
         """Dispatch every non-``float`` yield command."""
@@ -360,7 +307,9 @@ class Engine:
 
         Stops when the queue is empty, when the clock would pass
         ``until``, or after ``max_events`` callbacks (a runaway guard for
-        tests).  Returns the final clock value.
+        tests).  Returns the final clock value.  An ``until`` earlier
+        than the clock raises :class:`ValueError`: time never runs
+        backwards.
 
         With ``raise_on_deadlock``, a drained queue that leaves
         non-daemon processes blocked raises :class:`DeadlockError`
@@ -368,20 +317,8 @@ class Engine:
         silently with work undone (bound runs only check when the queue
         truly drained, not when a bound stopped them early).
         """
-        if until is None and max_events is None:
-            if not self._fast:
-                end = self._run_unguarded()
-            elif self.profiler is None:
-                end = self._run_fast()
-            else:
-                # profiled fast runs take the shared batch drain: it
-                # maintains the queue-depth bookkeeping the profiler
-                # samples, and profiling already dwarfs the loop cost
-                end = self._drain_guarded(None, None, False)
-        else:
-            end = self._drain_guarded(until, max_events, False)
-        if (raise_on_deadlock and not self._queue and not self._ready
-                and not self._times):
+        end = self._drain(until, max_events, False)
+        if raise_on_deadlock:
             self.check_deadlock()
         return end
 
@@ -399,21 +336,38 @@ class Engine:
     def check_deadlock(self) -> None:
         """Raise :class:`DeadlockError` if the drained queue stranded
         non-daemon processes (no-op while work is still scheduled)."""
-        if self._queue or self._ready or self._times:
+        if self._queue or self._ready:
             return
         blocked = self.blocked_processes()
         if blocked:
             raise DeadlockError(blocked)
 
-    def _run_unguarded(self) -> float:
-        """Tight loop for the common ``run()`` call: no bound checks.
+    def _drain(self, until: Optional[float], max_events: Optional[int],
+               stop_on_idle: bool) -> float:
+        """The run loop behind :meth:`run`, :meth:`run_until` and
+        :meth:`run_until_idle_processes`.
+
+        Ring and heap are merged one record at a time in global
+        ``(when, seq)`` order: ring records sit at the current instant,
+        so a heap record goes first only when it is also due now with
+        an earlier sequence number.  Ring records are never held back
+        by ``until``; a heap record later than ``until`` parks the clock
+        at ``until`` and ends the drain.  ``max_events`` and
+        ``stop_on_idle`` stop the drain between records, so the rest
+        stay queued in place and the next drain resumes in the original
+        order.  A record that raises is not counted, and every record
+        after it stays queued.
 
         The process-resume fast path (send a value, get a numeric delay
-        back, push one slotted record) is inlined here — one Python
-        frame per event instead of three; non-numeric commands fall
-        back to :meth:`_step`'s shared dispatch via
+        back, push one slotted record) is inlined — one Python frame
+        per event; non-numeric commands go through
         :meth:`_dispatch_slow`.
         """
+        if until is None:
+            until = _INF
+        elif until < self.now:
+            raise ValueError(
+                f"cannot run backwards: {until} < {self.now}")
         queue = self._queue
         ready = self._ready
         pop = heapq.heappop
@@ -424,18 +378,21 @@ class Engine:
         count = 0
         try:
             while queue or ready:
-                # Merge ring and heap by global (when, seq) order: ring
-                # records sit at the current instant, so a heap record
-                # goes first only when it is also due now with an
-                # earlier sequence number.
+                if stop_on_idle and self._nlive <= 0:
+                    break
                 if ready and not (
                     queue and queue[0][0] <= now and queue[0][1] < ready[0][0]
                 ):
                     _seq, kind, payload, value = popleft()
                 else:
                     when, _seq, kind, payload, value = pop(queue)
+                    if when > until:
+                        # put it back: the heap is keyed on the unique
+                        # (when, seq), so the order is unchanged
+                        push(queue, (when, _seq, kind, payload, value))
+                        self.now = until
+                        break
                     self.now = now = when
-                count += 1
                 if kind:
                     if payload.alive:
                         try:
@@ -443,228 +400,24 @@ class Engine:
                         except StopIteration as stop:
                             self._nlive -= 1
                             payload._finish(stop.value)
-                            continue
-                        if type(command) is float:
-                            if command < 0.0:
-                                raise ValueError(
-                                    f"cannot schedule in the past: {command!r}"
-                                )
-                            self._seq = seq = self._seq + 1
-                            push(queue, (now + command, seq, _RESUME, payload, None))
                         else:
-                            slow(payload, command)
+                            if type(command) is float:
+                                if command < 0.0:
+                                    raise ValueError(
+                                        "cannot schedule in the past: "
+                                        f"{command!r}"
+                                    )
+                                self._seq = seq = self._seq + 1
+                                push(queue,
+                                     (now + command, seq, _RESUME, payload,
+                                      None))
+                            else:
+                                slow(payload, command)
                 else:
                     payload()
-        finally:
-            self.event_count += count
-        return self.now
-
-    def _collect_due(self, now: float) -> Optional[list]:
-        """Pop every scheduled record due at ``now`` into one seq-sorted
-        list (``None`` when nothing scheduled is due).
-
-        Sources are the fast lane's bucket for the current instant and
-        the legacy heap (still fed by lane-unaware direct pushers);
-        both lanes share this assembly step in the guarded drain.
-        """
-        sched = None
-        times = self._times
-        if times and times[0] == now:
-            heapq.heappop(times)
-            sched = self._buckets.pop(now)
-            self._nbucketed -= len(sched)
-        queue = self._queue
-        if queue and queue[0][0] <= now:
-            if sched is None:
-                sched = []
-            pop = heapq.heappop
-            while queue and queue[0][0] <= now:
-                rec = pop(queue)
-                sched.append((rec[1], rec[2], rec[3], rec[4]))
-            sched.sort()
-        return sched
-
-    def _next_instant(self) -> Optional[float]:
-        """Earliest pending scheduled timestamp, or ``None``."""
-        times = self._times
-        queue = self._queue
-        if times:
-            t = times[0]
-            if queue and queue[0][0] < t:
-                t = queue[0][0]
-            return t
-        if queue:
-            return queue[0][0]
-        return None
-
-    def _drain_guarded(self, until: Optional[float],
-                       max_events: Optional[int],
-                       stop_on_idle: bool) -> float:
-        """The shared bounded drain: one batch-at-a-time loop behind
-        ``run(until=..., max_events=...)``, profiled fast-lane runs,
-        and :meth:`run_until_idle_processes` (``stop_on_idle``).
-
-        Records sharing the current instant are assembled into one
-        seq-sorted batch (ring wakeups merged with due scheduled
-        records) and dispatched in order; when a bound stops the drain
-        mid-batch the unprocessed remainder is stashed at the *front*
-        of the ready ring — the remainder is due at the current
-        instant with sequence numbers below any live ring entry, so a
-        later drain resumes in exactly the original order.
-        """
-        ready = self._ready
-        now = self.now
-        count = 0
-        prof = self.profiler is not None
-        try:
-            while not stop_on_idle or self._nlive > 0:
-                # A clock already past ``until`` (bounded re-entry) must
-                # not dispatch scheduled work, matching the old per-pop
-                # ``when > until`` guard; ring records still drain.
-                sched = None
-                if until is None or now <= until:
-                    sched = self._collect_due(now)
-                if ready:
-                    batch = list(ready)
-                    ready.clear()
-                    if sched:
-                        batch += sched
-                        batch.sort()
-                elif sched is not None:
-                    batch = sched
-                else:
-                    t = self._next_instant()
-                    if t is None:
-                        break
-                    if until is not None and t > until:
-                        self.now = until
-                        break
-                    self.now = now = t
-                    continue
-                sched_seqs = ()
-                if prof and sched:
-                    sched_seqs = frozenset(rec[0] for rec in sched)
-                    self._batch_sched_rem = len(sched_seqs)
-                for i, rec in enumerate(batch):
-                    if stop_on_idle and self._nlive <= 0:
-                        ready.extendleft(reversed(batch[i:]))
-                        self._batch_sched_rem = 0
-                        return self.now
-                    if sched_seqs and rec[0] in sched_seqs:
-                        self._batch_sched_rem -= 1
-                    try:
-                        if rec[1]:
-                            rec[2](rec[3])
-                        else:
-                            rec[2]()
-                    except BaseException:
-                        # the raising event is not counted (matching the
-                        # historical guarded loop's post-dispatch count)
-                        ready.extendleft(reversed(batch[i + 1:]))
-                        self._batch_sched_rem = 0
-                        raise
-                    count += 1
-                    if max_events is not None and count >= max_events:
-                        ready.extendleft(reversed(batch[i + 1:]))
-                        self._batch_sched_rem = 0
-                        return self.now
-        finally:
-            self.event_count += count
-        return self.now
-
-    def _run_fast(self) -> float:
-        """Tight batch-drain loop for unbounded fast-lane runs.
-
-        Drains every record due at the current instant into one batch
-        and dispatches it with the process-resume body inlined (as in
-        :meth:`_run_unguarded`); the per-event cost of the dominant
-        same-timestamp case is a dict lookup and a list append instead
-        of two O(log n) heap sifts.
-        """
-        queue = self._queue      # legacy heap: lane-unaware pushers
-        ready = self._ready
-        times = self._times
-        buckets = self._buckets
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        slow = self._dispatch_slow
-        now = self.now
-        count = 0
-        try:
-            while True:
-                # -- assemble the batch due at the current instant --
-                sched = None
-                if times and times[0] == now:
-                    heappop(times)
-                    sched = buckets.pop(now)
-                    self._nbucketed -= len(sched)
-                if queue and queue[0][0] <= now:
-                    if sched is None:
-                        sched = []
-                    while queue and queue[0][0] <= now:
-                        rec = heappop(queue)
-                        sched.append((rec[1], rec[2], rec[3], rec[4]))
-                    sched.sort()
-                if ready:
-                    batch = list(ready)
-                    ready.clear()
-                    if sched:
-                        batch += sched
-                        batch.sort()
-                elif sched is not None:
-                    batch = sched
-                else:
-                    if times:
-                        t = times[0]
-                        if queue and queue[0][0] < t:
-                            t = queue[0][0]
-                    elif queue:
-                        t = queue[0][0]
-                    else:
-                        break
-                    self.now = now = t
-                    continue
-                # -- dispatch it (inlined resume fast path) --
-                try:
-                    for _s, kind, payload, value in batch:
-                        count += 1
-                        if kind:
-                            if payload.alive:
-                                try:
-                                    command = payload.gen.send(value)
-                                except StopIteration as stop:
-                                    self._nlive -= 1
-                                    payload._finish(stop.value)
-                                    continue
-                                if type(command) is float:
-                                    if command < 0.0:
-                                        raise ValueError(
-                                            "cannot schedule in the past: "
-                                            f"{command!r}"
-                                        )
-                                    self._seq = seq = self._seq + 1
-                                    when = now + command
-                                    b = buckets.get(when)
-                                    if b is None:
-                                        buckets[when] = [
-                                            (seq, _RESUME, payload, None)
-                                        ]
-                                        heappush(times, when)
-                                    else:
-                                        b.append((seq, _RESUME, payload, None))
-                                    self._nbucketed += 1
-                                else:
-                                    slow(payload, command)
-                        else:
-                            payload()
-                except BaseException:
-                    # preserve the undispatched remainder (everything
-                    # with a later seq than the raising record) exactly
-                    # as the default lane leaves it queued
-                    ready.extendleft(
-                        reversed([r for r in batch if r[0] > _s])
-                    )
-                    raise
+                count += 1
+                if max_events is not None and count >= max_events:
+                    break
         finally:
             self.event_count += count
         return self.now
@@ -680,12 +433,8 @@ class Engine:
         work beyond ``when`` is untouched (identical to ``run(until=
         when)``); only an *idle* clock is advanced.
         """
-        if when < self.now:
-            raise ValueError(
-                f"cannot run backwards: {when} < {self.now}")
         end = self.run(until=when)
-        if (end < when and not self._queue and not self._ready
-                and not self._times):
+        if end < when and not self._queue and not self._ready:
             self.now = when
             return when
         return end
@@ -697,7 +446,7 @@ class Engine:
         the queue empties naturally; this variant exists for workloads
         that keep re-arming timers.
         """
-        return self._drain_guarded(until, None, True)
+        return self._drain(until, None, True)
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires after ``delay``; usable for sleep-with-value."""

@@ -1,7 +1,7 @@
 """Waitable primitives: one-shot events and broadcast signals.
 
 These carry no reference to the engine; firing an event immediately runs
-the waiters' wake callbacks (which re-enter the engine's ``_step``), so
+the waiters' wake callbacks (which resume the waiting processes), so
 wakeups happen at the current simulated instant, preserving causality.
 """
 

@@ -208,26 +208,16 @@ class ProcessorSharing:
         eta = shortest / job_rate
         if eta < _MIN_ETA:
             eta = _MIN_ETA
-        # inlined engine.call_after / engine._push: one heap-or-bucket
-        # insert, no closure-free wrapper frames (this is the single
-        # hottest timer in the simulator — every PS arrival and
-        # departure lands here)
+        # inlined engine.call_after / engine._push: one heap insert, no
+        # wrapper frames (this is the single hottest timer in the
+        # simulator — every PS arrival and departure lands here)
         engine = self.engine
         engine._seq += 1
-        when = engine.now + eta
-        fn = lambda: self._on_timer(version)
-        if engine._fast:
-            b = engine._buckets.get(when)
-            if b is None:
-                engine._buckets[when] = [(engine._seq, _FN, fn, None)]
-                heapq.heappush(engine._times, when)
-            else:
-                b.append((engine._seq, _FN, fn, None))
-            engine._nbucketed += 1
-        else:
-            heapq.heappush(
-                engine._queue, (when, engine._seq, _FN, fn, None)
-            )
+        heapq.heappush(
+            engine._queue,
+            (engine.now + eta, engine._seq, _FN,
+             lambda: self._on_timer(version), None),
+        )
 
     def _on_timer(self, version: int) -> None:
         if version != self._timer_version:
@@ -334,18 +324,7 @@ class ProcessorSharing:
             self._reschedule()
 
         engine._seq += 1
-        if engine._fast:
-            b = engine._buckets.get(when)
-            if b is None:
-                engine._buckets[when] = [(engine._seq, _FN, join, None)]
-                heapq.heappush(engine._times, when)
-            else:
-                b.append((engine._seq, _FN, join, None))
-            engine._nbucketed += 1
-        else:
-            heapq.heappush(
-                engine._queue, (when, engine._seq, _FN, join, None)
-            )
+        heapq.heappush(engine._queue, (when, engine._seq, _FN, join, None))
         return ev
 
     @property

@@ -47,7 +47,7 @@ def test_serve_config_roundtrips():
     assert clone.num_gpus == 2
     assert clone.precision_bits == 9
     assert clone.label == "shard"
-    assert clone.pagoda.lane == config.pagoda.lane
+    assert clone.pagoda == config.pagoda
     assert type(clone.policy) is type(config.policy)
     assert type(clone.batch) is type(config.batch)
 

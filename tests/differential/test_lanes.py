@@ -1,12 +1,16 @@
-"""Fast lane ≡ default lane ≡ reference core, byte for byte.
+"""The engine's one run loop, checked two ways.
 
-The fast lane (``Engine(lane="fast")``, docs/INTERNALS.md §10) changes
-*how* the run loop drains same-timestamp events, never *which* events
-run in *what* order.  This suite pins that claim against every
-artifact the repo knows how to compare: engine traces, end-to-end
-schedule fingerprints, fully instrumented obs snapshots (including the
-profiler's queue-depth peak), serve reports, and fault-plan runs —
-across the golden corpus and a 25-seed hostile sweep.
+Engine level: ``Engine`` against the frozen seed ``ReferenceEngine`` on
+bounded runs, resumes after ``max_events``, idle stops, deadlocks and
+exceptions — every exit path of the loop.
+
+End to end: each artifact the repo knows how to compare (schedule
+fingerprints of the golden corpus and a 25-seed hostile sweep with and
+without fault plans, fully instrumented obs snapshots, serve reports)
+is produced by plain drains and again by drains chopped into short
+``max_events`` slices (``harness.sliced_drains``).  Both must agree to
+the byte, pinning that a bound stop resumes in the original
+``(when, seq)`` order on real workloads.
 """
 
 import pytest
@@ -18,8 +22,10 @@ from repro.sim.reference import ReferenceEngine
 from tests.differential.harness import (
     DIFF_SEEDS,
     chaos_fingerprint,
+    drained_both_ways,
     obs_snapshot_json,
     serve_report_json,
+    sliced_drains,
 )
 from tests.test_determinism import (
     GOLDEN_APPROX_CASES,
@@ -29,32 +35,16 @@ from tests.test_determinism import (
 )
 
 
-def _default():
-    return Engine(lane="default")
-
-
-def _fast():
-    return Engine(lane="fast")
-
-
 # ---------------------------------------------------------------------------
 # Engine level
 # ---------------------------------------------------------------------------
 
 def test_engine_soup_three_way():
-    """Trace, final clock, and event count agree across the default
-    lane, the fast lane, and the frozen seed implementation."""
-    default = _engine_soup(_default)
-    fast = _engine_soup(_fast)
+    """Trace, final clock, and event count agree across plain drains,
+    sliced drains, and the frozen seed implementation."""
+    plain, sliced = drained_both_ways(_engine_soup, Engine)
     reference = _engine_soup(ReferenceEngine)
-    assert default == fast == reference
-
-
-def test_lane_argument_is_validated():
-    with pytest.raises(ValueError, match="unknown engine lane"):
-        Engine(lane="turbo")
-    assert Engine().lane == "default"
-    assert Engine(lane="fast").lane == "fast"
+    assert plain == sliced == reference
 
 
 def _bounded_trace(engine, until=None, max_events=None):
@@ -75,16 +65,16 @@ def _bounded_trace(engine, until=None, max_events=None):
     (None, 7), (3.5, None), (3.0, None), (None, 1), (2.0, 9),
 ])
 def test_bounded_runs_equivalent(until, max_events):
-    """``until``/``max_events`` bounds stop both lanes at the same
-    event, clock, and count — including mid-batch stops."""
-    d = _bounded_trace(_default(), until, max_events)
-    f = _bounded_trace(_fast(), until, max_events)
-    assert d == f
+    """``until``/``max_events`` bounds stop the engine and the reference
+    at the same event, clock, and count — including stops inside one
+    instant."""
+    assert (_bounded_trace(Engine(), until, max_events)
+            == _bounded_trace(ReferenceEngine(), until, max_events))
 
 
 def test_bounded_run_resumes_identically():
-    """A run stopped mid-batch by ``max_events`` resumes in the
-    original order on both lanes."""
+    """A run stopped inside one instant by ``max_events`` resumes in
+    the original order."""
     def run(engine):
         trace = []
 
@@ -95,12 +85,12 @@ def test_bounded_run_resumes_identically():
 
         for i in range(5):
             engine.spawn(ticker(i), name=f"t{i}")
-        engine.run(max_events=3)   # stops inside the t=0/t=1 batches
+        engine.run(max_events=3)   # stops among the t=0 spawns
         mid = tuple(trace)
-        engine.run()               # drain the stashed remainder
+        engine.run()               # drain the rest
         return mid, tuple(trace), engine.now, engine.event_count
 
-    assert run(_default()) == run(_fast())
+    assert run(Engine()) == run(ReferenceEngine())
 
 
 def test_run_until_idle_processes_equivalent():
@@ -118,24 +108,28 @@ def test_run_until_idle_processes_equivalent():
         end = engine.run_until_idle_processes()
         return tuple(trace), end, engine.event_count
 
-    assert run(_default()) == run(_fast())
+    assert run(Engine()) == run(ReferenceEngine())
 
 
 def test_deadlock_detection_both_lanes():
-    for make in (_default, _fast):
-        engine = make()
+    """Deadlocks are reported after a plain and after a sliced drain."""
+    def stuck():
+        yield Event()  # never fires
 
-        def stuck():
-            yield Event()  # never fires
-
+    engine = Engine()
+    engine.spawn(stuck(), name="stuck")
+    with pytest.raises(DeadlockError, match="stuck"):
+        engine.run(raise_on_deadlock=True)
+    with sliced_drains():
+        engine = Engine()
         engine.spawn(stuck(), name="stuck")
         with pytest.raises(DeadlockError, match="stuck"):
             engine.run(raise_on_deadlock=True)
 
 
 def test_exception_mid_batch_preserves_remainder():
-    """An exception thrown from a callback leaves the same events
-    pending (and the same count executed) on both lanes."""
+    """An exception thrown from a callback is not counted and leaves
+    the same events pending as on the reference."""
     def run(engine):
         trace = []
 
@@ -153,10 +147,10 @@ def test_exception_mid_batch_preserves_remainder():
         with pytest.raises(RuntimeError, match="boom"):
             engine.run()
         mid = (tuple(trace), engine.event_count)
-        engine.run()  # the stashed remainder drains in original order
+        engine.run()  # the remainder drains in original order
         return mid, tuple(trace), engine.now, engine.event_count
 
-    assert run(_default()) == run(_fast())
+    assert run(Engine()) == run(ReferenceEngine())
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +160,12 @@ def test_exception_mid_batch_preserves_remainder():
 @pytest.mark.parametrize("workload,runtime,seed",
                          GOLDEN_EXACT_CASES + GOLDEN_APPROX_CASES)
 def test_golden_corpus_lane_identical(workload, runtime, seed):
-    """Both lanes run the optimized core, so every corpus cell —
-    including the ULP-drift ones — must agree exactly."""
+    """Every corpus cell — including the ULP-drift ones — is exactly
+    the same under sliced drains."""
     tasks = make_tasks(workload, 24, 128, seed=seed)
-    default = fingerprint(run_tasks(tasks, runtime))
-    fast = fingerprint(run_tasks(tasks, runtime, lane="fast"))
-    assert default == fast
+    plain, sliced = drained_both_ways(
+        lambda: fingerprint(run_tasks(tasks, runtime)))
+    assert plain == sliced
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +174,14 @@ def test_golden_corpus_lane_identical(workload, runtime, seed):
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_chaos_seed_identical(seed):
-    assert (chaos_fingerprint(seed, "default")
-            == chaos_fingerprint(seed, "fast"))
+    plain, sliced = drained_both_ways(chaos_fingerprint, seed)
+    assert plain == sliced
 
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_chaos_seed_identical_under_fault_plan(seed):
-    assert (chaos_fingerprint(seed, "default", faulty=True)
-            == chaos_fingerprint(seed, "fast", faulty=True))
+    plain, sliced = drained_both_ways(chaos_fingerprint, seed, faulty=True)
+    assert plain == sliced
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +191,18 @@ def test_chaos_seed_identical_under_fault_plan(seed):
 @pytest.mark.parametrize("seed", [0, 7, 19])
 def test_obs_snapshot_byte_identical(seed):
     """Instrumented runs agree to the byte — including the profiler's
-    ``heap_peak`` (queue depth is defined lane-invariantly) and the
-    occupancy-memo counters."""
-    default = obs_snapshot_json(seed, "default")
-    fast = obs_snapshot_json(seed, "fast")
-    assert default == fast
-    assert '"gpu.occupancy.memo_hits"' in default
-    assert '"heap_peak"' in default
+    ``heap_peak`` queue depth and the occupancy-memo counters."""
+    plain, sliced = drained_both_ways(obs_snapshot_json, seed)
+    assert plain == sliced
+    assert '"gpu.occupancy.memo_hits"' in plain
+    assert '"heap_peak"' in plain
 
 
 def test_serve_report_byte_identical():
-    assert serve_report_json("default") == serve_report_json("fast")
+    plain, sliced = drained_both_ways(serve_report_json)
+    assert plain == sliced
 
 
 def test_serve_report_byte_identical_under_faults():
-    assert (serve_report_json("default", faulty=True)
-            == serve_report_json("fast", faulty=True))
+    plain, sliced = drained_both_ways(serve_report_json, faulty=True)
+    assert plain == sliced

@@ -4,18 +4,14 @@ The contract SR-IOV-style partitioning makes: a fault plan scoped to
 one partition may wreck that partition's schedule, but every sibling
 partition's canonical report stays byte-identical — both to the same
 run without the fault and to the sibling running entirely alone.
-Checked on both engine lanes.
 """
 
-import pytest
-
-from repro.core.runtime import PagodaConfig
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
 from repro.partition import PartitionPlan, run_partitioned
 from repro.tasks import TaskSpec
 
-LANES = ["default", "fast"]
+from tests.differential.harness import drained_both_ways
 
 
 def _kernel(task, block_id, warp_id):
@@ -42,7 +38,7 @@ def _brownout_plan():
     ])
 
 
-def _run(lane, fault_plan=None, include_noisy=True):
+def _run(fault_plan=None, include_noisy=True):
     groups = {"quiet": _tasks("q", 24)}
     if include_noisy:
         groups["noisy"] = _tasks("n", 24)
@@ -50,14 +46,12 @@ def _run(lane, fault_plan=None, include_noisy=True):
     # brown-outs land on occupied MTBs
     gaps = {name: (500.0 if name == "noisy" else 4_000.0)
             for name in groups}
-    return run_partitioned(groups, _plan(fault_plan),
-                           config=PagodaConfig(lane=lane), gaps=gaps)
+    return run_partitioned(groups, _plan(fault_plan), gaps=gaps)
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_brownout_leaves_sibling_report_bytes_unchanged(lane):
-    clean = _run(lane)
-    faulted = _run(lane, fault_plan=_brownout_plan())
+def test_brownout_leaves_sibling_report_bytes_unchanged():
+    clean = _run()
+    faulted = _run(fault_plan=_brownout_plan())
     # the fault domain held: the sibling's canonical report is
     # byte-for-byte the report it got without the fault
     assert faulted["quiet"].to_json() == clean["quiet"].to_json()
@@ -66,18 +60,16 @@ def test_brownout_leaves_sibling_report_bytes_unchanged(lane):
     assert clean["quiet"].executed == 24
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_sibling_schedule_matches_solo_run(lane):
-    solo = _run(lane, include_noisy=False)
-    duo = _run(lane)
-    faulted = _run(lane, fault_plan=_brownout_plan())
+def test_sibling_schedule_matches_solo_run():
+    solo = _run(include_noisy=False)
+    duo = _run()
+    faulted = _run(fault_plan=_brownout_plan())
     assert duo["quiet"].to_json() == solo["quiet"].to_json()
     assert faulted["quiet"].to_json() == solo["quiet"].to_json()
 
 
 def test_lanes_agree_on_partition_reports():
-    by_lane = {lane: _run(lane, fault_plan=_brownout_plan())
-               for lane in LANES}
+    """Every partition's report is the same under sliced drains."""
+    plain, sliced = drained_both_ways(_run, fault_plan=_brownout_plan())
     for name in ("noisy", "quiet"):
-        assert (by_lane["default"][name].to_json()
-                == by_lane["fast"][name].to_json())
+        assert plain[name].to_json() == sliced[name].to_json()

@@ -4,8 +4,9 @@ The acceptance criteria of the scenarios subsystem, as tests:
 
 - at least six catalog scenarios spanning all four stack layers;
 - every catalog scenario passes its detectors at the default seed;
-- the result JSON is byte-identical across engine lanes and cluster
-  worker counts (execution strategy never leaks into verdicts).
+- the result JSON is byte-identical under sliced engine drains and
+  across cluster worker counts (execution strategy never leaks into
+  verdicts).
 """
 
 import json
@@ -17,9 +18,11 @@ from repro.scenarios.registry import register
 from repro.scenarios.spec import Scenario
 from repro.scenarios.detectors import Conservation
 
+from tests.differential.harness import drained_both_ways
+
 #: one cheap scenario per execution-identity axis (the bench cell and
 #: the full catalog cover the rest).
-LANE_PROBE = "serve.trace_replay"
+SERVE_PROBE = "serve.trace_replay"
 CLUSTER_PROBE = "cluster.partition_heal"
 
 
@@ -60,9 +63,10 @@ def test_catalog_passes_at_default_seed(name):
 
 
 def test_result_bytes_identical_across_lanes():
-    fast = run_scenario(LANE_PROBE, lane="fast").to_json()
-    default = run_scenario(LANE_PROBE, lane="default").to_json()
-    assert fast == default
+    """Result bytes are the same under sliced engine drains."""
+    plain, sliced = drained_both_ways(
+        lambda: run_scenario(SERVE_PROBE).to_json())
+    assert plain == sliced
 
 
 def test_result_bytes_identical_across_worker_counts():
@@ -72,8 +76,8 @@ def test_result_bytes_identical_across_worker_counts():
 
 
 def test_repeated_runs_are_byte_identical():
-    a = run_scenario(LANE_PROBE)
-    b = run_scenario(LANE_PROBE)
+    a = run_scenario(SERVE_PROBE)
+    b = run_scenario(SERVE_PROBE)
     assert a.to_json() == b.to_json()
 
 

@@ -10,7 +10,7 @@ from repro.gpu.phases import Phase
 from repro.serve import (STAGES, PoissonArrivals, ServeConfig, SloClass,
                          TenantSpec, serve)
 from repro.tasks import TaskSpec
-from repro.traceviz import chrome_trace_events
+from repro.obs.perfetto import chrome_trace_events
 
 
 def kernel(task, block_id, warp_id):

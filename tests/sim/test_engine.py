@@ -54,6 +54,20 @@ def test_run_until_stops_clock():
     assert eng.now == 10.0
 
 
+@pytest.mark.parametrize("drain", ["run", "run_until",
+                                   "run_until_idle_processes"])
+def test_run_until_in_the_past_raises(drain):
+    eng = Engine()
+    eng.call_at(10.0, lambda: None)
+    eng.run()
+    eng.call_at(20.0, lambda: None)
+    with pytest.raises(ValueError, match="cannot run backwards"):
+        getattr(eng, drain)(5.0)
+    # the clock did not move and the pending record is untouched
+    assert eng.now == 10.0
+    assert eng.run() == 20.0
+
+
 def test_process_delay_sequence():
     eng = Engine()
     trace = []

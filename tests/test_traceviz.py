@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.tasks import RunStats, TaskResult
-from repro.traceviz import (
+from repro.obs.perfetto import (
     chrome_trace_events,
     export_chrome_trace,
     export_serve_trace,
