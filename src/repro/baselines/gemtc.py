@@ -27,7 +27,7 @@ from repro.cuda.barrier import WarpBarrier
 from repro.device_api import run_functional
 from repro.gpu.device import Gpu
 from repro.gpu.occupancy import blocks_per_smm, registers_per_block
-from repro.gpu.phases import BlockSync, Phase
+from repro.gpu.phases import BlockSync
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.pcie.bus import Direction, PcieBus
@@ -110,14 +110,18 @@ class _GemtcDevice:
         remaining = [warps]
 
         def warp_proc(warp_id):
-            for item in task.warp_phases(block_id, warp_id):
-                if isinstance(item, Phase):
-                    yield from smm.execute_phase(item, self.gpu.dram)
-                elif isinstance(item, BlockSync):
-                    yield self.timing.syncthreads_ns
-                    yield barrier.arrive()
-                else:
-                    raise TypeError(f"kernel yielded {item!r}")
+            phases = iter(task.warp_phases(block_id, warp_id))
+            dram = self.gpu.dram
+            while True:
+                item = smm.run_phases(phases, dram)
+                if type(item) is Event:
+                    item = yield item
+                if item is None:
+                    break
+                if not isinstance(item, BlockSync):
+                    raise item  # the kernel raised
+                yield self.timing.syncthreads_ns
+                yield barrier.arrive()
             remaining[0] -= 1
             if remaining[0] == 0:
                 done.fire(None)

@@ -32,7 +32,7 @@ from repro.core.tasktable import (
 from repro.core.warptable import WarpTable
 from repro.device_api import BlockContext
 from repro.gpu.device import Gpu
-from repro.gpu.phases import BlockSync, Phase
+from repro.gpu.phases import BlockSync
 from repro.gpu.smm import Smm
 from repro.sim import Engine, Event, TimeWeighted
 from repro.tasks import TaskSpec
@@ -465,7 +465,7 @@ class Mtb:
         wt = self.warptable
         slot = wt.slots[slot_index]
         col = self.table.gpu[self.column]
-        execute_phase = self.smm.execute_phase
+        run_phases = self.smm.run_phases
         dram = self.dram_pool
         busy_warps = self.busy_warps
         obs_busy = self._obs_busy
@@ -505,21 +505,14 @@ class Mtb:
             if fail_reason is None:
                 phases = task.warp_phases(slot.block_id, local_warp)
                 while True:
-                    try:
-                        item = next(phases)
-                    except StopIteration:
+                    # one wake per barrier segment: the SMM carries the
+                    # warp from phase to phase
+                    item = run_phases(phases, dram)
+                    if type(item) is Event:
+                        item = yield item
+                    if item is None:
                         break
-                    except Exception as exc:
-                        # a kernel coroutine raised: convert to a
-                        # structured TaskError carried in the TaskTable
-                        # row instead of letting the exception escape
-                        # into the engine loop
-                        fail_reason = (f"kernel exception: "
-                                       f"{type(exc).__name__}: {exc}")
-                        break
-                    if isinstance(item, Phase):
-                        yield from execute_phase(item, dram)
-                    elif isinstance(item, BlockSync):
+                    if isinstance(item, BlockSync):
                         if slot.bar_id < 0:
                             # a programming error in the *spawn*, not a
                             # kernel failure: diagnose loudly (tests
@@ -533,7 +526,13 @@ class Mtb:
                         yield self.timing.named_barrier_ns
                         yield self.barriers.barrier(slot.bar_id).arrive()
                     else:
-                        raise TypeError(f"kernel yielded {item!r}")
+                        # a kernel coroutine raised: convert to a
+                        # structured TaskError carried in the TaskTable
+                        # row instead of letting the exception escape
+                        # into the engine loop
+                        fail_reason = (f"kernel exception: "
+                                       f"{type(item).__name__}: {item}")
+                        break
             if fail_reason is not None:
                 # this warp kills the whole task; its own slot is
                 # excluded from the reclaim sweep (a generator cannot

@@ -23,7 +23,7 @@ from repro.cuda.stream import Stream
 from repro.device_api import run_functional
 from repro.gpu.device import Gpu
 from repro.gpu.occupancy import registers_per_block
-from repro.gpu.phases import BlockSync, Phase
+from repro.gpu.phases import BlockSync
 from repro.pcie.bus import Direction, PcieBus
 from repro.sim import Engine, Event, Signal
 from repro.tasks import TaskResult, TaskSpec
@@ -217,14 +217,18 @@ class CudaRuntime:
 
     def _run_warp(self, task: TaskSpec, block_id: int, warp_id: int, smm,
                   barrier: WarpBarrier, remaining, block_done: Event) -> Generator:
-        for item in task.warp_phases(block_id, warp_id):
-            if isinstance(item, Phase):
-                yield from smm.execute_phase(item, self.gpu.dram)
-            elif isinstance(item, BlockSync):
-                yield self.timing.syncthreads_ns
-                yield barrier.arrive()
-            else:
-                raise TypeError(f"kernel yielded {item!r}")
+        phases = iter(task.warp_phases(block_id, warp_id))
+        dram = self.gpu.dram
+        while True:
+            item = smm.run_phases(phases, dram)
+            if type(item) is Event:
+                item = yield item
+            if item is None:
+                break
+            if not isinstance(item, BlockSync):
+                raise item  # the kernel raised
+            yield self.timing.syncthreads_ns
+            yield barrier.arrive()
         remaining[0] -= 1
         if remaining[0] == 0:
             block_done.fire(self.engine.now)

@@ -14,23 +14,47 @@ lockstep warp the max over its 32 lanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+
+_INF = math.inf
 
 
-@dataclass(frozen=True)
 class Phase:
     """One scheduling quantum of warp work.
 
     ``inst`` is in warp-instructions (one instruction issued for all 32
     lanes); ``mem_bytes`` is DRAM traffic attributable to the phase.
+    Both must be finite and non-negative: a NaN or infinite cost would
+    never complete on a processor-sharing pool and would stall every
+    job sharing it.
+
+    A value: equal and hashed by its two costs, and never mutated after
+    construction.  Kernels build one per yield and the SMM reads both
+    fields per phase, so it is a plain slotted class — a frozen
+    dataclass costs two ``object.__setattr__`` calls per construction.
     """
 
-    inst: float
-    mem_bytes: float = 0.0
+    __slots__ = ("inst", "mem_bytes")
 
-    def __post_init__(self) -> None:
-        if self.inst < 0 or self.mem_bytes < 0:
-            raise ValueError("phase costs must be non-negative")
+    def __init__(self, inst: float, mem_bytes: float = 0.0) -> None:
+        if not (0 <= inst < _INF and 0 <= mem_bytes < _INF):
+            raise ValueError(
+                "phase costs must be finite and non-negative, got "
+                f"inst={inst!r}, mem_bytes={mem_bytes!r}")
+        self.inst = inst
+        self.mem_bytes = mem_bytes
+
+    def __eq__(self, other):
+        if other.__class__ is Phase:
+            return (self.inst, self.mem_bytes) == (other.inst,
+                                                   other.mem_bytes)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.inst, self.mem_bytes))
+
+    def __repr__(self) -> str:
+        return f"Phase(inst={self.inst!r}, mem_bytes={self.mem_bytes!r})"
 
     def scaled(self, factor: float) -> "Phase":
         """A phase with both costs multiplied by ``factor``."""

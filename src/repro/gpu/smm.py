@@ -14,12 +14,17 @@ it retires.
 
 from __future__ import annotations
 
-from typing import Generator
+import heapq
+from typing import Iterator
 
-from repro.gpu.phases import Phase
+from repro.gpu.phases import BlockSync, Phase
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel, batch_finish_tags
-from repro.sim import Engine, ProcessorSharing, TimeWeighted
+from repro.sim import Engine, Event, ProcessorSharing, TimeWeighted
+from repro.sim.engine import _FN
+
+#: :meth:`_PhaseRunner.step` result while a stage is in flight
+_PARKED = object()
 
 
 class Smm:
@@ -101,37 +106,142 @@ class Smm:
 
     # -- warp execution ----------------------------------------------------
 
-    def execute_phase(self, phase: Phase, dram: ProcessorSharing) -> Generator:
-        """Subroutine: one warp runs one phase on this SMM.
+    def run_phases(self, phases: Iterator, dram: ProcessorSharing):
+        """Run a warp's kernel items on this SMM up to its next barrier.
 
-        Instruction issue contends on this SMM's schedulers; memory
-        traffic first exposes the DRAM access latency (a stall private
-        to this warp — other warps keep issuing, so occupancy hides it)
-        and then contends on the GPU-wide DRAM bandwidth pool.
+        Pulls items from the ``phases`` iterator and turns each
+        :class:`Phase` into time: instruction issue contends on this
+        SMM's schedulers; memory traffic first exposes the DRAM access
+        latency (a stall private to this warp — other warps keep
+        issuing, so occupancy hides it) and then contends on the
+        GPU-wide bandwidth pool ``dram``.
+
+        The warp's process is not resumed between stages: a
+        :class:`_PhaseRunner` is the pools' completion target and pulls
+        the next item itself.  It stops at the first :class:`BlockSync`
+        (the stop item), when the iterator is exhausted (``None``) or
+        when the kernel raises (the exception instance; the caller
+        decides whether it fails a task or propagates).  A kernel item
+        that is neither raises :class:`TypeError`.
+
+        Returns the stop item itself if the warp reached it without
+        simulated time passing, otherwise an unfired :class:`Event`
+        the caller yields, which fires with the stop item.
         """
-        overhead = self.timing.phase_overhead_ns
-        stall = 0.0
-        if phase.inst:
-            # the fixed issue overhead immediately precedes the issue
-            # demand, so the warp parks on one event for both
-            yield self.issue.consume_after(overhead, phase.inst)
-            if self.timing.warp_stall_ratio:
-                # dependency stalls: private to this warp, hidden only
-                # when enough *other* warps are resident (occupancy)
-                stall = (phase.inst * self.timing.warp_stall_ratio
-                         / self.spec.clock_ghz)
-        elif overhead:
-            yield overhead
-        if phase.mem_bytes:
-            # the stall and the DRAM access latency are both private
-            # sleeps with nothing observable in between — fuse them
-            # with the bandwidth demand into one parked wait
-            yield dram.consume_after(stall + self.timing.mem_latency_ns,
-                                     phase.mem_bytes)
-        elif stall:
-            yield stall
+        runner = _PhaseRunner(self, phases, dram)
+        item = runner.step()
+        if item is not _PARKED:
+            return item
+        done = runner.done = Event()
+        return done
 
     def mean_occupancy(self, end: float | None = None) -> float:
         """Time-averaged resident warps / warp slots."""
         end = self.engine.now if end is None else end
         return self.resident_warps.average(end) / self.spec.max_warps_per_smm
+
+
+class _PhaseRunner:
+    """Carries one warp through one barrier segment of its kernel.
+
+    A phase is up to two stages, each a private latency followed by a
+    pooled demand: issue (``phase_overhead_ns``, then ``inst`` on the
+    SMM's issue pool) and memory (the dependency stall plus
+    ``mem_latency_ns``, then ``mem_bytes`` on the DRAM pool).  A stage
+    with a demand joins its pool through ``ProcessorSharing._arrive``
+    with this runner as the completion target; a stage with only a
+    latency pushes a timer record that calls :meth:`fire` too.  Either
+    way the engine sees the same records, in the same ``(when, seq)``
+    slots, as when the warp's process slept and consumed stage by stage
+    itself.
+    """
+
+    #: ``done`` (the event fired with the stop item, set once the runner
+    #: parks) and the in-flight phase's ``inst``, ``mem_bytes`` and
+    #: ``issued`` (whether its issue stage is over) are assigned before
+    #: their first read.
+    __slots__ = ("smm", "phases", "dram", "done", "inst", "mem_bytes",
+                 "issued")
+
+    def __init__(self, smm: Smm, phases: Iterator,
+                 dram: ProcessorSharing) -> None:
+        self.smm = smm
+        self.phases = phases
+        self.dram = dram
+
+    def _sleep(self, delay: float) -> None:
+        # a private latency with no pooled demand after it; inlined
+        # engine._push, as for a process's numeric-delay yield
+        engine = self.smm.engine
+        engine._seq += 1
+        heapq.heappush(engine._queue,
+                       (engine.now + delay, engine._seq, _FN, self.fire,
+                        None))
+
+    def step(self):
+        """Start the next phase; return the stop item if the segment
+        ends before anything parks, else :data:`_PARKED`."""
+        phases = self.phases
+        while True:
+            try:
+                item = next(phases)
+            except StopIteration:
+                return None
+            except Exception as exc:
+                return exc
+            if isinstance(item, Phase):
+                inst = item.inst
+                self.inst = inst
+                self.mem_bytes = mem_bytes = item.mem_bytes
+                self.issued = False
+                timing = self.smm.timing
+                if inst:
+                    # the fixed issue overhead immediately precedes the
+                    # issue demand: one deferred arrival covers both
+                    self.smm.issue._arrive(timing.phase_overhead_ns, inst,
+                                           self)
+                    return _PARKED
+                if timing.phase_overhead_ns:
+                    self._sleep(timing.phase_overhead_ns)
+                    return _PARKED
+                if mem_bytes:
+                    self.issued = True
+                    self.dram._arrive(timing.mem_latency_ns, mem_bytes, self)
+                    return _PARKED
+            elif isinstance(item, BlockSync):
+                return item
+            else:
+                raise TypeError(f"kernel yielded {item!r}")
+
+    def fire(self, _value=None) -> None:
+        """The stage in flight is over: start the memory stage after
+        the issue stage, else the next phase."""
+        # a warp killed mid-phase (watchdog, task kill) issues nothing
+        # more; its process is the done event's waiter
+        waiters = self.done._waiters
+        if waiters is not None and not getattr(waiters[0], "alive", True):
+            return
+        if not self.issued:
+            self.issued = True
+            smm = self.smm
+            timing = smm.timing
+            stall = 0.0
+            ratio = timing.warp_stall_ratio
+            if ratio:
+                # dependency stalls: private to this warp, hidden only
+                # when enough *other* warps are resident (occupancy)
+                stall = self.inst * ratio / smm.spec.clock_ghz
+            mem_bytes = self.mem_bytes
+            if mem_bytes:
+                # the stall and the DRAM access latency are both private
+                # sleeps with nothing observable in between — fused with
+                # the bandwidth demand into one deferred arrival
+                self.dram._arrive(stall + timing.mem_latency_ns, mem_bytes,
+                                  self)
+                return
+            if stall:
+                self._sleep(stall)
+                return
+        item = self.step()
+        if item is not _PARKED:
+            self.done.fire(item)

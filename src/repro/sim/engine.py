@@ -35,7 +35,8 @@ Hot-path design (the fast paths that make paper-scale runs practical):
 - **Branch-first dispatch.**  The run loop and
   :meth:`Process.__call__` inline the command dispatch and test
   ``type(command) is float`` first — the overwhelmingly common
-  numeric-delay case pays a single pointer compare.
+  numeric-delay case pays a single pointer compare — then an unfired
+  :class:`Event`, which they enrol on without a call.
 - **One run loop.**  ``run``, ``run_until`` and
   ``run_until_idle_processes`` all drain through :meth:`Engine._drain`,
   one record at a time in global ``(when, seq)`` order.  A bound
@@ -194,6 +195,15 @@ class Process:
                 engine._queue,
                 (engine.now + command, seq, _RESUME, self, None),
             )
+        elif type(command) is Event and not command.fired:
+            # inlined Event._add_waiter: the warp's one wait per
+            # barrier segment and every control-path wait land here
+            self.waiting_on = command
+            waiters = command._waiters
+            if waiters is None:
+                command._waiters = [self]
+            else:
+                waiters.append(self)
         else:
             engine._dispatch_slow(self, command)
 
@@ -238,8 +248,8 @@ class Engine:
         """Schedule one slotted record at ``when``.
 
         The per-event hot paths (:meth:`Process.__call__`, the run
-        loop, ``ProcessorSharing``) inline this body instead of
-        calling it.
+        loop, ``ProcessorSharing``, the SMM's phase runner) inline this
+        body instead of calling it.
         """
         self._seq += 1
         heapq.heappush(self._queue, (when, self._seq, kind, payload, value))
@@ -359,9 +369,9 @@ class Engine:
         after it stays queued.
 
         The process-resume fast path (send a value, get a numeric delay
-        back, push one slotted record) is inlined — one Python frame
-        per event; non-numeric commands go through
-        :meth:`_dispatch_slow`.
+        or an unfired :class:`Event` back, push one slotted record or
+        enrol as a waiter) is inlined — one Python frame per event;
+        every other command goes through :meth:`_dispatch_slow`.
         """
         if until is None:
             until = _INF
@@ -411,6 +421,14 @@ class Engine:
                                 push(queue,
                                      (now + command, seq, _RESUME, payload,
                                       None))
+                            elif (type(command) is Event
+                                  and not command.fired):
+                                payload.waiting_on = command
+                                waiters = command._waiters
+                                if waiters is None:
+                                    command._waiters = [payload]
+                                else:
+                                    waiters.append(payload)
                             else:
                                 slow(payload, command)
                 else:

@@ -256,6 +256,11 @@ class ReferenceProcessorSharing:
         self.engine.call_after(delay, join)
         return ev
 
+    def _arrive(self, delay: float, amount: float, target) -> None:
+        """The optimized pool's internal entry point, so the SMM's phase
+        runner can drive this pool in the golden swap tests."""
+        self.consume_after(delay, amount)._add_waiter(target.fire)
+
     @property
     def active_jobs(self) -> int:
         return len(self._jobs)

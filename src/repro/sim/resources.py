@@ -20,13 +20,18 @@ heap pop — O(log n) per state change regardless of churn.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
+from functools import partial
+from operator import itemgetter
 from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.engine import _FN, Engine
 from repro.sim.events import Event
 
 _EPS = 1e-9
+#: sort key of heap jobs ``(finish_v, seq, target)`` by arrival
+_ARRIVAL_ORDER = itemgetter(1)
 #: Minimum timer granularity (1 femtosecond at ns units).  Without a
 #: floor, a job whose remaining work is just above _EPS on a high-rate
 #: pool can compute an ETA smaller than the clock's float ULP — the
@@ -34,6 +39,14 @@ _EPS = 1e-9
 #: work served).  The floor guarantees forward progress at negligible
 #: accuracy cost.
 _MIN_ETA = 1e-3
+
+
+def _check_amount(amount: float) -> None:
+    # NaN compares false both ways, so one NaN tag would sit in the
+    # heap forever and drag the clock to NaN; an infinite tag never
+    # completes
+    if not 0 <= amount < math.inf:
+        raise ValueError(f"amount must be finite and >= 0, got {amount!r}")
 
 
 class FifoResource:
@@ -141,9 +154,9 @@ class ProcessorSharing:
         self.rate = rate
         self.per_job_cap = per_job_cap if per_job_cap is not None else rate
         self.name = name
-        #: min-heap of (finish_v, seq, Event); seq breaks ties in
-        #: arrival order
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: min-heap of (finish_v, seq, target); seq breaks ties in
+        #: arrival order, and ``target.fire(None)`` runs on completion
+        self._heap: List[Tuple[float, int, Any]] = []
         #: same-instant deferred arrivals being coalesced, keyed by
         #: absolute arrival time (see :meth:`consume_after`)
         self._arrivals: dict = {}
@@ -184,7 +197,7 @@ class ProcessorSharing:
     def _rebase(self) -> None:
         """Shift all finish tags down by ``V`` and restart the clock."""
         v = self._v
-        self._heap = [(fv - v, seq, ev) for fv, seq, ev in self._heap]
+        self._heap = [(fv - v, seq, target) for fv, seq, target in self._heap]
         self._v = 0.0
 
     def _reschedule(self) -> None:
@@ -196,7 +209,6 @@ class ProcessorSharing:
         if self._v > _REBASE_V:
             self._rebase()
             heap = self._heap
-        version = self._timer_version
         shortest = heap[0][0] - self._v
         if shortest < 0.0:
             shortest = 0.0
@@ -216,47 +228,129 @@ class ProcessorSharing:
         heapq.heappush(
             engine._queue,
             (engine.now + eta, engine._seq, _FN,
-             lambda: self._on_timer(version), None),
+             partial(self._on_timer, self._timer_version), None),
         )
 
     def _on_timer(self, version: int) -> None:
         if version != self._timer_version:
             return  # stale timer; a newer reschedule superseded it
-        self._advance()
+        # inlined _advance: the timer only fires while jobs are active
+        now = self.engine.now
+        elapsed = now - self._last_update
         heap = self._heap
+        n = len(heap)
+        if elapsed > 0 and n:
+            self._v += elapsed * min(self.per_job_cap, self.rate / n)
+            self._busy_integral += elapsed * min(
+                self.rate, n * self.per_job_cap
+            )
+        self._last_update = now
         threshold = self._v + _EPS
-        finished = []
+        if not heap or heap[0][0] > threshold:
+            self._reschedule()
+            return
+        job = heapq.heappop(heap)
+        if not heap or heap[0][0] > threshold:
+            self._reschedule()
+            job[2].fire(None)
+            return
+        finished = [job]
         while heap and heap[0][0] <= threshold:
             finished.append(heapq.heappop(heap))
         self._reschedule()
-        if len(finished) == 1:
-            finished[0][2].fire(None)
-            return
         # fire in arrival order (the seed iterated its job dict in
         # insertion order), not in finish-tag order
-        finished.sort(key=lambda item: item[1])
-        for _fv, _seq, ev in finished:
-            ev.fire(None)
+        finished.sort(key=_ARRIVAL_ORDER)
+        for _fv, _seq, target in finished:
+            target.fire(None)
+
+    def _arrive(self, delay: float, amount: float, target) -> None:
+        """Join ``amount`` of work after ``delay``; call
+        ``target.fire(None)`` once it has been served.
+
+        The engine of :meth:`consume` and :meth:`consume_after`, for
+        callers that validated their arguments.  ``target`` is anything
+        with a ``fire(value)`` method — an :class:`Event`, or a runner
+        that carries a warp to its next stage without resuming the
+        warp's process (:meth:`repro.gpu.smm.Smm.run_phases`).
+        """
+        engine = self.engine
+        if delay == 0:
+            if amount == 0:
+                target.fire(None)
+                return
+            if self._heap:
+                self._advance()
+            else:
+                # empty pool: V is already 0 (idle rebase) and no
+                # service accrued since _last_update — skip the fp
+                # bookkeeping
+                self._last_update = engine.now
+            self._next_id += 1
+            heapq.heappush(self._heap,
+                           (self._v + float(amount), self._next_id, target))
+            self._reschedule()
+            return
+        # Arrivals landing at the same future instant are coalesced into
+        # one engine callback and one timer reschedule: sibling warps of
+        # a threadblock are dispatched together and issue identical
+        # latency-then-demand patterns, so batching their pool entries
+        # removes most of the PS timer churn without changing a single
+        # finish tag (same arrival instant, same arrival order).
+        when = engine.now + delay
+        batch = self._arrivals.get(when)
+        if batch is not None:
+            batch.append((float(amount), target))
+            return
+        batch = [(float(amount), target)]
+        self._arrivals[when] = batch
+        engine._seq += 1
+        heapq.heappush(engine._queue,
+                       (when, engine._seq, _FN,
+                        partial(self._join, when, batch), None))
+
+    def _join(self, when: float, batch: list) -> None:
+        """Enter one coalesced batch of deferred arrivals."""
+        del self._arrivals[when]
+        if self._heap:
+            self._advance()
+        else:
+            self._last_update = self.engine.now
+        heap = self._heap
+        v = self._v
+        kernel = self.tag_kernel
+        if kernel is not None and len(batch) >= _VECTOR_JOIN_MIN:
+            # Vectorized finish tags: one array pass computes every
+            # sibling's ``v + amount``; IEEE-754 elementwise add is
+            # bit-identical to the scalar Python sum, and appending then
+            # heapifying yields the same pop order as per-item pushes
+            # (the (tag, seq) order is total).
+            tags = kernel(v, [amt for amt, _t in batch])
+            nid = self._next_id
+            for (amt, target), tag in zip(batch, tags):
+                if amt == 0.0:
+                    target.fire(None)
+                    continue
+                nid += 1
+                heap.append((tag, nid, target))
+            self._next_id = nid
+            heapq.heapify(heap)
+        else:
+            for amt, target in batch:
+                if amt == 0.0:
+                    target.fire(None)
+                    continue
+                self._next_id += 1
+                heapq.heappush(heap, (v + amt, self._next_id, target))
+        self._reschedule()
 
     # -- public ---------------------------------------------------------------
 
     def consume(self, amount: float) -> Event:
         """Submit ``amount`` units of work; event fires when served."""
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
+        _check_amount(amount)
         ev = Event()
-        if amount == 0:
-            ev.fire(None)
-            return ev
-        if self._heap:
-            self._advance()
-        else:
-            # empty pool: V is already 0 (idle rebase) and no service
-            # accrued since _last_update — skip the fp bookkeeping
-            self._last_update = self.engine.now
-        self._next_id += 1
-        heapq.heappush(self._heap, (self._v + float(amount), self._next_id, ev))
-        self._reschedule()
+        self._arrive(0, amount, ev)
         return ev
 
     def consume_after(self, delay: float, amount: float) -> Event:
@@ -266,65 +360,15 @@ class ProcessorSharing:
         consume(amount)``, but the waiting process parks on one event
         for the whole span — the intermediate wake existed only to
         issue the second yield.  Used for fixed issue/access latencies
-        that immediately precede a contended service demand.
-
-        Arrivals landing at the *same future instant* are coalesced
-        into one engine callback and one timer reschedule: sibling
-        warps of a threadblock are dispatched together and issue
-        identical latency-then-demand patterns, so batching their pool
-        entries removes most of the PS timer churn without changing a
-        single finish tag (same arrival instant, same arrival order).
+        that immediately precede a contended service demand.  A zero
+        ``delay`` joins now; a negative one raises, as scheduling in
+        the past does on the engine.
         """
-        if delay <= 0:
-            return self.consume(amount)
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        _check_amount(amount)
         ev = Event()
-        engine = self.engine
-        when = engine.now + delay
-        batch = self._arrivals.get(when)
-        if batch is not None:
-            batch.append((float(amount), ev))
-            return ev
-        batch = [(float(amount), ev)]
-        self._arrivals[when] = batch
-
-        def join() -> None:
-            del self._arrivals[when]
-            if self._heap:
-                self._advance()
-            else:
-                self._last_update = self.engine.now
-            heap = self._heap
-            v = self._v
-            kernel = self.tag_kernel
-            if kernel is not None and len(batch) >= _VECTOR_JOIN_MIN:
-                # Vectorized finish tags: one array pass computes every
-                # sibling's ``v + amount``; IEEE-754 elementwise add is
-                # bit-identical to the scalar Python sum, and appending
-                # then heapifying yields the same pop order as per-item
-                # pushes (the (tag, seq) order is total).
-                tags = kernel(v, [amt for amt, _e in batch])
-                nid = self._next_id
-                for (amt, e), tag in zip(batch, tags):
-                    if amt == 0.0:
-                        e.fire(None)
-                        continue
-                    nid += 1
-                    heap.append((tag, nid, e))
-                self._next_id = nid
-                heapq.heapify(heap)
-            else:
-                for amt, e in batch:
-                    if amt == 0.0:
-                        e.fire(None)
-                        continue
-                    self._next_id += 1
-                    heapq.heappush(heap, (v + amt, self._next_id, e))
-            self._reschedule()
-
-        engine._seq += 1
-        heapq.heappush(engine._queue, (when, engine._seq, _FN, join, None))
+        self._arrive(delay, amount, ev)
         return ev
 
     @property

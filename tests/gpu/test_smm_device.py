@@ -1,13 +1,14 @@
 """Tests for the SMM / Gpu event-driven models."""
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.gpu import Gpu, Phase, titan_x
 from repro.gpu.phases import BLOCK_SYNC, BlockSync, total_cost
 from repro.gpu.timing import TimingModel
-from repro.sim import Engine
+from repro.sim import Engine, Event
 
 NO_OVERHEAD = TimingModel(phase_overhead_ns=0.0, mem_latency_ns=0.0,
                           warp_stall_ratio=0.0)
@@ -18,6 +19,13 @@ def make_gpu(timing=NO_OVERHEAD):
     return eng, Gpu(eng, titan_x(), timing)
 
 
+def run_phase(smm, phase, dram):
+    """Subroutine: one warp runs one phase on ``smm``."""
+    done = smm.run_phases(iter([phase]), dram)
+    if isinstance(done, Event):
+        yield done
+
+
 # -- Phase ---------------------------------------------------------------
 
 def test_phase_validation():
@@ -25,6 +33,20 @@ def test_phase_validation():
         Phase(-1.0)
     with pytest.raises(ValueError):
         Phase(1.0, -2.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Phase(bad)
+        with pytest.raises(ValueError, match="finite"):
+            Phase(1.0, bad)
+
+
+def test_phase_is_a_value():
+    p = Phase(5, 2)
+    assert p == Phase(5, 2) and p != Phase(5, 3) and p != (5, 2)
+    assert hash(p) == hash(Phase(5, 2))
+    assert repr(p) == "Phase(inst=5, mem_bytes=2)"
+    assert Phase(7) == Phase(7, 0.0)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_phase_scaled():
@@ -86,7 +108,7 @@ def test_single_warp_runs_at_one_inst_per_cycle():
     done = []
 
     def warp():
-        yield from smm.execute_phase(Phase(inst=1000), gpu.dram)
+        yield from run_phase(smm, Phase(inst=1000), gpu.dram)
         done.append(eng.now)
 
     eng.spawn(warp())
@@ -100,7 +122,7 @@ def test_four_warps_run_concurrently_at_full_speed():
     done = []
 
     def warp():
-        yield from smm.execute_phase(Phase(inst=1000), gpu.dram)
+        yield from run_phase(smm, Phase(inst=1000), gpu.dram)
         done.append(eng.now)
 
     for _ in range(4):
@@ -115,7 +137,7 @@ def test_eight_warps_halve_throughput():
     done = []
 
     def warp():
-        yield from smm.execute_phase(Phase(inst=1000), gpu.dram)
+        yield from run_phase(smm, Phase(inst=1000), gpu.dram)
         done.append(eng.now)
 
     for _ in range(8):
@@ -130,7 +152,7 @@ def test_memory_phase_consumes_dram_bandwidth():
     done = []
 
     def warp():
-        yield from smm.execute_phase(Phase(inst=0, mem_bytes=336_000), gpu.dram)
+        yield from run_phase(smm, Phase(inst=0, mem_bytes=336_000), gpu.dram)
         done.append(eng.now)
 
     eng.spawn(warp())
@@ -145,7 +167,7 @@ def test_phase_overhead_applied():
     done = []
 
     def warp():
-        yield from smm.execute_phase(Phase(inst=100), gpu.dram)
+        yield from run_phase(smm, Phase(inst=100), gpu.dram)
         done.append(eng.now)
 
     eng.spawn(warp())
@@ -158,7 +180,7 @@ def test_smms_are_independent_issue_domains():
     done = []
 
     def warp(smm):
-        yield from smm.execute_phase(Phase(inst=1000), gpu.dram)
+        yield from run_phase(smm, Phase(inst=1000), gpu.dram)
         done.append(eng.now)
 
     # 8 warps, but spread over 2 SMMs: 4 each -> full speed

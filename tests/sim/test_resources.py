@@ -164,6 +164,45 @@ def test_ps_negative_amount_rejected():
         ps.consume(-1.0)
 
 
+@pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+def test_ps_non_finite_amount_rejected(amount):
+    """A NaN tag never compares due and an infinite one never
+    completes; either used to wedge the pool (a pool given 5.0, NaN and
+    3.0 finished only the 3.0 job and drove the clock to NaN)."""
+    eng = Engine()
+    ps = ProcessorSharing(eng, rate=1.0)
+    done = ps.consume(5.0)
+    with pytest.raises(ValueError, match="finite"):
+        ps.consume(amount)
+    with pytest.raises(ValueError, match="finite"):
+        ps.consume_after(2.0, amount)
+    eng.run()
+    assert done.fired and eng.now == pytest.approx(5.0)
+    assert ps.active_jobs == 0
+
+
+def test_ps_consume_after_negative_delay_rejected():
+    eng = Engine()
+    ps = ProcessorSharing(eng, rate=1.0)
+    eng.call_at(10.0, lambda: None)
+    eng.run()
+    for delay in (-5.0, float("nan")):
+        with pytest.raises(ValueError, match="delay"):
+            ps.consume_after(delay, 4.0)
+    assert ps.active_jobs == 0 and not eng._queue
+
+
+def test_ps_consume_after_zero_delay_joins_now():
+    eng = Engine()
+    ps = ProcessorSharing(eng, rate=1.0)
+    eng.call_at(10.0, lambda: None)
+    eng.run()
+    ev = ps.consume_after(0.0, 4.0)
+    assert ps.active_jobs == 1
+    eng.run()
+    assert ev.fired and eng.now == pytest.approx(14.0)
+
+
 def test_ps_invalid_rate_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
