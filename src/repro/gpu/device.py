@@ -6,7 +6,7 @@ from typing import Iterable, List, Optional
 
 from repro.gpu.smm import Smm
 from repro.gpu.spec import GpuSpec, titan_x
-from repro.gpu.timing import DEFAULT_TIMING, TimingModel, batch_finish_tags
+from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.sim import Engine, ProcessorSharing
 
 
@@ -38,10 +38,6 @@ class Gpu:
             rate=self.timing.dram_bytes_per_ns(self.spec.dram_bandwidth_gbps),
             name="dram",
         )
-        # device-wide pool sees the largest coalesced arrival batches
-        # (every warp of a dispatched block hits DRAM together); same
-        # bit-identical vectorized kernel as the SMM issue pools
-        self.dram.tag_kernel = batch_finish_tags
 
     def find_smm(
         self,

@@ -19,11 +19,11 @@ from typing import Iterator
 
 from repro.gpu.phases import BlockSync, Phase
 from repro.gpu.spec import GpuSpec
-from repro.gpu.timing import TimingModel, batch_finish_tags
+from repro.gpu.timing import TimingModel
 from repro.sim import Engine, Event, ProcessorSharing, TimeWeighted
 from repro.sim.engine import _FN
 
-#: :meth:`_PhaseRunner.step` result while a stage is in flight
+#: :meth:`_Warp.start` result while a stage is in flight
 _PARKED = object()
 
 
@@ -43,10 +43,10 @@ class Smm:
             engine, rate=issue_rate, per_job_cap=spec.clock_ghz,
             name=f"smm{index}.issue",
         )
-        # vectorized finish-tag kernel for coalesced sibling-warp
-        # arrivals (bit-identical to the scalar path; see
-        # repro.gpu.timing and docs/INTERNALS.md §10)
-        self.issue.tag_kernel = batch_finish_tags
+        #: the warp whose cohort joined the issue pool last; a warp
+        #: starting a phase like it grows that cohort while its arrival
+        #: is still pending
+        self._tail = None
         self.free_warps = spec.max_warps_per_smm
         self.free_blocks = spec.max_blocks_per_smm
         self.free_registers = spec.registers_per_smm
@@ -116,23 +116,24 @@ class Smm:
         issuing, so occupancy hides it) and then contends on the
         GPU-wide bandwidth pool ``dram``.
 
-        The warp's process is not resumed between stages: a
-        :class:`_PhaseRunner` is the pools' completion target and pulls
-        the next item itself.  It stops at the first :class:`BlockSync`
-        (the stop item), when the iterator is exhausted (``None``) or
-        when the kernel raises (the exception instance; the caller
-        decides whether it fails a task or propagates).  A kernel item
-        that is neither raises :class:`TypeError`.
+        The warp's process is not resumed between stages: the warp
+        travels in a cohort of lockstep warps (see :class:`_Warp`),
+        the pools' completion target, which pulls the next item itself.
+        It stops at the first :class:`BlockSync` (the stop item), when
+        the iterator is exhausted (``None``) or when the kernel raises
+        (the exception instance; the caller decides whether it fails a
+        task or propagates).  A kernel item that is neither raises
+        :class:`TypeError`.
 
         Returns the stop item itself if the warp reached it without
         simulated time passing, otherwise an unfired :class:`Event`
         the caller yields, which fires with the stop item.
         """
-        runner = _PhaseRunner(self, phases, dram)
-        item = runner.step()
+        warp = _Warp(self, phases, dram)
+        item = warp.start()
         if item is not _PARKED:
             return item
-        done = runner.done = Event()
+        done = warp.done = Event()
         return done
 
     def mean_occupancy(self, end: float | None = None) -> float:
@@ -141,44 +142,44 @@ class Smm:
         return self.resident_warps.average(end) / self.spec.max_warps_per_smm
 
 
-class _PhaseRunner:
-    """Carries one warp through one barrier segment of its kernel.
+class _Warp:
+    """One warp on its way through one barrier segment of its kernel;
+    the first warp of a cohort also leads it.
 
     A phase is up to two stages, each a private latency followed by a
     pooled demand: issue (``phase_overhead_ns``, then ``inst`` on the
     SMM's issue pool) and memory (the dependency stall plus
-    ``mem_latency_ns``, then ``mem_bytes`` on the DRAM pool).  A stage
-    with a demand joins its pool through ``ProcessorSharing._arrive``
-    with this runner as the completion target; a stage with only a
-    latency pushes a timer record that calls :meth:`fire` too.  Either
-    way the engine sees the same records, in the same ``(when, seq)``
-    slots, as when the warp's process slept and consumed stage by stage
-    itself.
+    ``mem_latency_ns``, then ``mem_bytes`` on the DRAM pool).  The
+    warps of a block start their phases at the same instant, one after
+    another, with the same demands.  A warp that lands right behind a
+    like warp in one arrival batch of the issue pool joins that warp's
+    **cohort** (``ProcessorSharing._grow``): the first warp leads it, is
+    the completion target of the one weight-``k`` job in each pool, and
+    lists the cohort in ``cohort`` (``None`` while it runs alone).  Each
+    warp keeps its own kernel iterator and ``done`` event: when the
+    phase ends the warps go on one at a time in arrival order, and
+    those that continue regroup by the same rule.  A stage with only a
+    latency pushes one timer record per warp.  Either way the engine
+    sees the same records, in the same ``(when, seq)`` slots, as when
+    every warp was its own job, and when each warp's process slept and
+    consumed stage by stage itself.
     """
 
-    #: ``done`` (the event fired with the stop item, set once the runner
-    #: parks) and the in-flight phase's ``inst``, ``mem_bytes`` and
-    #: ``issued`` (whether its issue stage is over) are assigned before
-    #: their first read.
+    #: ``done`` (the event fired with the stop item, set once the warp
+    #: parks) and the phase's ``inst``, ``mem_bytes`` and ``issued``
+    #: (whether its issue stage is over) are assigned before their
+    #: first read; ``cohort`` is set while the warp leads followers.
     __slots__ = ("smm", "phases", "dram", "done", "inst", "mem_bytes",
-                 "issued")
+                 "issued", "cohort")
 
     def __init__(self, smm: Smm, phases: Iterator,
                  dram: ProcessorSharing) -> None:
         self.smm = smm
         self.phases = phases
         self.dram = dram
+        self.cohort = None
 
-    def _sleep(self, delay: float) -> None:
-        # a private latency with no pooled demand after it; inlined
-        # engine._push, as for a process's numeric-delay yield
-        engine = self.smm.engine
-        engine._seq += 1
-        heapq.heappush(engine._queue,
-                       (engine.now + delay, engine._seq, _FN, self.fire,
-                        None))
-
-    def step(self):
+    def start(self):
         """Start the next phase; return the stop item if the segment
         ends before anything parks, else :data:`_PARKED`."""
         phases = self.phases
@@ -191,18 +192,36 @@ class _PhaseRunner:
                 return exc
             if isinstance(item, Phase):
                 inst = item.inst
+                mem_bytes = item.mem_bytes
+                smm = self.smm
+                timing = smm.timing
+                if inst:
+                    # join the last issue cohort if it is like this
+                    # phase and still pending (a tail past its issue
+                    # stage is not: that skips the pool's dict lookup)
+                    tail = smm._tail
+                    if (tail is not None and not tail.issued
+                            and tail.inst == inst
+                            and tail.mem_bytes == mem_bytes
+                            and tail.dram is self.dram
+                            and smm.issue._grow(timing.phase_overhead_ns,
+                                                tail)):
+                        if tail.cohort is None:
+                            tail.cohort = [tail, self]
+                        else:
+                            tail.cohort.append(self)
+                        return _PARKED
+                    smm._tail = self
                 self.inst = inst
-                self.mem_bytes = mem_bytes = item.mem_bytes
+                self.mem_bytes = mem_bytes
                 self.issued = False
-                timing = self.smm.timing
                 if inst:
                     # the fixed issue overhead immediately precedes the
                     # issue demand: one deferred arrival covers both
-                    self.smm.issue._arrive(timing.phase_overhead_ns, inst,
-                                           self)
+                    smm.issue._arrive(timing.phase_overhead_ns, inst, self)
                     return _PARKED
                 if timing.phase_overhead_ns:
-                    self._sleep(timing.phase_overhead_ns)
+                    _sleep(smm.engine, timing.phase_overhead_ns, self.fire)
                     return _PARKED
                 if mem_bytes:
                     self.issued = True
@@ -213,22 +232,42 @@ class _PhaseRunner:
             else:
                 raise TypeError(f"kernel yielded {item!r}")
 
-    def fire(self, _value=None) -> None:
-        """The stage in flight is over: start the memory stage after
-        the issue stage, else the next phase."""
+    def __call__(self) -> None:
+        """The warp's phase is over: start the next one, or fire
+        ``done`` with the stop item."""
         # a warp killed mid-phase (watchdog, task kill) issues nothing
         # more; its process is the done event's waiter
         waiters = self.done._waiters
         if waiters is not None and not getattr(waiters[0], "alive", True):
             return
+        item = self.start()
+        if item is not _PARKED:
+            self.done.fire(item)
+
+    def fire(self, _value=None) -> None:
+        """The cohort's stage in flight is over: start the memory stage
+        after the issue stage, else let each warp go on."""
+        cohort = self.cohort
         if not self.issued:
             self.issued = True
+            if cohort is None:
+                waiters = self.done._waiters
+                if (waiters is not None
+                        and not getattr(waiters[0], "alive", True)):
+                    return  # killed: see __call__
+            else:
+                # a warp killed mid-phase drops out, even the lead,
+                # which stays the target of the survivors' job
+                cohort = self.cohort = [
+                    warp for warp in cohort
+                    if warp.done._waiters is None
+                    or getattr(warp.done._waiters[0], "alive", True)]
             smm = self.smm
             timing = smm.timing
             stall = 0.0
             ratio = timing.warp_stall_ratio
             if ratio:
-                # dependency stalls: private to this warp, hidden only
+                # dependency stalls: private to each warp, hidden only
                 # when enough *other* warps are resident (occupancy)
                 stall = self.inst * ratio / smm.spec.clock_ghz
             mem_bytes = self.mem_bytes
@@ -236,12 +275,39 @@ class _PhaseRunner:
                 # the stall and the DRAM access latency are both private
                 # sleeps with nothing observable in between — fused with
                 # the bandwidth demand into one deferred arrival
-                self.dram._arrive(stall + timing.mem_latency_ns, mem_bytes,
-                                  self)
+                if cohort is None:
+                    self.dram._arrive(stall + timing.mem_latency_ns,
+                                      mem_bytes, self)
+                elif cohort:
+                    self.dram._arrive(stall + timing.mem_latency_ns,
+                                      mem_bytes, self, len(cohort))
                 return
             if stall:
-                self._sleep(stall)
+                if cohort is None:
+                    _sleep(smm.engine, stall, self)
+                    return
+                self.cohort = None
+                for warp in cohort:
+                    _sleep(smm.engine, stall, warp)
                 return
-        item = self.step()
-        if item is not _PARKED:
-            self.done.fire(item)
+        if cohort is None:
+            self()
+            return
+        self.cohort = None  # the lead's next phase may open another
+        for warp in cohort:  # each warp(), inlined
+            waiters = warp.done._waiters
+            if (waiters is not None
+                    and not getattr(waiters[0], "alive", True)):
+                continue
+            item = warp.start()
+            if item is not _PARKED:
+                warp.done.fire(item)
+
+
+def _sleep(engine: Engine, delay: float, fn) -> None:
+    """A private latency with no pooled demand after it: one timer
+    record calling ``fn()``; inlined engine._push, as for a process's
+    numeric-delay yield."""
+    engine._seq += 1
+    heapq.heappush(engine._queue,
+                   (engine.now + delay, engine._seq, _FN, fn, None))

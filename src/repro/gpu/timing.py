@@ -10,11 +10,14 @@ bandwidth) plus the paper's own measurements (e.g. Table 3's data-copy
 fractions imply the copy-vs-compute balance), then frozen.  Experiments
 vary *workloads and runtimes*, never these constants.
 
-This module also hosts the **vectorized timing kernels**: numpy array
-passes that replace per-warp Python loops in the processor-sharing hot
-path while remaining bit-identical to the scalar math.  They change *how fast* numbers are
-computed, never *which* numbers — the differential suite
-(``tests/differential/``) pins that down.
+This module also hosts :func:`ps_completion_times`, the closed-form
+completion times of a processor-sharing pool's resident jobs: one numpy
+array pass, bit-identical to the scalar recurrence it replaces (the
+differential suite, ``tests/differential/``, pins that down).  It is an
+oracle for the event loop, not on its hot path: there the lockstep
+warps of a block already travel as one weight-``k`` pool entry
+(:meth:`repro.gpu.smm.Smm.run_phases`), so no arrival batch is large
+enough for array passes to pay.
 """
 
 from __future__ import annotations
@@ -30,22 +33,6 @@ except ImportError:  # pragma: no cover - exercised only on bare installs
 #: Below this many elements the numpy call overhead exceeds the scalar
 #: loop; the kernels fall back to plain Python.
 _VECTOR_MIN = 16
-
-
-def batch_finish_tags(v: float, amounts: Sequence[float]) -> List[float]:
-    """Finish tags ``[v + a for a in amounts]`` in one array pass.
-
-    This is the vectorized kernel a :class:`~repro.sim.resources.\
-ProcessorSharing` pool calls when a coalesced arrival batch joins
-    (sibling warps of a threadblock issuing identical
-    latency-then-demand patterns).  IEEE-754 float64 addition is the
-    same operation elementwise in numpy as in the Python scalar loop,
-    so the tags are bit-identical; results are converted back to Python
-    floats so no ``np.float64`` leaks into the engine's clocks.
-    """
-    if _np is None or len(amounts) < _VECTOR_MIN:
-        return [v + a for a in amounts]
-    return (_np.asarray(amounts, dtype=_np.float64) + v).tolist()
 
 
 def ps_completion_times(

@@ -43,7 +43,7 @@ from repro.core.runtime import PagodaConfig
 from repro.core.tasktable import TaskTable
 from repro.gpu.device import Gpu
 from repro.gpu.spec import GpuSpec, titan_x
-from repro.gpu.timing import DEFAULT_TIMING, TimingModel, batch_finish_tags
+from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.partition.modes import mode_masks, validate_masks
 from repro.partition.quota import QuotaLedger
 from repro.pcie.bus import Direction, PcieBus
@@ -169,7 +169,6 @@ class Partition:
                 self.spec.dram_bandwidth_gbps) * share,
             name=f"dram.{self.name}",
         )
-        self.dram.tag_kernel = batch_finish_tags
         self.master = MasterKernel(
             self.engine, stack.gpu, self.table,
             functional=config.functional,

@@ -96,8 +96,8 @@ class Delay:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"negative delay: {duration!r}")
+        if not duration >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {duration!r}")
         self.duration = duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -188,8 +188,8 @@ class Process:
             self._finish(stop.value)
             return
         if type(command) is float:
-            if command < 0.0:
-                raise ValueError(f"cannot schedule in the past: {command!r}")
+            if not command >= 0.0:  # also rejects NaN
+                raise ValueError(f"delay must be >= 0, got {command!r}")
             engine._seq = seq = engine._seq + 1
             heapq.heappush(
                 engine._queue,
@@ -240,8 +240,9 @@ class Engine:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute simulated time ``when``."""
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
+        if not when >= self.now:  # also rejects NaN
+            raise ValueError(
+                f"cannot schedule at {when!r}: the clock is at {self.now}")
         self._push(when, _FN, fn, None)
 
     def _push(self, when: float, kind: int, payload: Any, value: Any) -> None:
@@ -291,8 +292,8 @@ class Engine:
                 command._add_waiter(proc)
         elif isinstance(command, (int, float)):
             # int, bool, and float subclasses (e.g. numpy.float64)
-            if command < 0:
-                raise ValueError(f"negative delay: {command!r}")
+            if not command >= 0:  # also rejects NaN
+                raise ValueError(f"delay must be >= 0, got {command!r}")
             self._push(self.now + float(command), _RESUME, proc, None)
         elif isinstance(command, Delay):
             self._push(self.now + command.duration, _RESUME, proc, None)
@@ -412,9 +413,9 @@ class Engine:
                             payload._finish(stop.value)
                         else:
                             if type(command) is float:
-                                if command < 0.0:
+                                if not command >= 0.0:  # also NaN
                                     raise ValueError(
-                                        "cannot schedule in the past: "
+                                        "delay must be >= 0, got "
                                         f"{command!r}"
                                     )
                                 self._seq = seq = self._seq + 1

@@ -256,10 +256,19 @@ class ReferenceProcessorSharing:
         self.engine.call_after(delay, join)
         return ev
 
-    def _arrive(self, delay: float, amount: float, target) -> None:
-        """The optimized pool's internal entry point, so the SMM's phase
-        runner can drive this pool in the golden swap tests."""
+    def _arrive(self, delay: float, amount: float, target,
+                k: int = 1) -> None:
+        """The optimized pool's internal entry point, so the SMM's warp
+        cohorts can drive this pool in the golden swap tests: ``k``
+        separate jobs, the first of which fires ``target``."""
         self.consume_after(delay, amount)._add_waiter(target.fire)
+        for _ in range(k - 1):
+            self.consume_after(delay, amount)
+
+    def _grow(self, delay: float, target) -> bool:
+        """Never merge: on this pool every warp is its own cohort, which
+        makes the golden swap tests an oracle for cohorts."""
+        return False
 
     @property
     def active_jobs(self) -> int:

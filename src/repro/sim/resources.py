@@ -30,7 +30,7 @@ from repro.sim.engine import _FN, Engine
 from repro.sim.events import Event
 
 _EPS = 1e-9
-#: sort key of heap jobs ``(finish_v, seq, target)`` by arrival
+#: sort key of heap entries ``(finish_v, seq, target, k)`` by arrival
 _ARRIVAL_ORDER = itemgetter(1)
 #: Minimum timer granularity (1 femtosecond at ns units).  Without a
 #: floor, a job whose remaining work is just above _EPS on a high-rate
@@ -115,11 +115,6 @@ class FifoResource:
 #: and monotone, so heap order is preserved.
 _REBASE_V = float(2 ** 20)
 
-#: Minimum coalesced-arrival batch size before the vectorized
-#: finish-tag kernel (see :attr:`ProcessorSharing.tag_kernel`) beats
-#: the scalar per-item loop; below this the numpy call overhead wins.
-_VECTOR_JOIN_MIN = 16
-
 
 class ProcessorSharing:
     """A pool of service rate, fairly shared, with a per-job rate cap.
@@ -139,6 +134,14 @@ class ProcessorSharing:
     which was quadratic under churn.  Completion *order* and timer
     semantics (``_MIN_ETA`` forward-progress floor, grouped completions
     within ``_EPS``, arrival-order firing) match the seed exactly.
+
+    A heap entry may stand for several jobs: ``(finish_v, seq, target,
+    k)`` is ``k`` jobs with the same finish tag and the consecutive
+    arrival ids ``seq .. seq + k - 1``, completed by one
+    ``target.fire(None)``.  The job count ``_n`` (not the heap length)
+    sets the per-job rate, so a weight-``k`` entry is served exactly
+    like ``k`` singleton entries — the lockstep warps of one block
+    (:meth:`repro.gpu.smm.Smm.run_phases`) travel as one entry.
     """
 
     def __init__(
@@ -154,11 +157,15 @@ class ProcessorSharing:
         self.rate = rate
         self.per_job_cap = per_job_cap if per_job_cap is not None else rate
         self.name = name
-        #: min-heap of (finish_v, seq, target); seq breaks ties in
-        #: arrival order, and ``target.fire(None)`` runs on completion
-        self._heap: List[Tuple[float, int, Any]] = []
+        #: min-heap of (finish_v, seq, target, k); seq breaks ties in
+        #: arrival order, and ``target.fire(None)`` runs once the
+        #: entry's ``k`` jobs are served
+        self._heap: List[Tuple[float, int, Any, int]] = []
+        #: active jobs: the sum of the heap entries' weights
+        self._n = 0
         #: same-instant deferred arrivals being coalesced, keyed by
-        #: absolute arrival time (see :meth:`consume_after`)
+        #: absolute arrival time, as ``[(amount, target, k), ...]``
+        #: (see :meth:`consume_after`)
         self._arrivals: dict = {}
         self._v = 0.0  # virtual time: cumulative per-job service
         self._next_id = 0
@@ -166,27 +173,14 @@ class ProcessorSharing:
         self._timer_version = 0
         # time-weighted busy integral for utilization reporting
         self._busy_integral = 0.0
-        #: optional vectorized finish-tag kernel,
-        #: ``kernel(v, amounts) -> [v + a for a in amounts]`` as Python
-        #: floats.  Installed by the GPU layer
-        #: (:func:`repro.gpu.timing.batch_finish_tags`); must be
-        #: bit-identical to the scalar sum.  ``None`` keeps the scalar
-        #: loop.
-        self.tag_kernel = None
 
     # -- internal -------------------------------------------------------------
-
-    def _job_rate(self) -> float:
-        n = len(self._heap)
-        if n == 0:
-            return 0.0
-        return min(self.per_job_cap, self.rate / n)
 
     def _advance(self) -> None:
         """Advance the virtual clock by the elapsed per-job service."""
         now = self.engine.now
         elapsed = now - self._last_update
-        n = len(self._heap)
+        n = self._n
         if elapsed > 0 and n:
             self._v += elapsed * min(self.per_job_cap, self.rate / n)
             self._busy_integral += elapsed * min(
@@ -197,7 +191,8 @@ class ProcessorSharing:
     def _rebase(self) -> None:
         """Shift all finish tags down by ``V`` and restart the clock."""
         v = self._v
-        self._heap = [(fv - v, seq, target) for fv, seq, target in self._heap]
+        self._heap = [(fv - v, seq, target, k)
+                      for fv, seq, target, k in self._heap]
         self._v = 0.0
 
     def _reschedule(self) -> None:
@@ -212,9 +207,8 @@ class ProcessorSharing:
         shortest = heap[0][0] - self._v
         if shortest < 0.0:
             shortest = 0.0
-        n = len(heap)
         job_rate = self.per_job_cap
-        pooled = self.rate / n
+        pooled = self.rate / self._n
         if pooled < job_rate:
             job_rate = pooled
         eta = shortest / job_rate
@@ -238,7 +232,7 @@ class ProcessorSharing:
         now = self.engine.now
         elapsed = now - self._last_update
         heap = self._heap
-        n = len(heap)
+        n = self._n
         if elapsed > 0 and n:
             self._v += elapsed * min(self.per_job_cap, self.rate / n)
             self._busy_integral += elapsed * min(
@@ -250,29 +244,35 @@ class ProcessorSharing:
             self._reschedule()
             return
         job = heapq.heappop(heap)
+        self._n -= job[3]
         if not heap or heap[0][0] > threshold:
             self._reschedule()
             job[2].fire(None)
             return
         finished = [job]
         while heap and heap[0][0] <= threshold:
-            finished.append(heapq.heappop(heap))
+            job = heapq.heappop(heap)
+            self._n -= job[3]
+            finished.append(job)
         self._reschedule()
         # fire in arrival order (the seed iterated its job dict in
-        # insertion order), not in finish-tag order
+        # insertion order), not in finish-tag order; an entry's ids are
+        # consecutive, so its first id orders it among the others
         finished.sort(key=_ARRIVAL_ORDER)
-        for _fv, _seq, target in finished:
+        for _fv, _seq, target, _k in finished:
             target.fire(None)
 
-    def _arrive(self, delay: float, amount: float, target) -> None:
-        """Join ``amount`` of work after ``delay``; call
-        ``target.fire(None)`` once it has been served.
+    def _arrive(self, delay: float, amount: float, target,
+                k: int = 1) -> None:
+        """Join ``k`` jobs of ``amount`` work each after ``delay``; call
+        ``target.fire(None)`` once they have been served.
 
         The engine of :meth:`consume` and :meth:`consume_after`, for
         callers that validated their arguments.  ``target`` is anything
-        with a ``fire(value)`` method — an :class:`Event`, or a runner
-        that carries a warp to its next stage without resuming the
-        warp's process (:meth:`repro.gpu.smm.Smm.run_phases`).
+        with a ``fire(value)`` method — an :class:`Event`, or the lead
+        warp of a cohort, which carries the cohort's warps to their next
+        stage without resuming their processes
+        (:meth:`repro.gpu.smm.Smm.run_phases`).
         """
         engine = self.engine
         if delay == 0:
@@ -286,9 +286,10 @@ class ProcessorSharing:
                 # service accrued since _last_update — skip the fp
                 # bookkeeping
                 self._last_update = engine.now
-            self._next_id += 1
-            heapq.heappush(self._heap,
-                           (self._v + float(amount), self._next_id, target))
+            heapq.heappush(self._heap, (self._v + float(amount),
+                                        self._next_id + 1, target, k))
+            self._next_id += k
+            self._n += k
             self._reschedule()
             return
         # Arrivals landing at the same future instant are coalesced into
@@ -300,14 +301,31 @@ class ProcessorSharing:
         when = engine.now + delay
         batch = self._arrivals.get(when)
         if batch is not None:
-            batch.append((float(amount), target))
+            batch.append((float(amount), target, k))
             return
-        batch = [(float(amount), target)]
+        batch = [(float(amount), target, k)]
         self._arrivals[when] = batch
         engine._seq += 1
         heapq.heappush(engine._queue,
                        (when, engine._seq, _FN,
                         partial(self._join, when, batch), None))
+
+    def _grow(self, delay: float, target) -> bool:
+        """Count one more job into ``target``'s pending arrival.
+
+        Succeeds only if the deferred arrival batch landing after
+        ``delay`` ends with ``target``: the new job then takes the next
+        arrival id, exactly as a separate ``_arrive`` of the same
+        amount would.  Returns whether it did.
+        """
+        batch = self._arrivals.get(self.engine.now + delay)
+        if batch is None or not delay:
+            return False
+        amount, last, k = batch[-1]
+        if last is not target:
+            return False
+        batch[-1] = (amount, target, k + 1)
+        return True
 
     def _join(self, when: float, batch: list) -> None:
         """Enter one coalesced batch of deferred arrivals."""
@@ -318,30 +336,13 @@ class ProcessorSharing:
             self._last_update = self.engine.now
         heap = self._heap
         v = self._v
-        kernel = self.tag_kernel
-        if kernel is not None and len(batch) >= _VECTOR_JOIN_MIN:
-            # Vectorized finish tags: one array pass computes every
-            # sibling's ``v + amount``; IEEE-754 elementwise add is
-            # bit-identical to the scalar Python sum, and appending then
-            # heapifying yields the same pop order as per-item pushes
-            # (the (tag, seq) order is total).
-            tags = kernel(v, [amt for amt, _t in batch])
-            nid = self._next_id
-            for (amt, target), tag in zip(batch, tags):
-                if amt == 0.0:
-                    target.fire(None)
-                    continue
-                nid += 1
-                heap.append((tag, nid, target))
-            self._next_id = nid
-            heapq.heapify(heap)
-        else:
-            for amt, target in batch:
-                if amt == 0.0:
-                    target.fire(None)
-                    continue
-                self._next_id += 1
-                heapq.heappush(heap, (v + amt, self._next_id, target))
+        for amt, target, k in batch:
+            if amt == 0.0:
+                target.fire(None)
+                continue
+            heapq.heappush(heap, (v + amt, self._next_id + 1, target, k))
+            self._next_id += k
+            self._n += k
         self._reschedule()
 
     # -- public ---------------------------------------------------------------
@@ -374,7 +375,7 @@ class ProcessorSharing:
     @property
     def active_jobs(self) -> int:
         """Jobs currently receiving service."""
-        return len(self._heap)
+        return self._n
 
     def utilization(self) -> float:
         """Fraction of the pool's rate used, averaged over elapsed time."""

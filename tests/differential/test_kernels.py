@@ -22,56 +22,9 @@ from repro.gpu.occupancy import (
 from repro.gpu.spec import titan_x
 from repro.gpu.timing import (
     _ps_completion_times_scalar,
-    batch_finish_tags,
     ps_completion_times,
 )
 from repro.sim import Engine, ProcessorSharing
-
-
-# ---------------------------------------------------------------------------
-# finish-tag kernel
-# ---------------------------------------------------------------------------
-
-def test_batch_finish_tags_bit_identical():
-    rng = random.Random(42)
-    for trial in range(20):
-        v = rng.uniform(0.0, 1e6)
-        amounts = [rng.uniform(1e-3, 1e5) for _ in range(rng.randrange(1, 80))]
-        got = batch_finish_tags(v, amounts)
-        want = [v + a for a in amounts]
-        assert got == want  # bitwise: no tolerance
-        assert all(type(x) is float for x in got)
-
-
-def test_batch_finish_tags_empty_and_small():
-    assert batch_finish_tags(3.5, []) == []
-    assert batch_finish_tags(1.0, [2.0]) == [3.0]
-
-
-def test_vectorized_join_matches_scalar_join():
-    """A coalesced arrival batch above the vector threshold produces
-    the same completions as the scalar per-item pushes."""
-    def run(use_kernel):
-        engine = Engine()
-        pool = ProcessorSharing(engine, rate=8.0, per_job_cap=2.0)
-        if not use_kernel:
-            pool.tag_kernel = None
-        else:
-            pool.tag_kernel = batch_finish_tags
-        done = []
-        rng = random.Random(7)
-        amounts = [round(rng.uniform(0.5, 20.0), 3) for _ in range(24)]
-
-        def job(i, amount):
-            yield pool.consume_after(5.0, amount)  # all join at t=5.0
-            done.append((i, engine.now))
-
-        for i, amount in enumerate(amounts):
-            engine.spawn(job(i, amount), name=f"job{i}")
-        end = engine.run()
-        return done, end, pool.utilization()
-
-    assert run(True) == run(False)
 
 
 # ---------------------------------------------------------------------------

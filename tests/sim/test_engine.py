@@ -207,6 +207,57 @@ def test_negative_delay_rejected():
         eng.run()
 
 
+NAN = float("nan")
+
+
+class _Ns(float):
+    """A float subclass (as ``numpy.float64`` is): not the fast path."""
+
+
+def test_nan_delay_and_time_rejected():
+    with pytest.raises(ValueError):
+        Delay(NAN)
+    eng = Engine()
+    with pytest.raises(ValueError):
+        eng.call_at(NAN, lambda: None)
+    with pytest.raises(ValueError):
+        eng.call_after(NAN, lambda: None)
+    assert eng.now == 0.0 and not eng._queue
+
+
+@pytest.mark.parametrize("delay", [NAN, _Ns(NAN)], ids=["float", "subclass"])
+def test_nan_yield_rejected_by_the_run_loop(delay):
+    eng = Engine()
+
+    def bad():
+        yield 1.0
+        yield delay
+
+    eng.spawn(bad())
+    with pytest.raises(ValueError, match="nan"):
+        eng.run()
+    assert eng.now == 1.0
+
+
+@pytest.mark.parametrize("delay", [NAN, _Ns(NAN)], ids=["float", "subclass"])
+def test_nan_yield_rejected_on_an_event_wake(delay):
+    # a process woken by an event fire resumes in Process.__call__,
+    # not in the run loop
+    eng = Engine()
+    gate = Event()
+
+    def bad():
+        yield gate
+        yield delay
+
+    eng.spawn(bad())
+    eng.call_after(2.0, lambda: gate.fire(None))
+    with pytest.raises(ValueError, match="nan"):
+        eng.run()
+    assert eng.now == 2.0
+    assert all(record[0] == record[0] for record in eng._queue)
+
+
 def test_unsupported_yield_command_raises():
     eng = Engine()
 
