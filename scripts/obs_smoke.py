@@ -9,7 +9,7 @@ tasks are exercised), then:
   utilization counter tracks, serve counter tracks, per-task spans
   (including the zero-duration queued spans of t=0 tasks), and
   scheduler-decision instants;
-- the stats snapshot validates against the ``repro.obs/1`` schema and
+- the stats snapshot validates against the ``repro.obs/2`` schema and
   its counters agree with the report's request accounting;
 - the same run without an Obs attached produces a byte-identical
   ``ServeReport.to_json()`` — the overhead contract, checked on every

@@ -96,7 +96,7 @@ class Mtb:
                  serial_psched: bool = False,
                  arena_bytes: int = MTB_ARENA_BYTES,
                  deferred_scheduling: bool = False,
-                 trace=None, watchdog_deadline_ns: Optional[float] = None,
+                 watchdog_deadline_ns: Optional[float] = None,
                  faults=None, obs=None, dram=None,
                  partition: Optional[str] = None) -> None:
         self.engine = engine
@@ -124,8 +124,6 @@ class Mtb:
         #: warp — keeps promotions flowing and lets priorities reorder
         #: a deep backlog.
         self.deferred_scheduling = deferred_scheduling
-        #: optional Recorder for scheduler-decision tracing
-        self.trace = trace
         #: tasks still occupying GPU state this long after their
         #: scheduling started are presumed wedged and reclaimed (None
         #: disables the watchdog).
@@ -230,9 +228,6 @@ class Mtb:
                 if self.deferred_scheduling and not self._can_start(entry):
                     entry.sched = 1  # requeue; retry on the next wake
                     self.table.mark_row_dirty(self.column, row)
-                    if self.trace is not None:
-                        self.trace.sample("defer", self.engine.now,
-                                          entry.task_id)
                     if self.obs is not None:
                         self._obs_defer.inc()
                         self.obs.instant(f"sched.mtb{self.column}", "defer",
@@ -270,8 +265,6 @@ class Mtb:
         if prev.task_id == prev_id and prev.ready == READY_COPIED:
             prev.ready = READY_SCHEDULING
             prev.sched = 1
-            if self.trace is not None:
-                self.trace.sample("promote", self.engine.now, prev_id)
             if self.obs is not None:
                 self._obs_promote.inc()
                 self.obs.instant(f"sched.mtb{self.column}", "promote",
@@ -318,8 +311,6 @@ class Mtb:
             )
         if entry.result is not None:
             entry.result.sched_time = self.engine.now
-        if self.trace is not None:
-            self.trace.sample("schedule", self.engine.now, entry.task_id)
         if self.obs is not None:
             self._obs_sched.inc()
             self.obs.instant(f"sched.mtb{self.column}", "schedule",
@@ -580,9 +571,6 @@ class Mtb:
             if entry.result is not None:
                 entry.result.end_time = self.engine.now
             self.tasks_executed += 1
-            if self.trace is not None:
-                self.trace.sample("task_done", self.engine.now,
-                                  entry.task_id)
             if self.obs is not None:
                 self._obs_done.inc()
                 self.obs.instant(f"sched.mtb{self.column}", "task_done",
@@ -642,8 +630,6 @@ class Mtb:
         if entry.result is not None:
             entry.result.end_time = self.engine.now
         self.tasks_failed += 1
-        if self.trace is not None:
-            self.trace.sample("task_fail", self.engine.now, entry.task_id)
         if self.obs is not None:
             self._obs_fail.inc()
             self.obs.instant(f"sched.mtb{self.column}", "task_fail",
@@ -726,7 +712,7 @@ class MasterKernel:
                  functional: bool = False,
                  serial_psched: bool = False,
                  deferred_scheduling: bool = False,
-                 trace=None, watchdog_deadline_ns: Optional[float] = None,
+                 watchdog_deadline_ns: Optional[float] = None,
                  faults=None, obs=None,
                  smm_indices: Optional[List[int]] = None,
                  dram=None, partition: Optional[str] = None) -> None:
@@ -748,7 +734,7 @@ class MasterKernel:
         self.dram = dram
         self._mtb_opts = dict(
             functional=functional, serial_psched=serial_psched,
-            deferred_scheduling=deferred_scheduling, trace=trace,
+            deferred_scheduling=deferred_scheduling,
             watchdog_deadline_ns=watchdog_deadline_ns,
             faults=faults, obs=obs,
         )

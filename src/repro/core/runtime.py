@@ -64,13 +64,6 @@ class PagodaConfig:
     #: blocking the scheduler warp (Algorithm 1 blocks).  Required for
     #: priorities to reorder a deep backlog.
     deferred_scheduling: bool = False
-    #: record scheduler decisions (promote/schedule/defer/task_done)
-    #: into ``session.scheduler_trace`` (a Recorder).
-    trace_scheduler: bool = False
-    #: extension: merge back-to-back same-direction PCIe transactions
-    #: (skip the per-transaction setup when the stream never idled).
-    #: Off by default so figure numbers match the paper's cost model.
-    pcie_coalesce: bool = False
     #: optional :class:`repro.faults.FaultPlan`; attaching one wires a
     #: seeded FaultInjector into every layer of the stack.  ``None``
     #: (and a zero-fault plan) leaves scheduling bit-identical to the
@@ -84,7 +77,8 @@ class PagodaConfig:
     quarantine_threshold: Optional[int] = 3
     #: optional :class:`repro.obs.Obs`; attaching one instruments every
     #: layer of the stack (engine profiler, PCIe counters, TaskTable
-    #: occupancy, scheduler decisions, per-SMM utilization timelines)
+    #: occupancy, scheduler decisions as ``sched.mtb<N>`` instants,
+    #: per-SMM utilization timelines)
     #: and puts a ``stats_snapshot`` into ``RunStats.meta``.  ``None``
     #: (the default) leaves the run bit-identical and unslowed.
     obs: Optional[object] = None
@@ -135,7 +129,6 @@ class PagodaSession:
             reset_memo_counters()
         self.gpu = Gpu(self.engine, self.spec, self.timing, obs=self.obs)
         self.bus = PcieBus(self.engine, self.timing,
-                           coalesce=self.config.pcie_coalesce,
                            faults=self.faults, obs=self.obs)
         num_columns = self.spec.num_smms * MTBS_PER_SMM
         self.table = TaskTable(
@@ -144,16 +137,11 @@ class PagodaSession:
             quarantine_threshold=self.config.quarantine_threshold,
             obs=self.obs,
         )
-        from repro.sim import Recorder
-        self.scheduler_trace = (
-            Recorder() if self.config.trace_scheduler else None
-        )
         self.master = MasterKernel(
             self.engine, self.gpu, self.table,
             functional=self.config.functional,
             serial_psched=self.config.serial_psched,
             deferred_scheduling=self.config.deferred_scheduling,
-            trace=self.scheduler_trace,
             watchdog_deadline_ns=self.config.watchdog_deadline_ns,
             faults=self.faults,
             obs=self.obs,

@@ -3,9 +3,10 @@
 Three pieces, all off by default and contractually free when off:
 
 - the **metrics registry** (:class:`Obs`): counters, time-weighted
-  gauges, per-sample distributions, virtual-time-weighted histograms,
-  and counter-track timelines, with shared-by-name instruments and
-  no-op null handles (:data:`NULL_COUNTER` and friends);
+  gauges (a named :class:`~repro.sim.trace.TimeWeighted`), per-sample
+  distributions and counter-track timelines, shared by name, plus the
+  instant/span event stream — scheduler decisions are the
+  ``sched.mtb<N>`` instants, the stack's one decision record;
 - the **sim profiler** (:class:`SimProfiler`): deterministic
   per-process event and virtual-time accounting, attached through
   ``engine.profiler``;
@@ -33,18 +34,12 @@ from repro.obs.perfetto import (
 from repro.obs.profiler import ProcStat, SimProfiler
 from repro.obs.registry import (
     AGGREGATE_SCHEMA,
-    NULL_COUNTER,
-    NULL_DISTRIBUTION,
-    NULL_GAUGE,
-    NULL_INSTRUMENT,
-    NULL_SERIES,
     SNAPSHOT_SCHEMA,
     Counter,
     Distribution,
     Gauge,
     Obs,
     Series,
-    VtHistogram,
     aggregate_snapshots,
     validate_snapshot,
 )
@@ -56,13 +51,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Distribution",
-    "VtHistogram",
     "Series",
-    "NULL_INSTRUMENT",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_SERIES",
-    "NULL_DISTRIBUTION",
     "SNAPSHOT_SCHEMA",
     "validate_snapshot",
     "SimProfiler",

@@ -1,21 +1,15 @@
-"""The metrics registry: counters, gauges, and virtual-time statistics.
+"""The metrics registry: counters, gauges, distributions and timelines.
 
-One :class:`Obs` instance is the observability context of one run.
-Components accept an optional ``obs`` argument and either
+One :class:`Obs` instance is the observability context of one run, and
+the one metrics substrate of the stack: instruments, scheduler-decision
+instants and spans all live here.  Components accept an optional
+``obs`` argument, resolve their instruments once at construction, keep
+the reference and guard each hot call site with
+``if self.obs is not None:`` (or a ``None``-able instrument handle).
 
-- keep the reference and guard each hot call site with
-  ``if self.obs is not None:`` (the pattern for per-event paths where
-  even a no-op method call is measurable), or
-- resolve *handles* once at construction —
-  ``self._bytes = obs.counter("pcie.h2d.bytes") if obs else NULL_COUNTER``
-  — and call them unconditionally (the pattern for per-transaction
-  paths, where a single no-op bound-method call disappears in the
-  noise).
-
-Either way the contract is the same: **with no** ``Obs`` **attached, a
-run is bit-identical to an uninstrumented one** — instrumentation never
-takes simulated time, never perturbs event ordering, and the null
-handles mutate nothing.
+The contract: **with no** ``Obs`` **attached, a run is bit-identical to
+an uninstrumented one** — instrumentation never takes simulated time
+and never perturbs event ordering.
 
 Metric naming follows ``<component>.<object>.<quantity>`` with dots,
 lower case, and unit suffixes where the unit is not obvious:
@@ -32,8 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.trace import TimeWeighted
+
 #: schema tag carried by every stats snapshot (bump on shape changes).
-SNAPSHOT_SCHEMA = "repro.obs/1"
+SNAPSHOT_SCHEMA = "repro.obs/2"
 
 
 class Counter:
@@ -49,44 +45,18 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """A piecewise-constant level with time-weighted averaging.
+class Gauge(TimeWeighted):
+    """A named :class:`~repro.sim.trace.TimeWeighted` level.
 
-    ``add``/``set`` take the current virtual time; ``average(end)``
-    integrates the level over the run (the same convention as
-    :class:`repro.sim.trace.TimeWeighted`, which experiments already
-    use for occupancy).
+    ``add``/``set`` take the current virtual time (which must not go
+    backwards); ``average(end)`` integrates the level over the run.
     """
 
-    __slots__ = ("name", "_value", "_last", "_integral", "_start", "peak")
+    __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
-        self._value = 0.0
-        self._last = 0.0
-        self._integral = 0.0
-        self._start = 0.0
-        self.peak = 0.0
-
-    def set(self, time: float, value: float) -> None:
-        self._integral += self._value * (time - self._last)
-        self._value = value
-        self._last = time
-        if value > self.peak:
-            self.peak = value
-
-    def add(self, time: float, delta: float) -> None:
-        self.set(time, self._value + delta)
-
-    @property
-    def current(self) -> float:
-        return self._value
-
-    def average(self, end: float) -> float:
-        span = end - self._start
-        if span <= 0:
-            return self._value
-        return (self._integral + self._value * (end - self._last)) / span
 
 
 class Distribution:
@@ -116,69 +86,6 @@ class Distribution:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-
-class VtHistogram:
-    """Virtual-time-weighted histogram of a piecewise-constant value.
-
-    ``observe(t, v)`` says "the value became ``v`` at time ``t``"; each
-    value is weighted by how long it held, so ``percentile(50)`` of a
-    queue-depth histogram answers "what depth did the queue sit at half
-    of the time" — the distribution Fig. 10-style breakdowns need,
-    which a per-sample histogram (weighting each *change* equally)
-    silently gets wrong.
-    """
-
-    __slots__ = ("name", "weights", "_value", "_last", "_started")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        #: value -> total virtual time spent at that value.
-        self.weights: Dict[float, float] = {}
-        self._value = 0.0
-        self._last = 0.0
-        self._started = False
-
-    def observe(self, time: float, value: float) -> None:
-        if self._started:
-            span = time - self._last
-            if span > 0:
-                self.weights[self._value] = (
-                    self.weights.get(self._value, 0.0) + span
-                )
-        self._started = True
-        self._value = value
-        self._last = time
-
-    def close(self, end: float) -> None:
-        """Account the final value's dwell up to ``end``."""
-        if self._started and end > self._last:
-            self.weights[self._value] = (
-                self.weights.get(self._value, 0.0) + (end - self._last)
-            )
-            self._last = end
-
-    @property
-    def total_weight(self) -> float:
-        return sum(self.weights.values())
-
-    def percentile(self, pct: float) -> float:
-        """Smallest value at or below which the level sat ``pct`` % of
-        the observed time."""
-        if not 0 <= pct <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self.weights:
-            raise ValueError(f"empty vt-histogram {self.name!r}")
-        total = self.total_weight
-        target = pct / 100.0 * total
-        cumulative = 0.0
-        last_value = 0.0
-        for value in sorted(self.weights):
-            cumulative += self.weights[value]
-            last_value = value
-            if cumulative >= target:
-                return value
-        return last_value
 
 
 class Series:
@@ -211,36 +118,6 @@ class Series:
         return self._value
 
 
-class _NullInstrument:
-    """Shared no-op implementation behind every disabled handle."""
-
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, time: float, value: float) -> None:
-        pass
-
-    def add(self, time: float, delta: float) -> None:
-        pass
-
-    def record(self, value: float) -> None:
-        pass
-
-    def observe(self, time: float, value: float) -> None:
-        pass
-
-
-#: the no-op handle: hand this out wherever obs is disabled, and the
-#: instrumented call site pays one bound-method call and nothing else.
-NULL_INSTRUMENT = _NullInstrument()
-NULL_COUNTER = NULL_INSTRUMENT
-NULL_GAUGE = NULL_INSTRUMENT
-NULL_SERIES = NULL_INSTRUMENT
-NULL_DISTRIBUTION = NULL_INSTRUMENT
-
-
 class Obs:
     """One run's observability context: registry + event stream.
 
@@ -254,7 +131,6 @@ class Obs:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.distributions: Dict[str, Distribution] = {}
-        self.vt_histograms: Dict[str, VtHistogram] = {}
         self.series: Dict[str, Series] = {}
         #: structured instant events: (track, name, t_ns, args-dict).
         self.instants: List[Tuple[str, str, float, dict]] = []
@@ -285,12 +161,6 @@ class Obs:
         if d is None:
             d = self.distributions[name] = Distribution(name)
         return d
-
-    def vt_histogram(self, name: str) -> VtHistogram:
-        h = self.vt_histograms.get(name)
-        if h is None:
-            h = self.vt_histograms[name] = VtHistogram(name)
-        return h
 
     def timeline(self, name: str) -> Series:
         s = self.series.get(name)
@@ -341,14 +211,6 @@ class Obs:
                 }
                 for n, d in sorted(self.distributions.items())
             },
-            "vt_histograms": {
-                n: {
-                    "total_weight_ns": round(h.total_weight, 6),
-                    "p50": h.percentile(50) if h.weights else 0.0,
-                    "p99": h.percentile(99) if h.weights else 0.0,
-                }
-                for n, h in sorted(self.vt_histograms.items())
-            },
             "series": {
                 n: {"samples": len(s.samples), "last": s.current}
                 for n, s in sorted(self.series.items())
@@ -369,20 +231,19 @@ class Obs:
 
 
 #: schema tag of a cross-node merged snapshot.
-AGGREGATE_SCHEMA = "repro.obs/aggregate/1"
+AGGREGATE_SCHEMA = "repro.obs/aggregate/2"
 
 
 def aggregate_snapshots(snaps: Dict[str, dict]) -> dict:
     """Merge per-node :meth:`Obs.snapshot` dicts into one fleet digest.
 
     ``snaps`` maps node name -> snapshot (each validated against
-    ``repro.obs/1``).  Counters, distribution mass, series samples and
+    ``repro.obs/2``).  Counters, distribution mass, series samples and
     event counts are summed; gauge peaks and clocks take the max;
-    gauge averages combine time-weighted by each node's clock.
+    gauge averages combine time-weighted by each node's clock;
+    distribution extremes come from the nodes that recorded a sample.
     Determinism carries over: the output is a pure function of the
     inputs with sorted keys, independent of dict iteration order.
-    Percentile fields (vt-histogram p50/p99) are *not* mergeable from
-    digests and are dropped — only the total dwell mass survives.
     """
     if not snaps:
         raise ValueError("nothing to aggregate")
@@ -416,19 +277,15 @@ def aggregate_snapshots(snaps: Dict[str, dict]) -> dict:
         rows = _rows("distributions", n)
         count = sum(r["count"] for r in rows)
         total = sum(r["sum"] for r in rows)
+        # an empty node reports placeholder extremes of 0.0
+        seen = [r for r in rows if r["count"] > 0]
         distributions[n] = {
             "count": count,
             "sum": round(total, 6),
             "mean": round(total / count, 6) if count else 0.0,
-            "min": min(r["min"] for r in rows),
-            "max": max(r["max"] for r in rows),
+            "min": min((r["min"] for r in seen), default=0.0),
+            "max": max((r["max"] for r in seen), default=0.0),
         }
-    vt_histograms = {
-        n: {"total_weight_ns": round(
-            sum(r["total_weight_ns"] for r in _rows("vt_histograms", n)),
-            6)}
-        for n in _names("vt_histograms")
-    }
     series = {
         n: {"samples": sum(r["samples"] for r in _rows("series", n))}
         for n in _names("series")
@@ -440,7 +297,6 @@ def aggregate_snapshots(snaps: Dict[str, dict]) -> dict:
         "counters": counters,
         "gauges": gauges,
         "distributions": distributions,
-        "vt_histograms": vt_histograms,
         "series": series,
         "events": {
             "instants": sum(p["events"]["instants"] for p in parts),
@@ -457,7 +313,7 @@ def aggregate_snapshots(snaps: Dict[str, dict]) -> dict:
 
 
 def validate_snapshot(snap: dict) -> dict:
-    """Check a snapshot against the ``repro.obs/1`` shape; returns it.
+    """Check a snapshot against the ``repro.obs/2`` shape; returns it.
 
     Plain-python validation (no jsonschema dependency): required keys,
     value types, and the per-section record shapes.  Raises
@@ -475,7 +331,6 @@ def validate_snapshot(snap: dict) -> dict:
         ("counters", None),
         ("gauges", ("current", "peak", "average")),
         ("distributions", ("count", "sum", "mean", "min", "max")),
-        ("vt_histograms", ("total_weight_ns", "p50", "p99")),
         ("series", ("samples", "last")),
     ):
         table = snap.get(section)

@@ -147,7 +147,6 @@ class Partition:
         self.obs = stack.obs
         #: the partition's virtual function: its own PCIe lanes.
         self.bus = PcieBus(self.engine, self.timing,
-                           coalesce=config.pcie_coalesce,
                            faults=self.faults, obs=self.obs)
         num_columns = self.spec.num_smms * MTBS_PER_SMM
         columns = [s * MTBS_PER_SMM + k

@@ -52,8 +52,8 @@ class ScenarioOutcome:
     #: canonical, JSON-ready report digest (a ``ServeReport.to_dict``,
     #: a ``FleetReport.to_dict``, or a scenario-shaped dict of them).
     report: dict
-    #: ``repro.obs`` snapshot (``repro.obs/1`` or the aggregate
-    #: schema), when the runner instrumented the run.
+    #: ``repro.obs`` snapshot (``repro.obs/2`` or the aggregate
+    #: ``repro.obs/aggregate/2``), when the runner instrumented the run.
     obs: Optional[dict] = None
     #: deterministic virtual-time scalars the runner derived (ratios,
     #: calibrated capacities, trace mixes) for detectors to assert on.

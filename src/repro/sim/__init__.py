@@ -17,13 +17,14 @@ Public surface:
   bandwidth).
 - :class:`~repro.sim.resources.Store` — FIFO item queue (producer /
   consumer).
-- :class:`~repro.sim.trace.Recorder` — time-series metric collection.
+- :class:`~repro.sim.trace.TimeWeighted` — time-weighted average of a
+  piecewise-constant value (occupancy; :class:`repro.obs.Gauge`).
 """
 
 from repro.sim.engine import DeadlockError, Engine, Process, Delay
 from repro.sim.events import Event, Signal, all_of, any_of
 from repro.sim.resources import FifoResource, ProcessorSharing, Store
-from repro.sim.trace import Recorder, TimeWeighted
+from repro.sim.trace import TimeWeighted
 
 __all__ = [
     "DeadlockError",
@@ -37,6 +38,5 @@ __all__ = [
     "FifoResource",
     "ProcessorSharing",
     "Store",
-    "Recorder",
     "TimeWeighted",
 ]

@@ -1,48 +1,15 @@
-"""Metric collection: event series and time-weighted values.
+"""Time-weighted values and the paper's summary statistic.
 
-Experiments observe the simulation through these recorders rather than
-poking at model internals, which keeps the hardware models free of
-reporting concerns.
+:class:`TimeWeighted` is the one piecewise-constant integrator of the
+repo: hardware models keep occupancy in it directly, and
+:class:`repro.obs.Gauge` is a named ``TimeWeighted``.  Every other
+metric lives in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
-
-
-class Recorder:
-    """Append-only named series of ``(time, value)`` samples."""
-
-    def __init__(self) -> None:
-        self._series: Dict[str, List[Tuple[float, float]]] = {}
-
-    def sample(self, name: str, time: float, value: float) -> None:
-        """Append one (time, value) sample to a named series."""
-        self._series.setdefault(name, []).append((time, value))
-
-    def series(self, name: str) -> List[Tuple[float, float]]:
-        """The recorded (time, value) pairs of one series."""
-        return list(self._series.get(name, []))
-
-    def values(self, name: str) -> List[float]:
-        """Just the values of one series, in record order."""
-        return [v for _t, v in self._series.get(name, [])]
-
-    def count(self, name: str) -> int:
-        """Number of samples recorded under a name."""
-        return len(self._series.get(name, []))
-
-    def mean(self, name: str) -> float:
-        """Arithmetic mean of a series' values."""
-        vals = self.values(name)
-        if not vals:
-            raise ValueError(f"no samples for {name!r}")
-        return sum(vals) / len(vals)
-
-    def names(self) -> List[str]:
-        """Sorted names of all recorded series."""
-        return sorted(self._series)
+from typing import List
 
 
 class TimeWeighted:
@@ -51,6 +18,8 @@ class TimeWeighted:
     Used for occupancy: ``set(t, resident_warps)`` on every change, then
     ``average(t_end)`` gives mean residency over the run.
     """
+
+    __slots__ = ("_value", "_last", "_integral", "_start", "peak")
 
     def __init__(self, initial: float = 0.0, start: float = 0.0) -> None:
         self._value = initial

@@ -11,16 +11,18 @@ carrying ``FaultPlan.zero()``.
 
 from repro.core import PagodaConfig, PagodaSession
 from repro.faults import FaultPlan
+from repro.obs import Obs
 from repro.tasks import TaskResult
 
 from tests.chaos.harness import chaos_spec, chaos_tasks
+from tests.obs.decisions import sched_decisions
 
 
 def _traced_run(fault_plan):
     """Run the seed-0 chaos workload recording every scheduler decision
     and per-task timing; returns a replay-comparable fingerprint."""
     session = PagodaSession(spec=chaos_spec(), config=PagodaConfig(
-        copy_inputs=False, copy_outputs=False, trace_scheduler=True,
+        copy_inputs=False, copy_outputs=False, obs=Obs(profile=False),
         fault_plan=fault_plan,
     ))
     tasks = chaos_tasks(0)
@@ -34,10 +36,7 @@ def _traced_run(fault_plan):
 
     eng.spawn(driver(), name="driver")
     eng.run(raise_on_deadlock=True)
-    trace = session.scheduler_trace
-    decisions = tuple(
-        (name, tuple(trace.series(name))) for name in trace.names()
-    )
+    decisions = sched_decisions(session.obs)
     timings = tuple(
         (r.name, r.spawn_time, r.sched_time, r.start_time, r.end_time)
         for r in results
@@ -58,7 +57,7 @@ def test_zero_fault_plan_is_schedule_identical():
     assert zero_dec == base_dec
     assert zero_times == base_times
     assert zero_end == base_end
-    assert any(len(series) for _name, series in base_dec), (
+    assert any(base_dec.values()), (
         "scheduler trace is empty — the comparison proved nothing"
     )
 

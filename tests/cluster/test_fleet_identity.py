@@ -94,5 +94,5 @@ def test_identity_with_obs_aggregation():
     par = run_cluster(_tenants(), _topology(), workers=2, **kwargs)
     assert seq.to_json() == par.to_json()
     agg = seq.to_dict()["obs"]
-    assert agg["schema"] == "repro.obs/aggregate/1"
+    assert agg["schema"] == "repro.obs/aggregate/2"
     assert agg["nodes"] == [f"n{i}" for i in range(8)]

@@ -1,15 +1,14 @@
-"""The metrics registry: instruments, null handles, and the snapshot."""
+"""The metrics registry: instruments, the snapshot and its aggregate."""
 
 import pytest
 
 from repro.obs import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_SERIES,
     SNAPSHOT_SCHEMA,
     Obs,
+    aggregate_snapshots,
     validate_snapshot,
 )
+from repro.sim import TimeWeighted
 
 
 def test_counter_counts():
@@ -27,7 +26,6 @@ def test_same_name_returns_same_instrument():
     assert obs.gauge("g") is obs.gauge("g")
     assert obs.timeline("t") is obs.timeline("t")
     assert obs.distribution("d") is obs.distribution("d")
-    assert obs.vt_histogram("h") is obs.vt_histogram("h")
     # distinct kinds may share a name without colliding
     assert obs.counter("n") is not obs.gauge("n")
 
@@ -42,18 +40,30 @@ def test_gauge_time_weighted_average_and_peak():
     assert g.average(20.0) == pytest.approx((2 * 10 + 6 * 10) / 20)
 
 
-def test_vt_histogram_weights_by_dwell_time():
-    """A level held 90% of the time dominates the percentile read even
-    if it was *set* only once — the property a per-sample histogram
-    gets wrong."""
-    obs = Obs(profile=False)
-    h = obs.vt_histogram("queue")
-    h.observe(0.0, 5.0)     # 5 for [0, 90)
-    h.observe(90.0, 50.0)   # 50 for [90, 100)
-    h.close(100.0)
-    assert h.total_weight == pytest.approx(100.0)
-    assert h.percentile(50) == 5.0
-    assert h.percentile(95) == 50.0
+def test_gauge_is_bit_equal_to_time_weighted():
+    """A gauge is a named TimeWeighted: the same set/add sequence gives
+    the same floats, bit for bit."""
+    gauge = Obs(profile=False).gauge("level")
+    tw = TimeWeighted()
+    steps = [("add", 0.3, 1.0), ("add", 1.7, 0.1), ("set", 2.9, 7.3),
+             ("add", 2.9, -2.2), ("add", 10.0 / 3.0, 0.7),
+             ("set", 11.1, 0.0), ("add", 12.5, 1e-9)]
+    for op, t, v in steps:
+        getattr(gauge, op)(t, v)
+        getattr(tw, op)(t, v)
+        assert gauge.current == tw.current
+        assert gauge.peak == tw.peak
+    for end in (12.5, 13.0, 100.0 / 7.0):
+        assert gauge.average(end) == tw.average(end)
+
+
+def test_gauge_rejects_time_going_backwards():
+    gauge = Obs(profile=False).gauge("level")
+    gauge.set(5.0, 1.0)
+    with pytest.raises(ValueError, match="backwards"):
+        gauge.set(4.0, 2.0)
+    with pytest.raises(ValueError, match="backwards"):
+        gauge.add(4.0, 1.0)
 
 
 def test_series_coalesces_same_instant_changes():
@@ -64,17 +74,6 @@ def test_series_coalesces_same_instant_changes():
     s.add(5.0, -1)
     assert s.samples == [(0.0, 2.0), (5.0, 1.0)]
     assert s.current == 1.0
-
-
-def test_null_handles_are_inert():
-    for handle in (NULL_COUNTER, NULL_GAUGE, NULL_SERIES):
-        handle.inc()
-        handle.inc(10)
-        handle.set(1.0, 2.0)
-        handle.add(1.0, 2.0)
-        handle.record(3.0)
-        handle.observe(1.0, 2.0)
-    assert not hasattr(NULL_COUNTER, "value")
 
 
 def test_snapshot_shape_and_determinism():
@@ -126,3 +125,22 @@ def test_validate_snapshot_rejects_malformed():
     bad_profile = {**good, "profile": {"top": [{"name": 3}]}}
     with pytest.raises(ValueError, match="heap_peak|top"):
         validate_snapshot(bad_profile)
+
+
+def test_aggregate_extremes_skip_empty_distributions():
+    """A node whose distribution recorded nothing reports placeholder
+    extremes of 0.0; they must not leak into the fleet's min/max, and a
+    fleet with no sample at all reports 0.0."""
+    busy, idle, idle2 = (Obs(profile=False) for _ in range(3))
+    for v in (5.0, 9.0):
+        busy.distribution("wait_ns").record(v)
+    idle.distribution("wait_ns")
+    idle2.distribution("wait_ns")
+
+    def row(*obs):
+        snaps = {f"n{i}": o.snapshot() for i, o in enumerate(obs)}
+        r = aggregate_snapshots(snaps)["distributions"]["wait_ns"]
+        return r["count"], r["min"], r["max"]
+
+    assert row(busy, idle) == (2, 5.0, 9.0)
+    assert row(idle, idle2) == (0, 0.0, 0.0)

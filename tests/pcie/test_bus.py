@@ -96,6 +96,7 @@ def test_busy_time_accounting():
 
 
 def test_recorder_samples_transfers():
+    """Each finished transfer is tallied in its direction only."""
     eng, bus = make_bus()
 
     def proc():
@@ -103,7 +104,9 @@ def test_recorder_samples_transfers():
 
     eng.spawn(proc())
     eng.run()
-    assert bus.recorder.count("transfer.host_to_device") == 1
+    assert bus.transactions[Direction.H2D] == 1
+    assert bus.transactions[Direction.D2H] == 0
+    assert bus.bytes_moved[Direction.H2D] == 64
 
 
 def test_fifo_order_preserved_under_random_sizes():
@@ -125,7 +128,7 @@ def test_fifo_order_preserved_under_random_sizes():
     assert completions == list(range(30))
 
 
-# -- transaction coalescing (opt-in extension) ------------------------------
+# -- the per-transaction cost model ------------------------------------------
 
 
 def run_transfers(bus, eng, jobs):
@@ -145,10 +148,10 @@ def run_transfers(bus, eng, jobs):
 
 
 def test_coalesce_off_matches_seed_cost_model():
-    """Default-off: every transaction pays setup, coalesced stays 0,
-    and the numbers are exactly the per-transaction model's."""
+    """Every transaction pays setup, back-to-back or not: the numbers
+    are exactly the paper's per-transaction model's."""
     eng = Engine()
-    bus = PcieBus(eng, TIMING)  # coalesce defaults to False
+    bus = PcieBus(eng, TIMING)
     finished = run_transfers(bus, eng, [
         (0.0, 10_000, Direction.H2D),
         (0.0, 10_000, Direction.H2D),
@@ -157,85 +160,7 @@ def test_coalesce_off_matches_seed_cost_model():
     assert finished == {0: pytest.approx(2000.0),
                        1: pytest.approx(4000.0),
                        2: pytest.approx(6000.0)}
-    assert bus.coalesced[Direction.H2D] == 0
     assert bus.busy_time(Direction.H2D) == pytest.approx(3 * 2000.0)
-
-
-def test_coalesce_merges_back_to_back_transfers():
-    """Queued same-direction transfers ride the open stream: only the
-    first pays pcie_transaction_ns."""
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    finished = run_transfers(bus, eng, [
-        (0.0, 10_000, Direction.H2D),
-        (0.0, 10_000, Direction.H2D),
-        (0.0, 10_000, Direction.H2D),
-    ])
-    # 1000 setup + 3 x 1000 wire
-    assert finished == {0: pytest.approx(2000.0),
-                       1: pytest.approx(3000.0),
-                       2: pytest.approx(4000.0)}
-    assert bus.coalesced[Direction.H2D] == 2
-    assert bus.busy_time(Direction.H2D) == pytest.approx(1000 + 3000)
-
-
-def test_coalesce_requires_no_idle_gap():
-    """A transfer arriving after the engine went idle pays full setup:
-    the stream closed."""
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    finished = run_transfers(bus, eng, [
-        (0.0, 10_000, Direction.H2D),    # done at 2000
-        (2500.0, 10_000, Direction.H2D),  # 500 ns idle gap
-    ])
-    assert finished == {0: pytest.approx(2000.0),
-                       1: pytest.approx(4500.0)}
-    assert bus.coalesced[Direction.H2D] == 0
-
-
-def test_coalesce_directions_are_independent_streams():
-    """A D2H transfer finishing at the same instant must not open the
-    H2D stream — each direction tracks its own last-end time."""
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    finished = run_transfers(bus, eng, [
-        (0.0, 0, Direction.D2H),       # done at 1000
-        (1000.0, 0, Direction.H2D),    # starts exactly then: new stream
-    ])
-    assert finished == {0: pytest.approx(1000.0),
-                       1: pytest.approx(2000.0)}
-    assert bus.coalesced[Direction.H2D] == 0
-    assert bus.coalesced[Direction.D2H] == 0
-
-
-def test_coalesce_busy_time_counts_setup_once_per_stream():
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    run_transfers(bus, eng, [
-        (0.0, 5_000, Direction.H2D),
-        (0.0, 5_000, Direction.H2D),
-        (5000.0, 5_000, Direction.H2D),  # gap -> second stream
-        (5000.0, 5_000, Direction.H2D),
-    ])
-    assert bus.transactions[Direction.H2D] == 4
-    assert bus.coalesced[Direction.H2D] == 2
-    # 2 setups + 20000 bytes / 10 B/ns
-    assert bus.busy_time(Direction.H2D) == pytest.approx(2 * 1000 + 2000)
-
-
-def test_coalesce_off_is_default_in_pagoda_config():
-    """Figure numbers must come from the paper's cost model unless the
-    user opts in."""
-    from repro.core import PagodaConfig
-    from repro.core.runtime import PagodaSession
-
-    assert PagodaConfig().pcie_coalesce is False
-    session = PagodaSession()
-    assert session.bus.coalesce is False
-    session.shutdown()
-    on = PagodaSession(config=PagodaConfig(pcie_coalesce=True))
-    assert on.bus.coalesce is True
-    on.shutdown()
 
 
 def test_concurrent_directions_do_not_reorder_within_direction():

@@ -1,36 +1,11 @@
-"""Unit tests for recorders and time-weighted averages."""
+"""Unit tests for time-weighted averages and the geometric mean."""
 
 import math
 
 import pytest
 
-from repro.sim import Recorder, TimeWeighted
+from repro.sim import TimeWeighted
 from repro.sim.trace import geometric_mean
-
-
-def test_recorder_series_roundtrip():
-    rec = Recorder()
-    rec.sample("lat", 1.0, 10.0)
-    rec.sample("lat", 2.0, 30.0)
-    assert rec.series("lat") == [(1.0, 10.0), (2.0, 30.0)]
-    assert rec.values("lat") == [10.0, 30.0]
-    assert rec.count("lat") == 2
-    assert rec.mean("lat") == 20.0
-
-
-def test_recorder_missing_series():
-    rec = Recorder()
-    assert rec.series("nope") == []
-    assert rec.count("nope") == 0
-    with pytest.raises(ValueError):
-        rec.mean("nope")
-
-
-def test_recorder_names_sorted():
-    rec = Recorder()
-    rec.sample("b", 0, 1)
-    rec.sample("a", 0, 1)
-    assert rec.names() == ["a", "b"]
 
 
 def test_time_weighted_constant():

@@ -19,11 +19,14 @@ import pytest
 import repro.gpu.device as device_mod
 import repro.gpu.smm as smm_mod
 from repro.bench.harness import RUNTIMES, make_tasks, run_tasks
+from repro.obs import Obs
 from repro.sim import Delay, Engine, Event, ProcessorSharing
 from repro.sim.reference import (
     ReferenceEngine,
     ReferenceProcessorSharing,
 )
+
+from tests.obs.decisions import sched_decisions
 
 WORKLOAD = "mpe"  # touches sync, shared memory, and irregularity at once
 
@@ -272,7 +275,8 @@ def _runtime_layer_trace(use_seed_ps):
         device_mod.ProcessorSharing = ReferenceProcessorSharing
     try:
         session = PagodaSession(config=PagodaConfig(
-            copy_inputs=False, copy_outputs=False, trace_scheduler=True))
+            copy_inputs=False, copy_outputs=False,
+            obs=Obs(profile=False)))
         alloc_log = []
         for mtb in session.master.mtbs:
             def logged_alloc(size, _buddy=mtb.buddy, _col=mtb.column,
@@ -292,10 +296,7 @@ def _runtime_layer_trace(use_seed_ps):
 
         eng.spawn(driver())
         eng.run()
-        trace = session.scheduler_trace
-        decisions = tuple(
-            (name, tuple(trace.series(name))) for name in trace.names()
-        )
+        decisions = sched_decisions(session.obs)
         session.shutdown()
         return decisions, tuple(alloc_log), eng.now
     finally:
@@ -308,9 +309,7 @@ def test_runtime_layer_golden_traces_exact():
     opt_decisions, opt_allocs, opt_end = _runtime_layer_trace(False)
     ref_decisions, ref_allocs, ref_end = _runtime_layer_trace(True)
     assert opt_allocs, "workload never exercised the buddy allocator"
-    assert any(count for _name, count in
-               ((n, len(s)) for n, s in opt_decisions)), \
-        "scheduler trace is empty"
+    assert any(opt_decisions.values()), "scheduler trace is empty"
     assert opt_decisions == ref_decisions
     assert opt_allocs == ref_allocs
     assert opt_end == ref_end
