@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Simulator-core perf trajectory: measure, record, and guard.
 
-Runs the hot-path scenarios of ``benchmarks/test_simulator_throughput.py``
-(engine ping-pong, processor-sharing churn, end-to-end Pagoda stack),
+Runs hot-path probes of the simulator core (engine ping-pong,
+processor-sharing churn, end-to-end Pagoda stack),
 a wide fan of tickers colliding on every instant
 (``engine_events_per_s_fan``), microbenchmarks of the indexed
 runtime structures (scheduler dirty-row wakes, WarpTable
@@ -14,9 +14,9 @@ fabric (``fleet_degraded_throughput``, deterministic virtual-time
 goodput under the reliability lane), the partitioned noisy-neighbor
 scenario (``partition_p99_ratio`` / ``partition_elastic_recovery``,
 deterministic virtual-time shape metrics of the SR-IOV-style compute
-partitioning), the full incident-scenario catalog (``scenarios`` in
-the record: per-scenario pass/fail from ``repro.scenarios`` — every
-catalog scenario must pass, an absolute deterministic guard), plus a
+partitioning), the incident-scenario catalog (``scenarios`` in the
+record: per-scenario pass/fail from ``repro.scenarios``, every layer
+but ``paper`` — each must pass, an absolute deterministic guard), plus a
 small Fig. 5 slice, and writes ``BENCH_simcore.json`` at
 the repo root so every PR leaves a perf data point behind.  Guards
 that stand down on this host (for example the cluster speedup floor
@@ -97,9 +97,10 @@ PARTITION_P99_RATIO_FLOOR = 1.0
 PARTITION_RECOVERY_FLOOR = 0.5
 
 #: Seed-commit throughputs measured on the machine that recorded the
-#: first BENCH_simcore.json (best-of-run minima of the pytest-benchmark
-#: suite at the pre-optimization seed).  Kept so the recorded speedup
-#: of the simulation-core overhaul stays visible in the trajectory.
+#: first BENCH_simcore.json (best-of-run minima of the since-removed
+#: pytest-benchmark suite at the pre-optimization seed).  Kept so the
+#: recorded speedup of the simulation-core overhaul stays visible in
+#: the trajectory.
 SEED_BASELINE = {
     "engine_events_per_s": 1_334_000.0,   # 20k ping-pong events / 15.0 ms
     "ps_jobs_per_s": 19_470.0,            # 2k churn jobs / 102.7 ms
@@ -372,19 +373,22 @@ def bench_scenarios():
     """The incident-scenario catalog, every scenario at its default
     seed.  Verdicts are virtual-time and deterministic; the guard is
     absolute (all must pass) and the per-scenario lines ride in the
-    record so ``--json`` consumers see which scenario broke."""
-    from repro.bench import scenarios as bench_scenarios_mod
+    record so ``--json`` consumers see which scenario broke.  The
+    ``paper`` layer's claims are left to the scenario check (they run
+    whole bench artefacts, over a minute of wall time)."""
+    from repro.scenarios import get, names, run_scenario
 
     start = time.perf_counter()
-    results = bench_scenarios_mod.run()
+    results = [run_scenario(name) for name in names()
+               if get(name).layer != "paper"]
     wall = time.perf_counter() - start
     return {
-        "passed": results["passed"],
-        "total": results["total"],
-        "all_passed": results["all_passed"],
-        "lines": [row["line"] for row in results["scenarios"]],
-        "failures": [f for row in results["scenarios"]
-                     for f in row["failures"]],
+        "passed": sum(1 for r in results if r.passed),
+        "total": len(results),
+        "all_passed": all(r.passed for r in results),
+        "lines": [r.summary_line() for r in results],
+        "failures": [v.to_dict() for r in results for v in r.verdicts
+                     if not v.passed],
         "wall_s": round(wall, 4),
     }
 

@@ -5,8 +5,8 @@
 #   PAGODA_FULL=1 scripts/reproduce_all.sh   # paper-scale (hours)
 #   PAGODA_JOBS=8 scripts/reproduce_all.sh   # worker count for the sweep
 #
-# Produces test_output.txt, sweep_output.txt, bench_output.txt, and
-# per-artefact reports under benchmarks/results/.
+# Produces test_output.txt, sweep_output.txt and scenario_output.txt
+# (every paper claim's pass/fail line).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,9 +20,9 @@ echo "== every table & figure, fanned across worker processes"
 python -m repro.bench all --parallel "${PAGODA_JOBS:-$(nproc)}" 2>&1 \
     | tee sweep_output.txt | tail -3
 
-echo "== every table & figure of the paper's evaluation (timed suite)"
-python -m pytest benchmarks/ --benchmark-only 2>&1 \
-    | tee bench_output.txt | tail -5
+echo "== every claim of the paper's evaluation, checked (scenario catalog)"
+python -m repro.bench scenarios --check 2>&1 \
+    | tee scenario_output.txt | tail -5
 
 echo "== simulator-core perf trajectory (BENCH_simcore.json)"
 python scripts/bench.py
@@ -36,4 +36,4 @@ done
 echo "== calibration drift check (constants should still match Table 3)"
 python scripts/calibrate.py --tasks 256
 
-echo "done; see benchmarks/results/ and EXPERIMENTS.md"
+echo "done; see scenario_output.txt and EXPERIMENTS.md"

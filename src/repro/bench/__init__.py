@@ -2,8 +2,10 @@
 
 Each experiment module exposes ``run(...) -> dict`` (structured
 results) and ``report(results) -> str`` (text rendering with
-paper-vs-measured rows).  ``benchmarks/`` wires them into
-pytest-benchmark; EXPERIMENTS.md records the outcomes.
+paper-vs-measured rows).  The ``paper.*`` scenarios of
+:mod:`repro.scenarios` run them at scaled task counts and check the
+paper's claims; EXPERIMENTS.md's tables are generated from those
+results.
 
 =========== ==========================================================
 module      paper artefact

@@ -7,8 +7,9 @@ Run any paper artefact directly::
     python -m repro.bench all --tasks 256
     python -m repro.bench all --parallel 8
 
-Reports print to stdout in the same paper-vs-measured format the
-benchmark suite records under ``benchmarks/results/``.  With
+Reports print to stdout in paper-vs-measured form (the checked
+versions of these runs are the ``paper.*`` scenarios, run with
+``python -m repro.bench scenarios --check``).  With
 ``--parallel N`` the experiments fan out across N worker processes
 (each simulation is single-threaded and deterministic, so the result
 tables are identical to a serial run; only the wall-time lines

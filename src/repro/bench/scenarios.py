@@ -1,11 +1,13 @@
-"""``repro.bench`` "scenarios" experiment — the incident catalog, run.
+"""``repro.bench`` "scenarios" experiment — the scenario catalog, run.
 
 Runs every registered :mod:`repro.scenarios` scenario at its default
-seed and reports one pass/fail line per scenario (the same lines the
-CI ``scenario-matrix`` job puts in its summary).
+seed (the incident catalog and the ``paper.*`` claims) and reports one
+pass/fail line per scenario (the same lines the CI ``scenario-matrix``
+job puts in its summary).
 
 ``python -m repro.bench scenarios --check`` exits non-zero if any
-scenario fails, which is how CI and ``scripts/bench.py`` consume it.
+scenario fails, which is how the CI ``scenario-matrix`` job consumes
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def run() -> Dict:
 def report(results: Dict) -> str:
     """One line per scenario, plus any failing detector's evidence."""
     lines = [
-        f"SCENARIOS: incident catalog, {results['passed']}/"
+        f"SCENARIOS: scenario catalog, {results['passed']}/"
         f"{results['total']} passed"
     ]
     for row in results["scenarios"]:

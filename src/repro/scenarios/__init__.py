@@ -1,11 +1,14 @@
-"""``repro.scenarios`` — named, versioned incident scenarios.
+"""``repro.scenarios`` — named, versioned, checked experiments.
 
 The composition layer ROADMAP item 4 asked for: faults, load
 generators, SLOs, partitions, and the obs layer already exist as
 separate knobs; a :class:`Scenario` bundles them into one reproducible,
 pass/fail-checkable experiment, and the registry runs any of them by
-name.  ``python -m repro.bench scenarios --check`` runs the whole
-catalog; the trace loader (:mod:`repro.scenarios.trace`) feeds
+name.  The ``paper`` layer (:mod:`repro.scenarios.paper`) holds the
+reproduction's claims about the paper's figures and tables, and
+EXPERIMENTS.md's tables are rendered from its results.
+``python -m repro.bench scenarios --check`` runs the whole catalog; the
+trace loader (:mod:`repro.scenarios.trace`) feeds
 production-shaped arrival schedules into any of it.
 """
 

@@ -1,4 +1,6 @@
-"""The built-in incident catalog: six scenarios across four layers.
+"""The built-in incident catalog: six scenarios across the serve,
+fault, cluster and partition layers (the paper layer's claims live in
+:mod:`repro.scenarios.paper`).
 
 Each scenario is one packaged incident with the detectors that decide
 whether the stack handled it — the experiment definitions ROADMAP

@@ -35,6 +35,7 @@ def _ensure_catalog() -> None:
     # the catalog registers itself on import; lazy so that spec/
     # detector definitions never depend on the (heavier) catalog
     import repro.scenarios.catalog  # noqa: F401
+    import repro.scenarios.paper  # noqa: F401
 
 
 def names() -> List[str]:

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 SCHEMA = "repro.scenarios/1"
 
 #: the stack layers a scenario may exercise (reported + CI-matrixed).
-LAYERS = ("serve", "fault", "cluster", "partition")
+LAYERS = ("serve", "fault", "cluster", "partition", "paper")
 
 
 @dataclass(frozen=True)

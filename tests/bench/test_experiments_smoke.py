@@ -1,6 +1,7 @@
 """Smoke tests for every experiment module at tiny scale.
 
-The real shape assertions live in ``benchmarks/``; these verify that
+The real shape assertions are the ``paper.*`` scenarios
+(``repro.scenarios.paper``); these verify that
 each experiment runs end-to-end, returns the documented structure, and
 renders a report, quickly enough for the unit-test suite.
 """

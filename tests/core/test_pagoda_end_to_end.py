@@ -95,10 +95,13 @@ def test_single_task_runs_and_completes():
 
 
 def test_many_tasks_all_complete():
-    tasks = [TaskSpec(f"t{i}", 128, 1, const_kernel(500)) for i in range(300)]
-    stats = run_pagoda(tasks)
-    assert len(stats.results) == 300
-    assert all(r.end_time > 0 for r in stats.results)
+    no_copies = PagodaConfig(copy_inputs=False, copy_outputs=False)
+    for n, inst, config in ((300, 500, None), (500, 2_000, no_copies)):
+        tasks = [TaskSpec(f"t{i}", 128, 1, const_kernel(inst))
+                 for i in range(n)]
+        stats = run_pagoda(tasks, config=config)
+        assert len(stats.results) == n
+        assert all(r.end_time > 0 for r in stats.results)
 
 
 def test_task_wider_than_mtb_rejected():

@@ -283,15 +283,15 @@ def test_timeout_event_value():
 
 
 def test_max_events_guard():
-    eng = Engine()
-
     def forever():
         while True:
             yield 1.0
 
-    eng.spawn(forever())
-    eng.run(max_events=50)
-    assert eng.event_count == 50
+    for limit in (50, 20_000):
+        eng = Engine()
+        eng.spawn(forever())
+        eng.run(max_events=limit)
+        assert eng.event_count == limit
 
 
 def test_many_processes_complete():

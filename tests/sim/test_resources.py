@@ -352,21 +352,21 @@ def test_ps_no_livelock_on_tiny_residual_work():
 def test_ps_many_jobs_high_churn_terminates():
     import numpy as np
 
-    rng = np.random.default_rng(2)
-    eng = Engine()
-    ps = ProcessorSharing(eng, rate=4.0, per_job_cap=1.0)
-    done = []
-
-    def job(amount, start):
+    def job(ps, done, amount, start):
         yield start
         yield ps.consume(amount)
         done.append(amount)
 
-    for _ in range(300):
-        eng.spawn(job(float(rng.uniform(0.01, 50)),
-                      float(rng.uniform(0, 100))))
-    eng.run(max_events=1_000_000)
-    assert len(done) == 300
+    for n_jobs in (300, 2_000):
+        rng = np.random.default_rng(2)
+        eng = Engine()
+        ps = ProcessorSharing(eng, rate=4.0, per_job_cap=1.0)
+        done = []
+        for _ in range(n_jobs):
+            eng.spawn(job(ps, done, float(rng.uniform(0.01, 50)),
+                          float(rng.uniform(0, 100))))
+        eng.run(max_events=1_000_000)
+        assert len(done) == n_jobs
 
 
 def test_fifo_use_releases_server_on_interrupt():

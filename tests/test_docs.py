@@ -1,9 +1,12 @@
 """Documentation consistency: the deliverables reference real things."""
 
+import json
 import pathlib
 import re
 
 import pytest
+
+from tests.scenarios.shared import run_once
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -26,9 +29,13 @@ def test_design_confirms_paper_identity():
 
 
 def test_design_experiment_index_points_at_real_files():
+    from repro.scenarios import names
+
     design = read("DESIGN.md")
-    for target in re.findall(r"`(benchmarks/[\w.]+\.py)`", design):
-        assert (ROOT / target).is_file(), target
+    targets = re.findall(r"`(paper\.\w+)`", design)
+    assert targets
+    for target in targets:
+        assert target in names(), target
 
 
 def test_design_module_references_exist():
@@ -54,6 +61,17 @@ def test_readme_quickstart_names_real_paths():
     for target in re.findall(r"`(examples/[\w.]+\.py)`", readme):
         assert (ROOT / target).is_file(), target
     assert "pip install -e ." in readme
+
+
+def test_experiments_tables_are_generated_from_the_paper_scenarios():
+    """The committed tables are what the checked scenarios produce;
+    ``python scripts/render_experiments.py`` refreshes them."""
+    from repro.scenarios.paper import SCENARIOS, render, splice
+
+    text = read("EXPERIMENTS.md")
+    block = render({name: json.loads(run_once(name).to_json())
+                    for name in SCENARIOS})
+    assert splice(text, block) == text
 
 
 def test_experiments_deviations_section_exists():
