@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from repro.cuda.runtime import CudaRuntime
 from repro.gpu.device import Gpu
+from repro.gpu.phases import phase_table
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.pcie.bus import Direction, PcieBus
@@ -24,6 +25,23 @@ from repro.tasks import RunStats, TaskResult, TaskSpec
 
 #: The paper's heuristic thread count per fused sub-task (§6.3).
 DEFAULT_FUSED_THREADS = 256
+
+
+def _sub_key(fused_task, block_id, warp_id):
+    """The phase key of the sub-task block ``block_id`` runs; ``None``
+    (the generator path) when its kernel is unkeyed."""
+    sub = fused_task.work[block_id]
+    phase_key = getattr(sub.kernel, "phase_key", None)
+    key = phase_key(sub, 0, warp_id) if phase_key else None
+    return None if key is None else (sub.kernel, key)
+
+
+@phase_table(_sub_key)
+def _fused_kernel(fused_task, block_id, warp_id):
+    """Block ``block_id`` executes sub-task ``block_id`` re-shaped to
+    the fused thread count."""
+    sub = fused_task.work[block_id]
+    yield from sub.kernel(sub, 0, warp_id)
 
 
 def fuse_tasks(tasks: List[TaskSpec],
@@ -43,12 +61,6 @@ def fuse_tasks(tasks: List[TaskSpec],
                 f"has {task.num_blocks} blocks"
             )
 
-    def fused_kernel(fused_task, block_id, warp_id):
-        """Block ``block_id`` executes sub-task ``block_id`` re-shaped
-        to ``fused_threads`` threads."""
-        sub = fused_task.work[block_id]
-        yield from sub.kernel(sub, 0, warp_id)
-
     # re-shape every sub-task to the uniform thread count so its cost
     # model distributes the same total work over fused_threads lanes
     reshaped = [
@@ -59,7 +71,7 @@ def fuse_tasks(tasks: List[TaskSpec],
         name=f"fused[{len(tasks)}]",
         threads_per_block=fused_threads,
         num_blocks=len(tasks),
-        kernel=fused_kernel,
+        kernel=_fused_kernel,
         shared_mem_bytes=max(t.shared_mem_bytes for t in tasks),
         needs_sync=any(t.needs_sync for t in tasks),
         regs_per_thread=max(t.regs_per_thread for t in tasks),

@@ -110,7 +110,7 @@ class _GemtcDevice:
         remaining = [warps]
 
         def warp_proc(warp_id):
-            phases = iter(task.warp_phases(block_id, warp_id))
+            phases = self.gpu.warp_items(task, block_id, warp_id)
             dram = self.gpu.dram
             while True:
                 item = smm.run_phases(phases, dram)

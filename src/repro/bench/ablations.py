@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.bench.harness import make_tasks
 from repro.bench.reporting import format_table
 from repro.core import PagodaConfig, PagodaSession, run_pagoda
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.gpu.timing import DEFAULT_TIMING
 from repro.tasks import TaskResult, TaskSpec
 
@@ -60,14 +60,17 @@ def tasktable_rows_ablation(num_tasks: int = 768, seed: int = 0,
     return out
 
 
+@phase_table()
+def tiny_kernel(task, block_id, warp_id):
+    """One instruction: placement, not execution, is measured."""
+    yield Phase(inst=1.0)
+
+
 def psched_ablation(warp_counts: Optional[List[int]] = None) -> Dict:
     """Placement latency of one task vs its warp count, with and
     without Algorithm 2's warp-parallel search."""
     warp_counts = warp_counts or [4, 8, 16]
     out: Dict[int, Dict[str, float]] = {}
-
-    def tiny_kernel(task, block_id, warp_id):
-        yield Phase(inst=1.0)
 
     for warps in warp_counts:
         row = {}

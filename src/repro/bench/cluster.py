@@ -28,7 +28,7 @@ from typing import Dict, Optional
 from repro.bench.reporting import format_table
 from repro.cluster import ConsistentHashRouter, NodeSpec, Topology, run_cluster
 from repro.faults import FaultPlan, FaultSpec
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.serve import PoissonArrivals, TenantSpec
 from repro.serve.slo import SloClass
 from repro.tasks import TaskSpec
@@ -45,6 +45,7 @@ LINK_NS = 200_000.0
 DEGRADED_DROP_RATE = 0.01
 
 
+@phase_table()
 def _bench_kernel(task, block_id, warp_id):
     # module-level so task specs pickle under the spawn start method;
     # several phases per warp so shard compute dominates each epoch

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core import PagodaConfig, run_pagoda
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.obs import Obs
 from repro.tasks import TaskSpec
 
@@ -33,6 +33,7 @@ HEADLINE = (
 )
 
 
+@phase_table()
 def _kernel(task, block_id, warp_id):
     yield Phase(inst=2_000, mem_bytes=256)
     yield Phase(inst=1_000)

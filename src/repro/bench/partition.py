@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.bench.reporting import format_table
 from repro.core.runtime import PagodaConfig
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.partition import (
     ElasticConfig,
     PartitionedStack,
@@ -61,6 +61,7 @@ ELASTIC = ElasticConfig(epoch_ns=30_000.0, high_util=0.4,
 OVERSUBSCRIBE = 1.5
 
 
+@phase_table(lambda task, block_id, warp_id: task.work)
 def _inst_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Four compute phases, a final write-back — no input streaming,
     so partition capacity (SMM issue slots) is the binding resource."""

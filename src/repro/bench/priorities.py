@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from repro.bench.reporting import format_table
 from repro.core import PagodaConfig, run_pagoda
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.tasks import TaskSpec
 
 URGENT_EVERY = 16
@@ -30,6 +30,7 @@ BULK_INST = 100_000.0
 
 
 def _const_kernel(inst):
+    @phase_table()
     def kernel(task, block_id, warp_id):
         yield Phase(inst=float(inst))
     return kernel
@@ -37,6 +38,8 @@ def _const_kernel(inst):
 
 def build_mix(num_tasks: int, prioritized: bool) -> List[TaskSpec]:
     """Interleaved urgent/bulk task mix for the experiment."""
+    kernels = {True: _const_kernel(URGENT_INST),
+               False: _const_kernel(BULK_INST)}
     tasks = []
     for i in range(num_tasks):
         urgent = i % URGENT_EVERY == 0
@@ -44,7 +47,7 @@ def build_mix(num_tasks: int, prioritized: bool) -> List[TaskSpec]:
             name=f"{'urgent' if urgent else 'bulk'}{i}",
             threads_per_block=128,
             num_blocks=1,
-            kernel=_const_kernel(URGENT_INST if urgent else BULK_INST),
+            kernel=kernels[urgent],
             priority=10 if (urgent and prioritized) else 0,
         ))
     return tasks

@@ -457,6 +457,7 @@ class Mtb:
         slot = wt.slots[slot_index]
         col = self.table.gpu[self.column]
         run_phases = self.smm.run_phases
+        warp_items = self.gpu.warp_items
         dram = self.dram_pool
         busy_warps = self.busy_warps
         obs_busy = self._obs_busy
@@ -494,7 +495,7 @@ class Mtb:
                 if spec is not None:
                     fail_reason = f"injected fault {spec.kind}"
             if fail_reason is None:
-                phases = task.warp_phases(slot.block_id, local_warp)
+                phases = warp_items(task, slot.block_id, local_warp)
                 while True:
                     # one wake per barrier segment: the SMM carries the
                     # warp from phase to phase

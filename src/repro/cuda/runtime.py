@@ -217,7 +217,7 @@ class CudaRuntime:
 
     def _run_warp(self, task: TaskSpec, block_id: int, warp_id: int, smm,
                   barrier: WarpBarrier, remaining, block_done: Event) -> Generator:
-        phases = iter(task.warp_phases(block_id, warp_id))
+        phases = self.gpu.warp_items(task, block_id, warp_id)
         dram = self.gpu.dram
         while True:
             item = smm.run_phases(phases, dram)

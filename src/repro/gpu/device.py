@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.gpu.smm import Smm
 from repro.gpu.spec import GpuSpec, titan_x
@@ -13,10 +13,11 @@ from repro.sim import Engine, ProcessorSharing
 class Gpu:
     """A simulated GPU attached to an engine.
 
-    Holds the SMMs and the DRAM bandwidth pool they share.  Placement
-    policy (which SMM hosts which block) belongs to the runtimes — the
-    hardware dispatcher in :mod:`repro.cuda` or Pagoda's static MTB
-    layout — not to this class.
+    Holds the SMMs, the DRAM bandwidth pool they share and the run's
+    phase tables (:meth:`warp_items`).  Placement policy (which SMM
+    hosts which block) belongs to the runtimes — the hardware
+    dispatcher in :mod:`repro.cuda` or Pagoda's static MTB layout — not
+    to this class.
     """
 
     def __init__(
@@ -38,6 +39,36 @@ class Gpu:
             rate=self.timing.dram_bytes_per_ns(self.spec.dram_bandwidth_gbps),
             name="dram",
         )
+        #: ``(kernel, phase key) -> item tuple`` for this run's keyed
+        #: kernels (:func:`repro.gpu.phases.phase_table`)
+        self._tables: Dict[tuple, tuple] = {}
+
+    def warp_items(self, task, block_id: int, warp_id: int) -> Iterator:
+        """The kernel items of one warp of ``task``.
+
+        A keyed kernel's items are built once per distinct key as a
+        tuple that every warp with that key walks; an unkeyed one runs
+        its generator.  A kernel that raises while its table is built
+        stores nothing and gets a fresh generator, which raises again
+        when the warp reaches the fault.
+        """
+        kernel = task.kernel
+        phase_key = getattr(kernel, "phase_key", None)
+        if phase_key is not None:
+            key = phase_key(task, block_id, warp_id)
+            if key is not None:
+                key = (kernel, key)
+                table = self._tables.get(key)
+                if table is None:
+                    try:
+                        table = tuple(kernel(task, block_id, warp_id))
+                    except Exception:
+                        # a kernel fault of any type: replay it on the
+                        # warp's own clock, where the runtime handles it
+                        return kernel(task, block_id, warp_id)
+                    self._tables[key] = table
+                return iter(table)
+        return iter(kernel(task, block_id, warp_id))
 
     def find_smm(
         self,

@@ -7,6 +7,11 @@ and barrier markers.  The executing runtime (Pagoda executor warp, CUDA
 block context, or CPU core) turns each phase into time on the modelled
 resources.
 
+A kernel that is a pure function of a few task fields declares them
+with :func:`phase_table`; a run then builds its item sequence once per
+distinct key and every warp with that key walks the same tuple
+(:meth:`repro.gpu.device.Gpu.warp_items`).
+
 SIMT semantics live in the *cost models* that produce phases: a
 divergent warp's phase carries the sum of both branch paths' costs, a
 lockstep warp the max over its 32 lanes.
@@ -29,9 +34,10 @@ class Phase:
     job sharing it.
 
     A value: equal and hashed by its two costs, and never mutated after
-    construction.  Kernels build one per yield and the SMM reads both
-    fields per phase, so it is a plain slotted class — a frozen
-    dataclass costs two ``object.__setattr__`` calls per construction.
+    construction — a keyed kernel's phases sit in a table that every
+    warp with that key shares.  The SMM reads both fields per phase, so
+    it is a plain slotted class: a frozen dataclass costs two
+    ``object.__setattr__`` calls per construction.
     """
 
     __slots__ = ("inst", "mem_bytes")
@@ -76,6 +82,26 @@ class BlockSync:
 
 
 BLOCK_SYNC = BlockSync()
+
+
+def _reads_nothing(task, block_id, warp_id) -> tuple:
+    return ()
+
+
+def phase_table(key=_reads_nothing):
+    """Declare a timing kernel's phase key; decorates the kernel.
+
+    ``key(task, block_id, warp_id)`` returns a hashable value that
+    captures every task field, and the block or warp index if read,
+    that the kernel's items depend on: two warps with equal keys must
+    get equal streams.  The default key suits a kernel that reads
+    nothing.  A key of ``None`` leaves that warp on the generator path
+    (a delegating kernel whose delegate is unkeyed).
+    """
+    def declare(kernel):
+        kernel.phase_key = key
+        return kernel
+    return declare
 
 
 def total_cost(phases) -> Phase:

@@ -20,7 +20,7 @@ from typing import Dict, List
 from repro.cluster import ConsistentHashRouter, NodeSpec, Topology, run_cluster
 from repro.core.runtime import PagodaConfig
 from repro.faults import FaultPlan, FaultSpec
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.obs import Obs
 from repro.partition import PartitionPlan
 from repro.scenarios.detectors import (
@@ -53,6 +53,7 @@ from repro.tasks import TaskSpec
 _WORK = {"shared": True}
 
 
+@phase_table()
 def _serve_kernel(task, block_id, warp_id):
     yield Phase(inst=2_000.0, mem_bytes=256)
 
@@ -183,6 +184,7 @@ register(Scenario(
 SAMPLE_TRACE_INSTANCES = 41
 
 
+@phase_table()
 def _trace_kernel(task, block_id, warp_id):
     yield Phase(inst=4_000.0, mem_bytes=512)
 
@@ -241,6 +243,7 @@ _CLUSTER_LINK_NS = 50_000.0
 _CLUSTER_REQUESTS = 12
 
 
+@phase_table()
 def _cluster_kernel(task, block_id, warp_id):
     yield Phase(inst=8_000.0, mem_bytes=512)
 
@@ -333,6 +336,7 @@ _NN_TASKS = 96
 _NN_BURST = 48
 
 
+@phase_table(lambda task, block_id, warp_id: task.work)
 def _nn_kernel(task, block_id, warp_id):
     inst = task.work / 4.0
     for _ in range(3):

@@ -82,20 +82,34 @@ class TaskSpec:
         return self.threads_per_block * self.num_blocks
 
     def warp_phases(self, block_id: int, warp_id: int) -> Generator:
-        """Phase stream for one warp of one block."""
+        """A fresh phase stream for one warp of one block.
+
+        The GPU runtimes go through
+        :meth:`repro.gpu.device.Gpu.warp_items` instead, which shares
+        one table per phase key; this is the kernel's own view.
+        """
         return self.kernel(self, block_id, warp_id)
 
     def cpu_cost(self) -> Phase:
         """Aggregate cost of running the whole task on one CPU core.
 
         Sums every warp's phases; barriers are free in a sequential
-        execution.
+        execution.  A keyed kernel's warps share one aggregate per
+        phase key, added in the same per-warp order.
         """
+        kernel = self.kernel
+        phase_key = getattr(kernel, "phase_key", None)
+        aggs = {}
         inst = 0.0
         mem = 0.0
         for block in range(self.num_blocks):
             for warp in range(self.warps_per_block):
-                agg = total_cost(self.warp_phases(block, warp))
+                key = phase_key(self, block, warp) if phase_key else None
+                agg = aggs.get(key)
+                if agg is None:
+                    agg = total_cost(kernel(self, block, warp))
+                    if key is not None:
+                        aggs[key] = agg
                 inst += agg.inst
                 mem += agg.mem_bytes
         return Phase(inst * self.cpu_inst_factor, mem)

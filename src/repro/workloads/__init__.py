@@ -21,7 +21,7 @@ Use :data:`REGISTRY` (``REGISTRY.get("mb")``) or the module-level
 singletons.
 """
 
-from repro.workloads.base import REGISTRY, Workload, emit_phases, lanes_per_thread
+from repro.workloads.base import REGISTRY, Workload, lanes_per_thread
 from repro.workloads.beamformer import BEAMFORMER
 from repro.workloads.convolution import CONVOLUTION
 from repro.workloads.dct import DCT
@@ -35,7 +35,6 @@ from repro.workloads.sparse_lu import SPARSE_LU, SparseLuProblem, generate_waves
 __all__ = [
     "REGISTRY",
     "Workload",
-    "emit_phases",
     "lanes_per_thread",
     "MANDELBROT",
     "FILTERBANK",

@@ -29,29 +29,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.gpu.phases import BLOCK_SYNC, Phase
 from repro.tasks import TaskSpec
 
 
 def lanes_per_thread(total_elems: int, threads: int) -> int:
     """Elements each thread processes (grid-stride convention)."""
     return max(1, math.ceil(total_elems / threads))
-
-
-def emit_phases(total_inst_per_thread: float, total_mem_bytes: float,
-                warps: int, num_phases: int = 4):
-    """Yield ``num_phases`` (inst, mem) phases for one warp.
-
-    ``total_inst_per_thread`` is per-thread lane work (== warp
-    instructions, lockstep); ``total_mem_bytes`` is the whole *block's*
-    DRAM traffic, split evenly across its warps and phases.
-    """
-    if num_phases < 1:
-        raise ValueError("num_phases must be >= 1")
-    inst = total_inst_per_thread / num_phases
-    mem = total_mem_bytes / (warps * num_phases)
-    for _ in range(num_phases):
-        yield Phase(inst=inst, mem_bytes=mem)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads.base import REGISTRY, Workload, lanes_per_thread
 
@@ -49,6 +49,8 @@ def reference_beamform(channels: np.ndarray, delays: np.ndarray,
     return out
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work.n_sim, task.threads_per_block, task.num_blocks))
 def beamformer_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: each thread accumulates its samples over all
     channels; channel data streams from DRAM."""

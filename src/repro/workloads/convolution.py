@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads.base import REGISTRY, Workload, lanes_per_thread
 
@@ -49,6 +49,8 @@ def reference_convolve(image: np.ndarray, kernel2d: np.ndarray) -> np.ndarray:
     return out
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work.img, task.threads_per_block, task.num_blocks))
 def conv_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: pixels strided over threads, taps accumulated."""
     work: ConvWork = task.work

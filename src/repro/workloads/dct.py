@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.phases import BLOCK_SYNC, Phase
+from repro.gpu.phases import BLOCK_SYNC, Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads.base import REGISTRY, Workload, lanes_per_thread
 
@@ -63,6 +63,9 @@ def reference_dct(image: np.ndarray) -> np.ndarray:
     return out
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work.img, task.shared_mem_bytes, task.threads_per_block,
+    task.num_blocks))
 def dct_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: row pass, barrier, column pass.
 

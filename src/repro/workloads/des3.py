@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads import des_tables as T
 from repro.workloads.base import REGISTRY, Workload
@@ -149,6 +149,8 @@ class Des3Work:
     out: bytearray = None
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work.packet_bytes, task.threads_per_block, task.num_blocks))
 def des3_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: each thread encrypts its stripe of 8-byte blocks;
     irregular packet sizes make per-task work vary widely."""

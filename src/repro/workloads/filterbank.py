@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.phases import BLOCK_SYNC, Phase
+from repro.gpu.phases import BLOCK_SYNC, Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads.base import REGISTRY, Workload, lanes_per_thread
 
@@ -61,6 +61,8 @@ def reference_filterbank(signal: np.ndarray, h: np.ndarray,
     return vect_f
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work.n_sim, task.threads_per_block, task.num_blocks))
 def filterbank_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: the four Fig. 1c stages with barriers between."""
     work: FilterBankWork = task.work

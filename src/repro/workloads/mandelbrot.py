@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads.base import REGISTRY, Workload, lanes_per_thread
 
@@ -58,6 +58,8 @@ def reference_tile(work: MandelWork) -> np.ndarray:
     return iters.ravel()
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work.mean_iters, task.threads_per_block, task.num_blocks))
 def mandel_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: pixels strided across threads; warp cost is the
     per-task mean depth inflated by the lockstep divergence factor."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.phases import BLOCK_SYNC, Phase
+from repro.gpu.phases import BLOCK_SYNC, Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads.base import REGISTRY, Workload, lanes_per_thread
 
@@ -38,6 +38,9 @@ class MatmulWork:
     out: np.ndarray = None
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work.n, task.shared_mem_bytes, task.needs_sync,
+    task.threads_per_block, task.num_blocks))
 def matmul_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: one barrier-separated phase per K-tile.
 

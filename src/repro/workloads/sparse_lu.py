@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.gpu.phases import Phase
+from repro.gpu.phases import Phase, phase_table
 from repro.tasks import TaskSpec
 from repro.workloads.base import REGISTRY, Workload
 
@@ -126,6 +126,8 @@ _OP_MACS = {
 }
 
 
+@phase_table(lambda task, block_id, warp_id: (
+    task.work["op"], task.threads_per_block, task.num_blocks))
 def _slud_kernel(task: TaskSpec, block_id: int, warp_id: int):
     """Timing kernel: the op's MAC count spread over the task threads,
     with the three operand tiles streamed from DRAM."""

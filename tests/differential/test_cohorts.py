@@ -5,9 +5,10 @@ after another at the same instant, travel as one weight-``k``
 processor-sharing entry.  The schedules must not move, so the tests
 here pin four things:
 
-- the work count that cohorts exist to cut (heap entries per warp
-  arrival) — byte-identical outputs cannot show a cohort regression,
-  this count can;
+- the work counts that cohorts and phase tables exist to cut (heap
+  entries per warp arrival; ``Phase`` constructions and kernel calls
+  per run) — byte-identical outputs cannot show a regression of
+  either, these counts can;
 - divergent warps (a different ``inst`` on alternate phases, an early
   exit, a raise mid-stream) against the reference pool, which never
   merges (``ReferenceProcessorSharing._grow`` is always ``False``), in
@@ -16,6 +17,7 @@ here pin four things:
 - the pool itself: one weight-``k`` entry against ``k`` singletons.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -28,7 +30,7 @@ from repro.core import PagodaConfig
 from repro.core.errors import TaskError, TaskErrorGroup
 from repro.core.runtime import PagodaSession
 from repro.gpu import Gpu, Phase, titan_x
-from repro.gpu.phases import BLOCK_SYNC
+from repro.gpu.phases import BLOCK_SYNC, phase_table
 from repro.sim import Engine, ProcessorSharing
 from repro.sim.reference import ReferenceProcessorSharing
 from repro.tasks import TaskResult, TaskSpec
@@ -74,6 +76,43 @@ def test_block_warps_share_one_heap_entry(monkeypatch):
     run_tasks(make_tasks("mm", 24, 128, seed=3), "pagoda")
     assert counts["warps"] > 0
     assert counts["entries"] / counts["warps"] <= 0.25
+
+
+#: (workload, runtime) -> (Phase constructions, kernel calls) for 24
+#: 128-thread tasks: one table per distinct phase key (mm tasks are
+#: alike, each mb task draws its own depth), where every warp running
+#: its generator made 480 / 384 phases and 96 calls
+TABLE_WORK = {
+    ("mm", "pagoda"): (5, 1),
+    ("mm", "hyperq"): (5, 1),
+    ("mb", "pagoda"): (96, 24),
+    ("mb", "hyperq"): (96, 24),
+}
+
+
+@pytest.mark.parametrize("workload,runtime", sorted(TABLE_WORK))
+def test_keyed_kernels_build_one_table_per_key(monkeypatch, workload,
+                                               runtime):
+    counts = {"phases": 0, "calls": 0}
+    init = Phase.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["phases"] += 1
+        init(self, *args, **kwargs)
+
+    tasks = make_tasks(workload, 24, 128, seed=3)
+    kernel = tasks[0].kernel
+
+    @phase_table(kernel.phase_key)
+    def counted_kernel(task, block_id, warp_id):
+        counts["calls"] += 1
+        return kernel(task, block_id, warp_id)
+
+    tasks = [dataclasses.replace(t, kernel=counted_kernel) for t in tasks]
+    monkeypatch.setattr(Phase, "__init__", counted_init)
+    run_tasks(tasks, runtime)
+    assert (counts["phases"], counts["calls"]) == TABLE_WORK[workload,
+                                                             runtime]
 
 
 # ---------------------------------------------------------------------------
