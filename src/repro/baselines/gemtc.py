@@ -27,7 +27,6 @@ from repro.cuda.barrier import WarpBarrier
 from repro.device_api import run_functional
 from repro.gpu.device import Gpu
 from repro.gpu.occupancy import blocks_per_smm, registers_per_block
-from repro.gpu.phases import BlockSync
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.pcie.bus import Direction, PcieBus
@@ -94,43 +93,19 @@ class _GemtcDevice:
             self.queue_lock.release()
             if result is not None and not result.start_time:
                 result.start_time = self.engine.now
-            yield from self._run_block(task, block_id, smm)
+            warps = task.warps_per_block
+            if warps > self.worker_warps:
+                raise ValueError(
+                    f"task {task.name!r} needs {warps} warps; worker has "
+                    f"{self.worker_warps}"
+                )
+            self.busy_warps.add(self.engine.now, warps)
+            yield self.gpu.run_block(
+                task, block_id, smm,
+                WarpBarrier(warps, f"task {task.name!r} block {block_id}"),
+                self.timing.syncthreads_ns)
+            self.busy_warps.add(self.engine.now, -warps)
             on_done()
-
-    def _run_block(self, task: TaskSpec, block_id: int, smm) -> Generator:
-        warps = task.warps_per_block
-        if warps > self.worker_warps:
-            raise ValueError(
-                f"task {task.name!r} needs {warps} warps; worker has "
-                f"{self.worker_warps}"
-            )
-        self.busy_warps.add(self.engine.now, warps)
-        barrier = WarpBarrier(warps)
-        done = Event()
-        remaining = [warps]
-
-        def warp_proc(warp_id):
-            phases = self.gpu.warp_items(task, block_id, warp_id)
-            dram = self.gpu.dram
-            while True:
-                item = smm.run_phases(phases, dram)
-                if type(item) is Event:
-                    item = yield item
-                if item is None:
-                    break
-                if not isinstance(item, BlockSync):
-                    raise item  # the kernel raised
-                yield self.timing.syncthreads_ns
-                yield barrier.arrive()
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                done.fire(None)
-
-        for warp_id in range(warps):
-            self.engine.spawn(warp_proc(warp_id),
-                              f"gemtc.warp.{task.name}.{block_id}.{warp_id}")
-        yield done
-        self.busy_warps.add(self.engine.now, -warps)
 
 
 def run_gemtc(tasks: List[TaskSpec],

@@ -9,7 +9,9 @@ thread, which is exactly 100 % occupancy (asserted in the tests).
 Inside each MTB, warp 0 is the *scheduler warp* running Algorithm 1
 over its TaskTable column, and warps 1–31 are *executor warps* that
 sleep until their WarpTable slot's exec flag is set.  The scheduler's
-per-warp placement function is Algorithm 2's ``pSched``.
+per-warp placement function is Algorithm 2's ``pSched``.  The
+scheduler warp is a process; an executor warp is a per-slot callback
+object (:class:`_Executor`) that the scheduler starts on each dispatch.
 """
 
 from __future__ import annotations
@@ -166,21 +168,19 @@ class Mtb:
         self.watchdog_kills: List[WatchdogKill] = []
         self._procs = [engine.spawn(self._scheduler(), f"sched.mtb{column}",
                                     daemon=True)]
-        #: executor warps are spawned lazily on the first dispatch of
-        #: their slot (bit i set <=> slot i's process exists).  Idle
-        #: warps in the real MasterKernel spin on their exec flag
-        #: without observable effect, so a process that has never been
-        #: handed work need not exist in the simulation — most
-        #: workloads touch a handful of the 31 slots per MTB.
-        self._exec_spawned = 0
-        #: slot index -> live executor process, so a kill can interrupt
-        #: exactly the warps running the dead task.
-        self._exec_procs: Dict[int, object] = {}
+        #: slot index -> its executor warp, made on the slot's first
+        #: dispatch (and again after a kill): most workloads touch a
+        #: handful of the 31 slots per MTB.
+        self._executors: list = [None] * len(self.warptable)
 
     def shutdown(self) -> None:
-        """Interrupt this component's daemon processes."""
+        """Interrupt this component's daemon processes and stop its
+        executor warps."""
         for proc in self._procs:
             proc.interrupt()
+        for executor in self._executors:
+            if executor is not None:
+                executor.alive = False
 
     # -- scheduler warp (Algorithm 1, lines 2-28) ---------------------------
 
@@ -423,132 +423,38 @@ class Mtb:
                     slot, warp_id=warp_id, e_num=row, sm_index=sm_index,
                     bar_id=bar_id, block_id=warp_id // wpb,
                 )
-                self.busy_warps.add(self.engine.now, 1)
-                if self._obs_busy is not None:
-                    self._obs_busy.add(self.engine.now, 1)
-                if self._obs_part_busy is not None:
-                    self._obs_part_busy.add(self.engine.now, 1)
+                self._busy(1)
                 placed += 1
                 dispatched.append(slot)
-            # wake only the dispatched executors, after the whole pass
+            # start only the dispatched executors, after the whole pass
             # (Algorithm 2 sets exec flags, then releases the warps)
+            executors = self._executors
             for slot in dispatched:
-                bit = 1 << slot
-                if not self._exec_spawned & bit:
-                    self._exec_spawned |= bit
-                    proc = self.engine.spawn(
-                        self._executor(slot),
-                        f"exec.mtb{self.column}.{slot}",
-                        daemon=True,
-                    )
-                    self._procs.append(proc)
-                    self._exec_procs[slot] = proc
+                executor = executors[slot]
+                if executor is None:
+                    # the scheduler sleeps before its next dispatch, so
+                    # this start has run by then
+                    executors[slot] = executor = _Executor(self, slot)
+                    self.engine.call_soon(executor.run)
                 else:
-                    wt.notify_work(slot)
+                    executor.run()
             if placed < count:
                 yield retry
                 if state is not None and state.killed:
                     return
 
-    # -- executor warps (Algorithm 1, lines 29-43) ----------------------------
+    def _busy(self, delta: int) -> None:
+        now = self.engine.now
+        self.busy_warps.add(now, delta)
+        if self._obs_busy is not None:
+            self._obs_busy.add(now, delta)
+        if self._obs_part_busy is not None:
+            self._obs_part_busy.add(now, delta)
 
-    def _executor(self, slot_index: int) -> Generator:
-        wt = self.warptable
-        slot = wt.slots[slot_index]
-        col = self.table.gpu[self.column]
-        run_phases = self.smm.run_phases
-        warp_items = self.gpu.warp_items
-        dram = self.dram_pool
-        busy_warps = self.busy_warps
-        obs_busy = self._obs_busy
-        obs_part = self._obs_part_busy
-        engine = self.engine
-        while True:
-            if not slot.exec_flag:
-                yield wt.arm_work(slot_index)
-                continue
-            entry = col[slot.e_num]
-            task: TaskSpec = entry.spec
-            state: ExecState = entry.exec_state
-            if not state.started:
-                state.started = True
-                if entry.result is not None:
-                    entry.result.start_time = engine.now
-            local_warp = slot.warp_id - slot.block_id * task.warps_per_block
-            fail_reason: Optional[str] = None
-            faults = self.faults
-            if faults is not None:
-                site = task.name
-                slow = faults.draw("gpu.slow_warp", site)
-                if slow is not None:
-                    # a down-clocked warp: the whole warp body runs
-                    # late by the injected stall
-                    yield slow.magnitude_ns
-                if (faults.draw("gpu.stuck_warp", site) is not None
-                        or faults.draw("task.no_yield", site) is not None):
-                    # wedged warp / kernel that never yields: nothing
-                    # but the watchdog's interrupt reclaims this slot
-                    yield Event()
-                    continue  # pragma: no cover - only via force-wake
-                spec = (faults.draw("task.poison", site)
-                        or faults.draw("task.raise", site))
-                if spec is not None:
-                    fail_reason = f"injected fault {spec.kind}"
-            if fail_reason is None:
-                phases = warp_items(task, slot.block_id, local_warp)
-                while True:
-                    # one wake per barrier segment: the SMM carries the
-                    # warp from phase to phase
-                    item = run_phases(phases, dram)
-                    if type(item) is Event:
-                        item = yield item
-                    if item is None:
-                        break
-                    if isinstance(item, BlockSync):
-                        if slot.bar_id < 0:
-                            # a programming error in the *spawn*, not a
-                            # kernel failure: diagnose loudly (tests
-                            # rely on this propagating)
-                            raise RuntimeError(
-                                f"task {task.name!r} called syncBlock() "
-                                "but was spawned without the sync flag "
-                                "(Table 1: taskSpawn's sync flag "
-                                "allocates the named barrier)"
-                            )
-                        yield self.timing.named_barrier_ns
-                        yield self.barriers.barrier(slot.bar_id).arrive()
-                    else:
-                        # a kernel coroutine raised: convert to a
-                        # structured TaskError carried in the TaskTable
-                        # row instead of letting the exception escape
-                        # into the engine loop
-                        fail_reason = (f"kernel exception: "
-                                       f"{type(item).__name__}: {item}")
-                        break
-            if fail_reason is not None:
-                # this warp kills the whole task; its own slot is
-                # excluded from the reclaim sweep (a generator cannot
-                # interrupt itself) and retired on the normal path below
-                self.fail_entry(slot.e_num, entry, fail_reason,
-                                skip_slot=slot_index)
-                busy_warps.add(engine.now, -1)
-                if obs_busy is not None:
-                    obs_busy.add(engine.now, -1)
-                if obs_part is not None:
-                    obs_part.add(engine.now, -1)
-                wt.retire(slot_index)
-                continue
-            self._warp_epilogue(slot.e_num, slot.block_id,
-                                entry, task, state)
-            busy_warps.add(engine.now, -1)
-            if obs_busy is not None:
-                obs_busy.add(engine.now, -1)
-            if obs_part is not None:
-                obs_part.add(engine.now, -1)
-            wt.retire(slot_index)
-            if self.deferred_scheduling:
-                # freed resources may unblock a deferred row
-                self.table.column_signals[self.column].pulse()
+    def _retire(self, slot_index: int) -> None:
+        """Free an executor warp's slot (Algorithm 1 line 43)."""
+        self._busy(-1)
+        self.warptable.retire(slot_index)
 
     def _warp_epilogue(self, row: int, block_id: int, entry: TaskEntry,
                        task: TaskSpec, state: ExecState) -> None:
@@ -605,20 +511,14 @@ class Mtb:
         )
         if state is not None:
             state.killed = True
-        wt = self.warptable
-        for idx, slot in enumerate(wt.slots):
+        for idx, slot in enumerate(self.warptable.slots):
             if not slot.exec_flag or slot.e_num != row or idx == skip_slot:
                 continue
-            proc = self._exec_procs.pop(idx, None)
-            if proc is not None:
-                proc.interrupt()
-                self._exec_spawned &= ~(1 << idx)
-            self.busy_warps.add(self.engine.now, -1)
-            if self._obs_busy is not None:
-                self._obs_busy.add(self.engine.now, -1)
-            if self._obs_part_busy is not None:
-                self._obs_part_busy.add(self.engine.now, -1)
-            wt.retire(idx)
+            executor = self._executors[idx]
+            if executor is not None:
+                executor.alive = False
+                self._executors[idx] = None
+            self._retire(idx)
         if state is not None:
             for offset in state.block_sm_offset.values():
                 if offset is not None:
@@ -695,6 +595,105 @@ class Mtb:
             shared = self.arena[offset:offset + task.shared_mem_bytes]
             shared[:] = 0
         task.func(BlockContext(task, block_id, shared))
+
+
+class _Executor:
+    """The executor warp of one WarpTable slot (Algorithm 1, lines
+    29-43): no process, but :meth:`run` per dispatch and the warp's
+    done-waiter.  Its first run is a ready-ring record, where a spawned
+    process started; a kill clears :attr:`alive`, so the warp, a
+    queued first run or a slow-warp sleep does nothing more.
+    """
+
+    __slots__ = ("mtb", "index", "slot", "alive", "entry")
+
+    def __init__(self, mtb: Mtb, index: int) -> None:
+        self.mtb = mtb
+        self.index = index
+        self.slot = mtb.warptable.slots[index]
+        self.alive = True
+
+    def run(self) -> None:
+        """Start the task warp the scheduler put in this slot, if any."""
+        if not (self.alive and self.slot.exec_flag):
+            return  # killed, or the slot was retired before this start
+        mtb = self.mtb
+        entry = self.entry = mtb.table.gpu[mtb.column][self.slot.e_num]
+        state: ExecState = entry.exec_state
+        if not state.started:
+            state.started = True
+            if entry.result is not None:
+                entry.result.start_time = mtb.engine.now
+        if mtb.faults is not None:
+            slow = mtb.faults.draw("gpu.slow_warp", entry.spec.name)
+            if slow is not None:
+                # a down-clocked warp: the whole warp body runs late by
+                # the injected stall
+                mtb.engine.call_after(slow.magnitude_ns, self._body)
+                return
+        self._body()
+
+    def _body(self) -> None:
+        if not self.alive:
+            return  # killed during its slow-warp sleep
+        mtb = self.mtb
+        slot = self.slot
+        task: TaskSpec = self.entry.spec
+        faults = mtb.faults
+        if faults is not None:
+            site = task.name
+            if (faults.draw("gpu.stuck_warp", site) is not None
+                    or faults.draw("task.no_yield", site) is not None):
+                # wedged warp / kernel that never yields: nothing but
+                # the watchdog's kill reclaims this slot
+                return
+            spec = (faults.draw("task.poison", site)
+                    or faults.draw("task.raise", site))
+            if spec is not None:
+                self._fail(f"injected fault {spec.kind}")
+                return
+        local_warp = slot.warp_id - slot.block_id * task.warps_per_block
+        barrier = (mtb.barriers.barrier(slot.bar_id) if slot.bar_id >= 0
+                   else None)
+        item = mtb.smm.run_phases(
+            mtb.gpu.warp_items(task, slot.block_id, local_warp),
+            mtb.dram_pool, barrier, mtb.timing.named_barrier_ns)
+        if type(item) is Event:
+            item._add_waiter(self)
+        else:
+            self(item)
+
+    def __call__(self, item) -> None:
+        """The warp's stop item: retire it, or kill its task."""
+        mtb = self.mtb
+        if item is None:
+            entry = self.entry
+            mtb._warp_epilogue(self.slot.e_num, self.slot.block_id, entry,
+                               entry.spec, entry.exec_state)
+            mtb._retire(self.index)
+            if mtb.deferred_scheduling:
+                # freed resources may unblock a deferred row
+                mtb.table.column_signals[mtb.column].pulse()
+        elif isinstance(item, BlockSync):
+            # a programming error in the *spawn*, not a kernel failure:
+            # diagnose loudly (tests rely on this propagating)
+            raise RuntimeError(
+                f"task {self.entry.spec.name!r} called syncBlock() but "
+                "was spawned without the sync flag (Table 1: "
+                "taskSpawn's sync flag allocates the named barrier)"
+            )
+        else:
+            # the kernel raised, or its block's warps disagree on their
+            # barrier count: a TaskError in the TaskTable row, not an
+            # exception in the engine loop
+            self._fail(f"kernel exception: {type(item).__name__}: {item}")
+
+    def _fail(self, reason: str) -> None:
+        """Kill the whole task; the sweep skips this warp's own slot."""
+        mtb = self.mtb
+        mtb.fail_entry(self.slot.e_num, self.entry, reason,
+                       skip_slot=self.index)
+        mtb._retire(self.index)
 
 
 class MasterKernel:

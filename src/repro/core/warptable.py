@@ -12,18 +12,19 @@ register.  Bit ``i`` set means slot ``i`` is free, so:
 - ``free_count`` / ``busy_count`` are one popcount (the seed rescanned
   every slot);
 - the executor-slot pick in ``pSched`` is one lowest-set-bit
-  extraction per placement instead of materializing the free list;
-- wakeups are targeted: the scheduler fires the dispatched slot's own
-  armed event, instead of broadcasting to all 31 executors and letting
-  the 30 losers re-arm (the seed's dominant wasted work).
+  extraction per placement instead of materializing the free list.
+
+Wakeups are targeted: the scheduler starts the dispatched slot's own
+executor (``repro.core.masterkernel._Executor``), instead of
+broadcasting to all 31 executors and letting the 30 losers re-arm (the
+seed's dominant wasted work).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.sim import Event, Signal
+from repro.sim import Signal
 
 
 @dataclass(slots=True)
@@ -43,13 +44,10 @@ class WarpSlot:
     block_id: int = 0
     #: set by the scheduler to start execution; reset by the executor.
     exec_flag: bool = False
-    #: armed by the idle executor warp; fired by the scheduler on
-    #: dispatch (the targeted replacement for a broadcast work signal).
-    work_event: Optional[Event] = field(default=None, repr=False)
 
 
 class WarpTable:
-    """31 slots + free-mask index + targeted wakeup signalling."""
+    """31 slots + free-mask index + the free-slot signal."""
 
     EXECUTOR_WARPS = 31
 
@@ -95,24 +93,6 @@ class WarpTable:
             out.append(low.bit_length() - 1)
             mask ^= low
         return out
-
-    # -- executor-side wakeup ------------------------------------------------
-
-    def arm_work(self, slot_index: int) -> Event:
-        """Idle executor warp: arm a one-shot event the scheduler fires
-        when it dispatches this slot."""
-        ev = Event()
-        self.slots[slot_index].work_event = ev
-        return ev
-
-    def notify_work(self, slot_index: int) -> None:
-        """Scheduler side: wake the dispatched slot's executor (no-op
-        when the executor saw the exec flag without sleeping)."""
-        slot = self.slots[slot_index]
-        ev = slot.work_event
-        if ev is not None:
-            slot.work_event = None
-            ev.fire(slot_index)
 
     # -- dispatch / retire ----------------------------------------------------
 

@@ -23,7 +23,6 @@ from repro.cuda.stream import Stream
 from repro.device_api import run_functional
 from repro.gpu.device import Gpu
 from repro.gpu.occupancy import registers_per_block
-from repro.gpu.phases import BlockSync
 from repro.pcie.bus import Direction, PcieBus
 from repro.sim import Engine, Event, Signal
 from repro.tasks import TaskResult, TaskSpec
@@ -201,34 +200,10 @@ class CudaRuntime:
     def _run_block(self, task: TaskSpec, block_id: int, smm, warps: int,
                    regs: int, smem: int, on_start, on_done) -> Generator:
         on_start()
-        barrier = WarpBarrier(warps, f"{task.name}.{block_id}")
-        remaining = [warps]
-        block_done = Event()
-        for warp_id in range(warps):
-            self.engine.spawn(
-                self._run_warp(task, block_id, warp_id, smm, barrier,
-                               remaining, block_done),
-                name=f"warp.{task.name}.{block_id}.{warp_id}",
-            )
-        yield block_done
+        yield self.gpu.run_block(
+            task, block_id, smm,
+            WarpBarrier(warps, f"task {task.name!r} block {block_id}"),
+            self.timing.syncthreads_ns)
         smm.release_block(warps, regs, smem)
         on_done()
         self._freed.pulse()
-
-    def _run_warp(self, task: TaskSpec, block_id: int, warp_id: int, smm,
-                  barrier: WarpBarrier, remaining, block_done: Event) -> Generator:
-        phases = self.gpu.warp_items(task, block_id, warp_id)
-        dram = self.gpu.dram
-        while True:
-            item = smm.run_phases(phases, dram)
-            if type(item) is Event:
-                item = yield item
-            if item is None:
-                break
-            if not isinstance(item, BlockSync):
-                raise item  # the kernel raised
-            yield self.timing.syncthreads_ns
-            yield barrier.arrive()
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            block_done.fire(self.engine.now)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.gpu.smm import Smm
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
-from repro.sim import Engine, ProcessorSharing
+from repro.sim import Engine, Event, ProcessorSharing
 
 
 class Gpu:
@@ -69,6 +70,33 @@ class Gpu:
                     self._tables[key] = table
                 return iter(table)
         return iter(kernel(task, block_id, warp_id))
+
+    def run_block(self, task, block_id: int, smm: Smm, barrier,
+                  sync_ns: float) -> Event:
+        """Run the warps of one block of ``task`` on ``smm``, each from
+        its own ready-ring record; the event fires once all have ended.
+        A kernel exception or barrier mismatch propagates."""
+        done = Event()
+        left = [task.warps_per_block]
+
+        def finish(item) -> None:  # every warp's done-waiter
+            if item is not None:
+                raise item  # the kernel raised, or the barriers differ
+            left[0] -= 1
+            if not left[0]:
+                done.fire(None)
+
+        def start(warp_id: int) -> None:
+            item = smm.run_phases(self.warp_items(task, block_id, warp_id),
+                                  self.dram, barrier, sync_ns)
+            if type(item) is Event:
+                item._add_waiter(finish)
+            else:
+                finish(item)
+
+        for warp_id in range(left[0]):
+            self.engine.call_soon(partial(start, warp_id))
+        return done
 
     def find_smm(
         self,

@@ -84,6 +84,11 @@ class BlockSync:
 BLOCK_SYNC = BlockSync()
 
 
+class BarrierMismatch(RuntimeError):
+    """A block's warps disagree on how many :class:`BlockSync` they pass
+    (raised by :class:`repro.cuda.WarpBarrier`)."""
+
+
 def _reads_nothing(task, block_id, warp_id) -> tuple:
     return ()
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-from repro.gpu.phases import BlockSync, Phase
+from repro.gpu.phases import BarrierMismatch, BlockSync, Phase
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
 from repro.sim import Engine, Event, ProcessorSharing, TimeWeighted
@@ -106,8 +106,9 @@ class Smm:
 
     # -- warp execution ----------------------------------------------------
 
-    def run_phases(self, phases: Iterator, dram: ProcessorSharing):
-        """Run a warp's kernel items on this SMM up to its next barrier.
+    def run_phases(self, phases: Iterator, dram: ProcessorSharing,
+                   barrier=None, sync_ns: float = 0.0):
+        """Run a warp's kernel items on this SMM.
 
         Pulls items from the ``phases`` iterator and turns each
         :class:`Phase` into time: instruction issue contends on this
@@ -116,20 +117,21 @@ class Smm:
         issuing, so occupancy hides it) and then contends on the
         GPU-wide bandwidth pool ``dram``.
 
-        The warp's process is not resumed between stages: the warp
-        travels in a cohort of lockstep warps (see :class:`_Warp`),
-        the pools' completion target, which pulls the next item itself.
-        It stops at the first :class:`BlockSync` (the stop item), when
-        the iterator is exhausted (``None``) or when the kernel raises
-        (the exception instance; the caller decides whether it fails a
-        task or propagates).  A kernel item that is neither raises
+        No process carries the warp: a cohort of lockstep warps
+        (:class:`_Warp`), the pools' completion target, pulls the next
+        item itself, and passes each :class:`BlockSync` on the block's
+        ``barrier`` (a :class:`repro.cuda.WarpBarrier`) after
+        ``sync_ns``.  It stops at the end (``None``), or when the
+        kernel raises or the block's warps disagree on their barrier
+        count (the exception instance); without a barrier, also at the
+        first :class:`BlockSync`.  Any other item raises
         :class:`TypeError`.
 
-        Returns the stop item itself if the warp reached it without
-        simulated time passing, otherwise an unfired :class:`Event`
-        the caller yields, which fires with the stop item.
+        Returns that stop item if no simulated time passed, otherwise
+        an :class:`Event` that fires once with it.  The warp stops
+        issuing once the event's waiter has a false ``alive``.
         """
-        warp = _Warp(self, phases, dram)
+        warp = _Warp(self, phases, dram, barrier, sync_ns)
         item = warp.start()
         if item is not _PARKED:
             return item
@@ -143,8 +145,8 @@ class Smm:
 
 
 class _Warp:
-    """One warp on its way through one barrier segment of its kernel;
-    the first warp of a cohort also leads it.
+    """One warp on its way through its kernel (without a barrier, one
+    segment of it); the first warp of a cohort also leads it.
 
     A phase is up to two stages, each a private latency followed by a
     pooled demand: issue (``phase_overhead_ns``, then ``inst`` on the
@@ -161,32 +163,40 @@ class _Warp:
     those that continue regroup by the same rule.  A stage with only a
     latency pushes one timer record per warp.  Either way the engine
     sees the same records, in the same ``(when, seq)`` slots, as when
-    every warp was its own job, and when each warp's process slept and
-    consumed stage by stage itself.
+    every warp was its own job, and when each warp's process slept,
+    consumed and synced stage by stage itself (the last arriver at a
+    barrier goes on from a ready-ring record).
     """
 
     #: ``done`` (the event fired with the stop item, set once the warp
     #: parks) and the phase's ``inst``, ``mem_bytes`` and ``issued``
     #: (whether its issue stage is over) are assigned before their
     #: first read; ``cohort`` is set while the warp leads followers.
-    __slots__ = ("smm", "phases", "dram", "done", "inst", "mem_bytes",
-                 "issued", "cohort")
+    __slots__ = ("smm", "phases", "dram", "barrier", "sync_ns", "done",
+                 "inst", "mem_bytes", "issued", "cohort")
 
-    def __init__(self, smm: Smm, phases: Iterator,
-                 dram: ProcessorSharing) -> None:
+    def __init__(self, smm: Smm, phases: Iterator, dram: ProcessorSharing,
+                 barrier, sync_ns: float) -> None:
         self.smm = smm
         self.phases = phases
         self.dram = dram
+        self.barrier = barrier
+        self.sync_ns = sync_ns
         self.cohort = None
 
     def start(self):
-        """Start the next phase; return the stop item if the segment
-        ends before anything parks, else :data:`_PARKED`."""
+        """Start the next phase; return the stop item if the warp
+        stops before anything parks, else :data:`_PARKED`."""
         phases = self.phases
         while True:
             try:
                 item = next(phases)
             except StopIteration:
+                if self.barrier is not None:
+                    try:
+                        self.barrier.leave()
+                    except BarrierMismatch as exc:
+                        return exc
                 return None
             except Exception as exc:
                 return exc
@@ -228,15 +238,34 @@ class _Warp:
                     self.dram._arrive(timing.mem_latency_ns, mem_bytes, self)
                     return _PARKED
             elif isinstance(item, BlockSync):
-                return item
+                if self.barrier is None:
+                    return item
+                _sleep(self.smm.engine, self.sync_ns, self.arrive)
+                return _PARKED
             else:
                 raise TypeError(f"kernel yielded {item!r}")
 
-    def __call__(self) -> None:
-        """The warp's phase is over: start the next one, or fire
-        ``done`` with the stop item."""
+    def arrive(self) -> None:
+        """The sync latency is over: arrive at the barrier and wait at
+        its gate, or, as the last arriver, go on from the ready ring."""
+        waiters = self.done._waiters
+        if waiters is not None and not getattr(waiters[0], "alive", True):
+            return  # killed: see __call__
+        try:
+            gate = self.barrier.arrive()
+        except BarrierMismatch as exc:
+            self.done.fire(exc)
+            return
+        if gate.fired:
+            self.smm.engine.call_soon(self)
+        else:
+            gate._add_waiter(self)
+
+    def __call__(self, _value=None) -> None:
+        """The warp's phase or barrier wait is over: start the next
+        phase, or fire ``done`` with the stop item."""
         # a warp killed mid-phase (watchdog, task kill) issues nothing
-        # more; its process is the done event's waiter
+        # more; its owner is the done event's waiter
         waiters = self.done._waiters
         if waiters is not None and not getattr(waiters[0], "alive", True):
             return

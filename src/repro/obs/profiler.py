@@ -45,9 +45,11 @@ class ProcStat:
 class SimProfiler:
     """Deterministic per-process accounting, aggregated by name prefix.
 
-    Names are aggregated at full precision (``exec.mtb3.7`` stays
-    distinct from ``exec.mtb3.8``); the report's top-N is sorted by
+    Names are aggregated at full precision (``sched.mtb3`` stays
+    distinct from ``sched.mtb4``); the report's top-N is sorted by
     events executed, ties broken by name so the ordering is total.
+    Only processes are counted: warps are not processes (the SMM
+    carries them), so their records show in no row.
     """
 
     def __init__(self) -> None:

@@ -360,7 +360,7 @@ class PartitionedStack:
             yield d.table.gpu_done_signal.wait()
         # detach from the completing executor's stack frame (the done
         # pulse resumes this proc synchronously from inside it) before
-        # release_smm interrupts that same generator
+        # release_smm shuts that same MTB down
         yield self.engine.timeout(0.0)
         d.master.release_smm(smm_index)
         now = self.engine.now

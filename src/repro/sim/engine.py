@@ -25,9 +25,10 @@ Hot-path design (the fast paths that make paper-scale runs practical):
   3-tuple per event.  ``seq`` is unique, so heap comparisons never
   reach the non-comparable payload.
 - **Ready ring.**  Zero-delay wakeups — process spawns, joins on
-  already-finished processes, and bounces through already-fired events
-  — skip the heap entirely and go onto a FIFO deque of
-  ``(seq, kind, payload, value)`` records at the *current* instant.
+  already-finished processes, bounces through already-fired events
+  and :meth:`Engine.call_soon` callbacks — skip the heap entirely and
+  go onto a FIFO deque of ``(seq, kind, payload, value)`` records at
+  the *current* instant.
   The run loop merges ring and heap by the global ``(when, seq)``
   order (ring entries all carry ``when == now``), so observable event
   ordering is bit-identical to the seed's all-heap behaviour while
@@ -35,8 +36,9 @@ Hot-path design (the fast paths that make paper-scale runs practical):
 - **Branch-first dispatch.**  The run loop and
   :meth:`Process.__call__` inline the command dispatch and test
   ``type(command) is float`` first — the overwhelmingly common
-  numeric-delay case pays a single pointer compare — then an unfired
-  :class:`Event`, which they enrol on without a call.
+  numeric-delay case pays a single pointer compare.  Warps are not
+  processes (the SMM carries them), so event waits are rare enough
+  for :meth:`Engine._dispatch_slow`.
 - **One run loop.**  ``run``, ``run_until`` and
   ``run_until_idle_processes`` all drain through :meth:`Engine._drain`,
   one record at a time in global ``(when, seq)`` order.  A bound
@@ -195,15 +197,6 @@ class Process:
                 engine._queue,
                 (engine.now + command, seq, _RESUME, self, None),
             )
-        elif type(command) is Event and not command.fired:
-            # inlined Event._add_waiter: the warp's one wait per
-            # barrier segment and every control-path wait land here
-            self.waiting_on = command
-            waiters = command._waiters
-            if waiters is None:
-                command._waiters = [self]
-            else:
-                waiters.append(self)
         else:
             engine._dispatch_slow(self, command)
 
@@ -258,6 +251,11 @@ class Engine:
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` simulated time units."""
         self.call_at(self.now + delay, fn)
+
+    def call_soon(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` now, after every record already due (a spawn's slot)."""
+        self._seq += 1
+        self._ready.append((self._seq, _FN, fn, None))
 
     # -- processes ------------------------------------------------------------
 
@@ -370,9 +368,8 @@ class Engine:
         after it stays queued.
 
         The process-resume fast path (send a value, get a numeric delay
-        or an unfired :class:`Event` back, push one slotted record or
-        enrol as a waiter) is inlined — one Python frame per event;
-        every other command goes through :meth:`_dispatch_slow`.
+        back, push one slotted record) is inlined — one Python frame per
+        event; every other command goes through :meth:`_dispatch_slow`.
         """
         if until is None:
             until = _INF
@@ -422,14 +419,6 @@ class Engine:
                                 push(queue,
                                      (now + command, seq, _RESUME, payload,
                                       None))
-                            elif (type(command) is Event
-                                  and not command.fired):
-                                payload.waiting_on = command
-                                waiters = command._waiters
-                                if waiters is None:
-                                    command._waiters = [payload]
-                                else:
-                                    waiters.append(payload)
                             else:
                                 slow(payload, command)
                 else:

@@ -271,8 +271,7 @@ class ProcessorSharing:
         callers that validated their arguments.  ``target`` is anything
         with a ``fire(value)`` method — an :class:`Event`, or the lead
         warp of a cohort, which carries the cohort's warps to their next
-        stage without resuming their processes
-        (:meth:`repro.gpu.smm.Smm.run_phases`).
+        stage (:meth:`repro.gpu.smm.Smm.run_phases`).
         """
         engine = self.engine
         if delay == 0:

@@ -67,3 +67,32 @@ def test_waiting_counter():
     assert bar.waiting == 2
     bar.arrive()
     assert bar.waiting == 0
+
+
+def test_leave_after_every_generation_is_fine():
+    bar = WarpBarrier(2, "b")
+    bar.arrive()
+    bar.arrive()
+    bar.leave()
+    bar.leave()
+    assert bar.generation == 1 and bar.waiting == 0
+
+
+def test_exit_while_warps_wait_is_a_mismatch():
+    bar = WarpBarrier(3, "b")
+    bar.arrive()
+    with pytest.raises(RuntimeError, match=(
+            r"barrier b: warps disagree on their barrier count at "
+            r"generation 0 \(a warp exited while 1 of its 3 warps wait\)")):
+        bar.leave()
+
+
+def test_arrival_after_an_exit_is_a_mismatch():
+    bar = WarpBarrier(2, "b")
+    bar.arrive()
+    bar.arrive()
+    bar.leave()
+    with pytest.raises(RuntimeError, match=(
+            r"generation 1 \(a warp arrived after 1 of its 2 warps "
+            r"exited\)")):
+        bar.arrive()

@@ -5,10 +5,11 @@ after another at the same instant, travel as one weight-``k``
 processor-sharing entry.  The schedules must not move, so the tests
 here pin four things:
 
-- the work counts that cohorts and phase tables exist to cut (heap
-  entries per warp arrival; ``Phase`` constructions and kernel calls
-  per run) — byte-identical outputs cannot show a regression of
-  either, these counts can;
+- the work counts that cohorts, phase tables and process-free warps
+  exist to cut (heap entries per warp arrival; ``Phase``
+  constructions and kernel calls per run; warp processes) —
+  byte-identical outputs cannot show a regression of any of them,
+  these counts can;
 - divergent warps (a different ``inst`` on alternate phases, an early
   exit, a raise mid-stream) against the reference pool, which never
   merges (``ReferenceProcessorSharing._grow`` is always ``False``), in
@@ -31,7 +32,7 @@ from repro.core.errors import TaskError, TaskErrorGroup
 from repro.core.runtime import PagodaSession
 from repro.gpu import Gpu, Phase, titan_x
 from repro.gpu.phases import BLOCK_SYNC, phase_table
-from repro.sim import Engine, ProcessorSharing
+from repro.sim import Engine, Process, ProcessorSharing
 from repro.sim.reference import ReferenceProcessorSharing
 from repro.tasks import TaskResult, TaskSpec
 
@@ -113,6 +114,37 @@ def test_keyed_kernels_build_one_table_per_key(monkeypatch, workload,
     run_tasks(tasks, runtime)
     assert (counts["phases"], counts["calls"]) == TABLE_WORK[workload,
                                                              runtime]
+
+
+#: runtime -> engine events of 24 256-thread ``mm`` tasks (eight warps
+#: per block, a barrier per tile), recorded when every warp was a
+#: process
+BARRIER_EVENTS = {"pagoda": 1811, "hyperq": 1648, "gemtc": 2803}
+
+
+@pytest.mark.parametrize("runtime", sorted(BARRIER_EVENTS))
+def test_warps_pass_barriers_without_processes(monkeypatch, runtime):
+    """The SMM carries each warp through its barriers: the same engine
+    events as warp processes, and no process per warp."""
+    names = []
+    engines = []
+    proc_init = Process.__init__
+    engine_init = Engine.__init__
+
+    def named(self, engine, gen, name="", daemon=False):
+        names.append(name)
+        proc_init(self, engine, gen, name, daemon)
+
+    def registered(self, *args, **kwargs):
+        engine_init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(Process, "__init__", named)
+    monkeypatch.setattr(Engine, "__init__", registered)
+    run_tasks(make_tasks("mm", 24, 256, seed=3), runtime)
+    assert sum(e.event_count for e in engines) == BARRIER_EVENTS[runtime]
+    assert names and not [n for n in names if n.startswith(
+        ("exec.", "warp.", "gemtc.warp."))]
 
 
 # ---------------------------------------------------------------------------

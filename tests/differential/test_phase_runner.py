@@ -6,15 +6,17 @@ and are asserted unchanged here — the sha256 of their ``repr`` and the
 total engine event count:
 
 - the seven golden cells of ``tests/test_determinism.py`` (Pagoda,
-  HyperQ and GeMTC, so all three warp loops);
+  HyperQ and GeMTC, so the MasterKernel's executor warps and the
+  CUDA/GeMTC block runner, each passing barriers inside the SMM);
 - the 25-seed hostile chaos sweep under a fault plan, which includes
   watchdog kills of warps parked mid-phase;
 - the faulty serve report.
 
 Unit level: the runner's edge cases — empty kernels, barriers first,
 zero-cost phases, memory-only phases, zero overhead and stall knobs,
-bad yields, kernels raising mid-stream in each runtime, and a warp
-killed while a phase is in flight.
+bad yields, kernels raising mid-stream in each runtime, a warp killed
+while a phase is in flight, and a block whose warps disagree on their
+barrier count in each runtime.
 """
 
 import dataclasses
@@ -280,3 +282,70 @@ def test_pagoda_turns_a_kernel_exception_into_a_task_error():
 def test_baselines_propagate_a_kernel_exception(run):
     with pytest.raises(RuntimeError, match="kernel bug"):
         run(_raising_tasks())
+
+
+# ---------------------------------------------------------------------------
+# A block whose warps disagree on their barrier count, in each runtime
+# ---------------------------------------------------------------------------
+
+def _extra_sync_kernel(late):
+    """Warp 0 passes one barrier more than its siblings: it reaches it
+    while they still run (``late=False``) or after they exited."""
+
+    def kernel(task, block_id, warp_id):
+        yield Phase(100, 64)
+        yield BLOCK_SYNC
+        if warp_id == 0:
+            yield Phase(5000 if late else 10)
+            yield BLOCK_SYNC
+        yield Phase(200)
+
+    return kernel
+
+
+MISMATCH = {False: r"exited while 1 of its 4 warps wait",
+            True: r"arrived after 3 of its 4 warps exited"}
+
+
+def _mismatch_tasks(late):
+    return [TaskSpec(f"odd{i}", 128, 1, _extra_sync_kernel(late),
+                     needs_sync=True) for i in range(2)]
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+def test_pagoda_fails_a_barrier_mismatch(late):
+    session = PagodaSession(config=PagodaConfig(
+        copy_inputs=False, copy_outputs=False))
+    host = session.host
+    caught = []
+
+    def driver():
+        for i, task in enumerate(_mismatch_tasks(late)):
+            yield from host.task_spawn(task, TaskResult(i, task.name))
+        try:
+            yield from host.wait_all()
+        except (TaskError, TaskErrorGroup) as exc:
+            caught.append(exc)
+
+    proc = session.engine.spawn(driver(), name="driver")
+    session.engine.run(until=1.0e7)
+    assert proc._done and caught
+    assert session.master.tasks_failed() == 2
+    reasons = {e.reason for e in host.task_errors()}
+    assert len(reasons) == 1
+    (reason,) = reasons
+    assert "warps disagree on their barrier count at generation 1" in reason
+    assert MISMATCH[late] in reason
+    assert all(m.barriers.in_use == 0 and m.warptable.busy_count == 0
+               for m in session.master.mtbs)
+    session.shutdown()
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+@pytest.mark.parametrize("run", [run_hyperq, run_gemtc],
+                         ids=["cuda", "gemtc"])
+def test_baselines_raise_a_barrier_mismatch(run, late):
+    with pytest.raises(RuntimeError, match=(
+            r"barrier task 'odd0' block 0: warps disagree on their "
+            r"barrier count at generation 1 \(a warp " + MISMATCH[late])):
+        run(_mismatch_tasks(late))
