@@ -24,8 +24,8 @@ echo "== every claim of the paper's evaluation, checked (scenario catalog)"
 python -m repro.bench scenarios --check 2>&1 \
     | tee scenario_output.txt | tail -5
 
-echo "== simulator-core perf trajectory (BENCH_simcore.json)"
-python scripts/bench.py
+echo "== simulator benchmark: every perf/ workload, end to end and by layer"
+python3 perf/run.py --seed 0
 
 echo "== examples"
 for example in examples/*.py; do

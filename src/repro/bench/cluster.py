@@ -1,31 +1,25 @@
-"""``repro.bench`` "cluster" experiment — fleet sharding, verified.
+"""``repro.bench`` "cluster" experiment — a fleet, clean and lossy.
 
-Two claims ride on the cluster layer, and this cell measures both:
+The cell runs one seeded fleet scenario twice on the sequential
+coordinator (:func:`repro.cluster.run_cluster`):
 
-- **Determinism**: the same fleet scenario run in one process and
-  across worker processes must produce byte-identical
-  :meth:`~repro.cluster.FleetReport.to_json` output.  The experiment
-  *asserts* this before reporting any number — a speedup of a
-  different simulation is not a speedup.
-- **Scale-out**: with one engine per node in its own process, wall
-  time should approach ``seq / workers`` on a machine with that many
-  cores.  ``scripts/bench.py`` tracks the ratio as ``cluster_speedup``
-  and guards a >=2x floor at 4 workers (on hosts with >= 4 cores; a
-  1-core container cannot demonstrate parallel speedup and records
-  the ratio unguarded).
+- over a clean fabric, reporting the fleet totals, routing counts,
+  epochs and wall time;
+- over a 1%-lossy fabric, reporting the goodput the reliability lane
+  preserves (completions per simulated second), after asserting that
+  the answer ledger balances.
 
-The scenario is deliberately compute-heavy per shard (wide blocks,
-long kernels) so the measurement exercises the sharding, not the
-coordinator's pipe chatter.
+The scenario is compute-heavy per shard (wide blocks, several phases
+per warp), so its wall time is dominated by the node engines rather
+than by the coordinator.
 """
 
 from __future__ import annotations
 
-import os
+import json
 import time
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.bench.reporting import format_table
 from repro.cluster import ConsistentHashRouter, NodeSpec, Topology, run_cluster
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase, phase_table
@@ -33,13 +27,12 @@ from repro.serve import PoissonArrivals, TenantSpec
 from repro.serve.slo import SloClass
 from repro.tasks import TaskSpec
 
-#: fleet size of the benchmark scenario (and the speedup worker count).
+#: fleet size of the benchmark scenario.
 FLEET_NODES = 4
 #: requests per tenant.
 REQUESTS = 480
 #: one-way link latency; doubles as the barrier epoch, so a longer
-#: link means fewer coordinator round-trips per virtual second —
-#: the measurement wants per-epoch shard compute, not pipe chatter.
+#: link means fewer coordinator epochs per virtual second.
 LINK_NS = 200_000.0
 #: wire-loss probability of the degraded-fleet scenario.
 DEGRADED_DROP_RATE = 0.01
@@ -47,7 +40,6 @@ DEGRADED_DROP_RATE = 0.01
 
 @phase_table()
 def _bench_kernel(task, block_id, warp_id):
-    # module-level so task specs pickle under the spawn start method;
     # several phases per warp so shard compute dominates each epoch
     for _ in range(4):
         yield Phase(inst=20_000.0, mem_bytes=1_024)
@@ -76,13 +68,13 @@ def fleet_topology(nodes: int = FLEET_NODES) -> Topology:
                     link_ns=LINK_NS)
 
 
-def run_fleet(workers: int, nodes: int = FLEET_NODES) -> str:
+def run_fleet(nodes: int = FLEET_NODES) -> str:
     """One fleet run; returns the canonical report JSON."""
     topology = fleet_topology(nodes)
     report = run_cluster(
         fleet_tenants(), topology,
         router=ConsistentHashRouter(topology, key="request"),
-        workers=workers, label="bench-cluster",
+        label="bench-cluster",
     )
     return report.to_json()
 
@@ -91,7 +83,7 @@ def degraded_plan() -> FaultPlan:
     """The degraded-fabric scenario: every message on every link is
     lost with probability :data:`DEGRADED_DROP_RATE` (a rate-based
     ``fabric.link.drop`` — hash-derived per message id, so the loss
-    pattern is seed-stable and worker-count-free)."""
+    pattern is seed-stable)."""
     return FaultPlan(specs=[
         FaultSpec(kind="fabric.link.drop",
                   meta={"rate": DEGRADED_DROP_RATE}),
@@ -113,7 +105,7 @@ def measure_degraded() -> Dict[str, float]:
     rep = run_cluster(
         fleet_tenants(), topology,
         router=ConsistentHashRouter(topology, key="request"),
-        workers=0, label="bench-cluster-degraded",
+        label="bench-cluster-degraded",
         fabric_plan=degraded_plan(),
     )
     wall = time.perf_counter() - start
@@ -131,72 +123,31 @@ def measure_degraded() -> Dict[str, float]:
     }
 
 
-def measure_speedup(workers: int = FLEET_NODES) -> Dict[str, float]:
-    """Time the scenario sequentially and sharded; verify identity.
-
-    Returns ``{seq_wall_s, par_wall_s, cluster_speedup, workers}``.
-    Raises if the two runs' report bytes differ — the determinism
-    contract outranks the perf number.
-    """
+def run() -> Dict:
+    """The bench-CLI cell: the clean fleet, then the lossy one."""
     start = time.perf_counter()
-    seq_json = run_fleet(workers=0)
-    seq_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    par_json = run_fleet(workers=workers)
-    par_wall = time.perf_counter() - start
-    if seq_json != par_json:
-        raise RuntimeError(
-            "cluster byte-identity broken: 1-process and "
-            f"{workers}-worker runs disagree"
-        )
+    digest = json.loads(run_fleet())
+    wall = time.perf_counter() - start
     return {
-        "seq_wall_s": round(seq_wall, 4),
-        "par_wall_s": round(par_wall, 4),
-        "cluster_speedup": round(seq_wall / par_wall, 2),
-        "workers": workers,
-    }
-
-
-def run(workers: Optional[int] = None) -> Dict:
-    """The bench-CLI cell: identity check + speedup measurement."""
-    if workers is None:
-        workers = min(FLEET_NODES, max(1, os.cpu_count() or 1))
-    measured = measure_speedup(workers)
-    import json
-    digest = json.loads(run_fleet(workers=0))
-    return {
-        "measured": measured,
+        "wall_s": round(wall, 4),
         "degraded": measure_degraded(),
         "totals": digest["totals"],
         "routing": digest["routing"],
         "epochs": digest["sync"]["epochs"],
-        "cores": os.cpu_count() or 1,
     }
 
 
 def report(results: Dict) -> str:
     """Human-readable summary of one cluster cell."""
-    m = results["measured"]
     totals = results["totals"]
-    rows = [
-        ["sequential (workers=0)", f"{m['seq_wall_s']:.2f}", ""],
-        [f"sharded (workers={m['workers']})", f"{m['par_wall_s']:.2f}",
-         f"{m['cluster_speedup']:.2f}x"],
-    ]
-    table = format_table(["configuration", "wall s", "speedup"], rows)
-    deg = results.get("degraded")
-    degraded_line = ""
-    if deg:
-        degraded_line = (
-            f"\nDegraded fabric ({DEGRADED_DROP_RATE:.0%} wire loss): "
-            f"{deg['fleet_degraded_throughput']:,.0f} completions/vs, "
-            f"{deg['wire_dropped']} drops recovered by "
-            f"{deg['retransmits']} retransmits"
-        )
+    deg = results["degraded"]
     return (
         "Cluster fleet: "
         f"{FLEET_NODES} nodes, {totals['offered']} requests offered, "
         f"{totals['completed']} completed over {results['epochs']} "
-        f"epochs (byte-identity verified, {results['cores']} cores)\n"
-        f"{table}{degraded_line}"
+        f"epochs in {results['wall_s']:.2f} s wall\n"
+        f"Degraded fabric ({DEGRADED_DROP_RATE:.0%} wire loss): "
+        f"{deg['fleet_degraded_throughput']:,.0f} completions/vs, "
+        f"{deg['wire_dropped']} drops recovered by "
+        f"{deg['retransmits']} retransmits"
     )

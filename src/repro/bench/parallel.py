@@ -23,7 +23,24 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bench.runner import EXPERIMENTS, run_cell, run_one
-from repro.bench.subproc import silence_conda
+
+#: environment variables that re-trigger conda activation chatter.
+_NOISY_VARS = ("CONDA_PROMPT_MODIFIER", "CONDA_SHLVL", "PROMPT")
+
+
+def silence_conda() -> None:
+    """Pool initializer: keep a worker's stdout byte-canonical.
+
+    conda-wrapped pythons print ``WARNING conda ... condarc``
+    diagnostics on *stdout* when a user-level ``.condarc`` is
+    unreadable, and late activation hooks in a child process would
+    interleave them with the reports.  Pointing ``CONDARC`` at the
+    null device sidesteps the user config, and the prompt/shell-hook
+    variables are dropped.
+    """
+    os.environ["CONDARC"] = os.devnull
+    for noisy in _NOISY_VARS:
+        os.environ.pop(noisy, None)
 
 
 def default_jobs() -> int:
@@ -59,8 +76,6 @@ def run_parallel(
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )
-    # silence_conda keeps worker stdout byte-canonical under conda
-    # (late activation hooks print condarc warnings on stdout)
     with ctx.Pool(processes=min(jobs, len(work)),
                   initializer=silence_conda) as pool:
         # map() preserves submission order — the determinism contract

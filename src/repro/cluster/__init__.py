@@ -1,4 +1,4 @@
-"""``repro.cluster`` — process-sharded fleet simulation.
+"""``repro.cluster`` — fleet simulation in conservative lockstep.
 
 The cluster layer scales the single-box serve stack out to a fleet:
 ``N`` GPU nodes, each a self-contained engine + Pagoda runtime +
@@ -7,8 +7,8 @@ coupled *only* through a simulated network fabric with explicit
 per-link latency.  Shards advance in conservative lockstep epochs
 (epoch length <= the fabric lookahead), exchanging messages at epoch
 boundaries only — which makes the run exact, deterministic, and
-byte-replayable from ``(tenants, topology, router, seeds)`` no matter
-how many worker processes host the shards.
+byte-replayable from ``(tenants, topology, router, seeds)``.  The
+coordinator steps every shard itself, one after another.
 
 The fabric doesn't have to be reliable: arm a seeded ``fabric.*``
 :class:`~repro.faults.FaultPlan` (drops, duplicates, delay spikes,
@@ -16,7 +16,7 @@ partitions, gray-failure pauses) and the coordinator switches to
 at-least-once messaging with ack/retransmit, an answer ledger,
 digest-visibility health suspicion (suspect → quarantine →
 probation, :mod:`repro.cluster.health`), and hedged re-routing —
-still byte-identical for any worker count.
+still byte-replayable from the plan's seed.
 
 Entry point: :func:`run_cluster`.  Routing policies live in
 :mod:`repro.cluster.router`; see ``docs/INTERNALS.md`` §12-§13 for
@@ -43,8 +43,7 @@ from repro.cluster.router import (
     SloAwareRouter,
 )
 from repro.cluster.topology import ROUTER, NodeSpec, Topology
-from repro.cluster.worker import (ClusterWorkerError, InProcessHost,
-                                  WorkerPoolHost)
+from repro.cluster.worker import InProcessHost
 
 __all__ = [
     "run_cluster",
@@ -72,6 +71,4 @@ __all__ = [
     "LeastLoadedRouter",
     "SloAwareRouter",
     "InProcessHost",
-    "WorkerPoolHost",
-    "ClusterWorkerError",
 ]

@@ -14,8 +14,8 @@ generators), then advances the whole fleet one *epoch* at a time:
    epoch of staleness, exactly a real balancer's view), and post it
    to the fabric at its arrival instant;
 3. **step** — every shard ingests its inbox and advances its own
-   engine to the epoch boundary (in parallel across worker processes,
-   or sequentially in-process — same protocol, same bytes);
+   engine to the epoch boundary, one shard after another in topology
+   order;
 4. **exchange** — shard outboxes (failover respawns, bounces,
    answers) go onto the fabric; status digests become the next
    epoch's router view.
@@ -23,7 +23,7 @@ generators), then advances the whole fleet one *epoch* at a time:
 Because the epoch length never exceeds the fabric lookahead (minimum
 link latency), a message sent during epoch ``e`` cannot arrive before
 epoch ``e+1`` — boundary-only exchange is *exact*, not an
-approximation, and the run is deterministic for any worker count
+approximation, and the run is a deterministic function of its inputs
 (``docs/INTERNALS.md`` §12 gives the full argument).
 
 **Unreliable fabric.**  Passing a non-zero ``fabric.*``
@@ -46,7 +46,7 @@ reliable lane and arms the coordinator's self-healing layer:
   all are deferred and retried each epoch.
 
 All of it runs coordinator-side from boundary-instant data, so a
-fault-plan run is *still* byte-identical for any worker count, and a
+fault-plan run is *still* byte-replayable from its seeds, and a
 zero/absent plan leaves every legacy code path — and the report
 bytes — untouched (asserted by ``tests/cluster/test_chaos.py``).
 """
@@ -63,7 +63,7 @@ from repro.cluster.report import FleetReport
 from repro.cluster.router import (ConsistentHashRouter, FleetView,
                                   RouteRequest, RouterPolicy)
 from repro.cluster.topology import ROUTER, Topology
-from repro.cluster.worker import make_host
+from repro.cluster.worker import InProcessHost
 from repro.faults.injector import FabricInjector
 from repro.faults.plan import FaultPlan
 from repro.serve.server import ServeConfig, TenantSpec
@@ -89,8 +89,7 @@ _TRANSITION_KIND = {
 def _global_arrivals(tenants: List[TenantSpec]) -> List[tuple]:
     """The fleet's offered load: ``(t_ns, tenant, index, spec)`` rows
     sorted by ``(t_ns, tenant, index)``.  The sorted position *is* the
-    cluster-global request id — stable across processes by
-    construction."""
+    cluster-global request id — stable across runs by construction."""
     rows = []
     for tenant in tenants:
         times = tenant.arrivals.schedule(len(tenant.tasks))
@@ -115,15 +114,17 @@ def run_cluster(
 ) -> FleetReport:
     """Run one fleet experiment; returns the :class:`FleetReport`.
 
-    ``workers=0`` steps every shard sequentially in this process (the
-    reference execution); ``workers=N`` shards the fleet across ``N``
-    worker processes.  The report bytes are identical either way.
+    Every shard steps sequentially in this process.  ``workers`` is
+    kept for callers that still pass it; only ``0`` is accepted.
 
     ``fabric_plan`` arms fabric-layer faults (``fabric.*`` kinds
     only) and, with them, the reliable messaging + self-healing
     routing lane; ``None`` or a zero plan runs the legacy fabric
     bit-identically to a plan-less build.
     """
+    if workers != 0:
+        raise ValueError(
+            f"workers={workers}: shards step in-process only (workers=0)")
     if not tenants:
         raise ValueError("need at least one tenant")
     names = [t.name for t in tenants]
@@ -154,8 +155,8 @@ def run_cluster(
     fabric = Fabric(topology, injector=injector, policy=fabric_policy)
     epoch_len = topology.epoch_length_ns
     tenant_slos = [(t.name, t.slo) for t in tenants]
-    host = make_host(topology, tenant_slos, serve, obs, workers,
-                     reliable=reliable)
+    host = InProcessHost(topology, tenant_slos, serve, obs,
+                         reliable=reliable)
 
     health = health or HealthPolicy()
     tracker = HealthTracker(topology.node_names, health) \
@@ -232,163 +233,160 @@ def run_cluster(
                            deadline_ns=deadline_of[tenant], respawn=True)
         return req, (rid, tenant, spec)
 
-    try:
-        while True:
-            boundary = (epoch + 1) * epoch_len
-            epoch_start = epoch * epoch_len
-            inboxes: Dict[str, list] = {}
-            if reliable and deferred:
-                # retry parked placements before this epoch's traffic
-                parked, deferred = deferred, []
-                for req, payload in parked:
-                    try:
-                        dst = router.route(req, rview)
-                    except RuntimeError:
-                        deferred.append((req, payload))
-                        continue
-                    deferred_rids.discard(req.rid)
-                    fabric.post(FORWARD, ROUTER, dst, epoch_start, payload)
-                    placements.setdefault(req.rid, []).append(dst)
-                    if not req.respawn:
-                        routed[dst] += 1
-            for msg in fabric.deliver(epoch):
-                if reliable:
-                    if msg.kind == ACK:
-                        fabric.ack(msg.payload)
-                        continue
-                    fabric.send_ack(msg)
-                    if not fabric.first_delivery(msg):
-                        continue  # retransmit / fault duplicate
-                    if msg.kind == ANSWER:
-                        rid, outcome = msg.payload
-                        if rid in ledger:
-                            hedge_dups += 1  # a hedge raced it home
-                        else:
-                            ledger[rid] = outcome
-                        continue
-                if msg.dst == ROUTER:
-                    # a node handed a request back (death failover or
-                    # dead-node bounce): re-place it on a live node
-                    rid, tenant, spec = msg.payload
-                    if reliable and rid in ledger:
-                        continue  # already answered elsewhere
-                    index = identity[rid][1]
-                    respawned += 1
-                    _place(
-                        RouteRequest(rid=rid, tenant=tenant, index=index,
-                                     kernel=spec.name,
-                                     num_blocks=spec.num_blocks,
-                                     deadline_ns=deadline_of[tenant],
-                                     respawn=True),
-                        msg.arrive_ns, msg.payload)
-                else:
-                    inboxes.setdefault(msg.dst, []).append(msg)
-            while cursor < len(arrivals) and arrivals[cursor][0] < boundary:
-                at, tenant, index, spec = arrivals[cursor]
+    while True:
+        boundary = (epoch + 1) * epoch_len
+        epoch_start = epoch * epoch_len
+        inboxes: Dict[str, list] = {}
+        if reliable and deferred:
+            # retry parked placements before this epoch's traffic
+            parked, deferred = deferred, []
+            for req, payload in parked:
+                try:
+                    dst = router.route(req, rview)
+                except RuntimeError:
+                    deferred.append((req, payload))
+                    continue
+                deferred_rids.discard(req.rid)
+                fabric.post(FORWARD, ROUTER, dst, epoch_start, payload)
+                placements.setdefault(req.rid, []).append(dst)
+                if not req.respawn:
+                    routed[dst] += 1
+        for msg in fabric.deliver(epoch):
+            if reliable:
+                if msg.kind == ACK:
+                    fabric.ack(msg.payload)
+                    continue
+                fabric.send_ack(msg)
+                if not fabric.first_delivery(msg):
+                    continue  # retransmit / fault duplicate
+                if msg.kind == ANSWER:
+                    rid, outcome = msg.payload
+                    if rid in ledger:
+                        hedge_dups += 1  # a hedge raced it home
+                    else:
+                        ledger[rid] = outcome
+                    continue
+            if msg.dst == ROUTER:
+                # a node handed a request back (death failover or
+                # dead-node bounce): re-place it on a live node
+                rid, tenant, spec = msg.payload
+                if reliable and rid in ledger:
+                    continue  # already answered elsewhere
+                index = identity[rid][1]
+                respawned += 1
                 _place(
-                    RouteRequest(rid=cursor, tenant=tenant, index=index,
+                    RouteRequest(rid=rid, tenant=tenant, index=index,
                                  kernel=spec.name,
                                  num_blocks=spec.num_blocks,
-                                 deadline_ns=deadline_of[tenant]),
-                    at, (cursor, tenant, spec))
-                cursor += 1
+                                 deadline_ns=deadline_of[tenant],
+                                 respawn=True),
+                    msg.arrive_ns, msg.payload)
+            else:
+                inboxes.setdefault(msg.dst, []).append(msg)
+        while cursor < len(arrivals) and arrivals[cursor][0] < boundary:
+            at, tenant, index, spec = arrivals[cursor]
+            _place(
+                RouteRequest(rid=cursor, tenant=tenant, index=index,
+                             kernel=spec.name,
+                             num_blocks=spec.num_blocks,
+                             deadline_ns=deadline_of[tenant]),
+                at, (cursor, tenant, spec))
+            cursor += 1
 
-            results = host.step(boundary, inboxes)
-            for name in topology.node_names:
-                outbox, status = results[name]
-                statuses[name] = status
-                for kind, send_ns, payload in outbox:
-                    fabric.post(kind, name, ROUTER, send_ns, payload)
-            view = FleetView(statuses)
-            epoch += 1
+        results = host.step(boundary, inboxes)
+        for name in topology.node_names:
+            outbox, status = results[name]
+            statuses[name] = status
+            for kind, send_ns, payload in outbox:
+                fabric.post(kind, name, ROUTER, send_ns, payload)
+        view = FleetView(statuses)
+        epoch += 1
 
-            if reliable:
-                # health: fold this boundary's digest visibility in
-                heard = {name: not injector.blackout(name, boundary)
-                         for name in topology.node_names
-                         if statuses[name]["alive"]}
-                for node, old, new in tracker.observe(heard):
-                    kind = _TRANSITION_KIND[(old, new)]
-                    events.append(DegradationEvent(boundary, kind, node))
-                    if cobs is not None:
-                        cobs.instant("health", kind, boundary, node=node)
-                # a quarantined node's retransmits are going nowhere —
-                # abandon them (every epoch: gray nodes keep emitting)
-                for node in tracker.bad_nodes():
-                    if tracker.state[node] == QUARANTINED:
-                        fabric.abandon_from(node)
-                rview = _route_view()
-                # hedge: any unanswered request stuck entirely behind
-                # bad (suspect/quarantined/dead) placements re-routes
-                bad = set(tracker.bad_nodes()) | {
-                    n for n in topology.node_names
-                    if not statuses[n]["alive"]}
-                if bad:
-                    for rid in sorted(placements):
-                        if rid in ledger or rid in deferred_rids:
-                            continue
-                        if not all(n in bad for n in placements[rid]):
-                            continue
-                        hedges += 1
-                        req, payload = _replay(rid)
-                        dst = _place(req, boundary, payload)
-                        events.append(DegradationEvent(
-                            boundary, "hedge", dst or ROUTER, rid=rid))
-                # retransmit sweep + dead-letter re-routing
-                retried, dead = fabric.sweep(boundary)
-                for rec in retried:
-                    events.append(DegradationEvent(
-                        boundary, "retransmit", rec.dst, mid=rec.mid,
-                        rid=rec.payload[0], detail=rec.kind))
-                for rec in dead:
-                    rid = rec.payload[0]
-                    events.append(DegradationEvent(
-                        boundary, "dead_letter", rec.dst, mid=rec.mid,
-                        rid=rid))
-                    placed = placements.get(rid, [])
-                    if rec.dst in placed:
-                        placed.remove(rec.dst)  # that placement failed
+        if reliable:
+            # health: fold this boundary's digest visibility in
+            heard = {name: not injector.blackout(name, boundary)
+                     for name in topology.node_names
+                     if statuses[name]["alive"]}
+            for node, old, new in tracker.observe(heard):
+                kind = _TRANSITION_KIND[(old, new)]
+                events.append(DegradationEvent(boundary, kind, node))
+                if cobs is not None:
+                    cobs.instant("health", kind, boundary, node=node)
+            # a quarantined node's retransmits are going nowhere —
+            # abandon them (every epoch: gray nodes keep emitting)
+            for node in tracker.bad_nodes():
+                if tracker.state[node] == QUARANTINED:
+                    fabric.abandon_from(node)
+            rview = _route_view()
+            # hedge: any unanswered request stuck entirely behind
+            # bad (suspect/quarantined/dead) placements re-routes
+            bad = set(tracker.bad_nodes()) | {
+                n for n in topology.node_names
+                if not statuses[n]["alive"]}
+            if bad:
+                for rid in sorted(placements):
                     if rid in ledger or rid in deferred_rids:
                         continue
-                    if any(statuses[n]["alive"] and tracker.routable(n)
-                           for n in placed):
-                        continue  # a surviving placement may still win
-                    rerouted += 1
+                    if not all(n in bad for n in placements[rid]):
+                        continue
+                    hedges += 1
                     req, payload = _replay(rid)
                     dst = _place(req, boundary, payload)
                     events.append(DegradationEvent(
-                        boundary, "reroute", dst or ROUTER, rid=rid))
-                if cobs is not None:
-                    cobs.timeline("fabric.unacked").set(
-                        boundary, fabric.unacked_count())
-                    cobs.timeline("cluster.bad_nodes").set(
-                        boundary, len(bad))
-            else:
-                rview = view
+                        boundary, "hedge", dst or ROUTER, rid=rid))
+            # retransmit sweep + dead-letter re-routing
+            retried, dead = fabric.sweep(boundary)
+            for rec in retried:
+                events.append(DegradationEvent(
+                    boundary, "retransmit", rec.dst, mid=rec.mid,
+                    rid=rec.payload[0], detail=rec.kind))
+            for rec in dead:
+                rid = rec.payload[0]
+                events.append(DegradationEvent(
+                    boundary, "dead_letter", rec.dst, mid=rec.mid,
+                    rid=rid))
+                placed = placements.get(rid, [])
+                if rec.dst in placed:
+                    placed.remove(rec.dst)  # that placement failed
+                if rid in ledger or rid in deferred_rids:
+                    continue
+                if any(statuses[n]["alive"] and tracker.routable(n)
+                       for n in placed):
+                    continue  # a surviving placement may still win
+                rerouted += 1
+                req, payload = _replay(rid)
+                dst = _place(req, boundary, payload)
+                events.append(DegradationEvent(
+                    boundary, "reroute", dst or ROUTER, rid=rid))
+            if cobs is not None:
+                cobs.timeline("fabric.unacked").set(
+                    boundary, fabric.unacked_count())
+                cobs.timeline("cluster.bad_nodes").set(
+                    boundary, len(bad))
+        else:
+            rview = view
 
-            done = (cursor == len(arrivals)
-                    and fabric.pending() == 0
-                    and not deferred
-                    and (not reliable
-                         or (fabric.unacked_count() == 0
-                             and len(ledger) == len(arrivals)))
-                    and not any(
-                        s["alive"] and (s["queued"] + s["inflight"]
-                                        + s["pending"])
-                        for s in statuses.values()))
-            if done:
-                break
-            if epoch >= max_epochs:
-                raise RuntimeError(
-                    f"fleet did not quiesce within {max_epochs} epochs "
-                    f"({fabric.pending()} messages in flight, "
-                    f"{fabric.unacked_count()} unacked, "
-                    f"{len(arrivals) - cursor} arrivals unrouted)"
-                )
+        done = (cursor == len(arrivals)
+                and fabric.pending() == 0
+                and not deferred
+                and (not reliable
+                     or (fabric.unacked_count() == 0
+                         and len(ledger) == len(arrivals)))
+                and not any(
+                    s["alive"] and (s["queued"] + s["inflight"]
+                                    + s["pending"])
+                    for s in statuses.values()))
+        if done:
+            break
+        if epoch >= max_epochs:
+            raise RuntimeError(
+                f"fleet did not quiesce within {max_epochs} epochs "
+                f"({fabric.pending()} messages in flight, "
+                f"{fabric.unacked_count()} unacked, "
+                f"{len(arrivals) - cursor} arrivals unrouted)"
+            )
 
-        finished = host.finish()
-    finally:
-        host.close()
+    finished = host.finish()
 
     node_reports = {name: finished[name][0]
                     for name in topology.node_names}

@@ -21,8 +21,7 @@ A fabric with no injector is the legacy lane and behaves
 bit-identically to the pre-fault fabric: no mids, no acks, no
 reliability state ever touched.
 
-Messages must pickle (they cross process boundaries in worker mode);
-payloads are task specs, plain tuples, and ints only.
+Payloads are task specs, plain tuples, and ints only.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ probation  a quarantined node heard again; routable, but one more
 ========== ============================================================
 
 All of this runs on the coordinator from boundary-instant data only,
-so it is byte-identical for any worker count.  Every transition (and
-every fabric retry/hedge the driver performs) is logged as a
-:class:`DegradationEvent` in the fleet report.
+so it replays byte-identically from the run's seeds.  Every
+transition (and every fabric retry/hedge the driver performs) is
+logged as a :class:`DegradationEvent` in the fleet report.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ A :class:`NodeShard` owns everything a simulated box owns — its own
 epoch protocol the coordinator speaks: *deliver, step, report*.
 Shards are constructed **from plain data** (a
 :class:`~repro.cluster.topology.NodeSpec`, the tenant contracts, and a
-template :class:`~repro.serve.ServeConfig`), never shared, so a shard
-built in a worker process is indistinguishable from one built in the
-coordinator — the root of the 1-process/N-process byte-identity
-guarantee.
+template :class:`~repro.serve.ServeConfig`), never shared, so a
+shard's evolution depends only on its own deliveries — the root of
+the fleet report's byte-replayability.
 
 Node-scoped faults: the spec's :class:`~repro.faults.FaultPlan` rides
 into the node's own runtime unchanged, except that ``gpu.die`` is

@@ -5,13 +5,11 @@ A :class:`FleetReport` folds every node's
 ledgers (routing counts, fabric traffic, epochs) into a single
 JSON-serializable digest with the same canonicalization discipline as
 the serve layer: sorted keys, fixed separators, floats rounded at the
-source.  The contract extends across processes:
+source:
 
     ``to_json()`` bytes are a pure function of
-    ``(tenants, topology, router, seeds)`` — the **worker count never
-    appears** in (or influences) the digest, so a 1-process run and an
-    N-worker run of the same fleet are byte-identical
-    (asserted by ``tests/cluster``).
+    ``(tenants, topology, router, seeds)`` — ``tests/cluster`` pins
+    the sha256 of several fleets' bytes.
 
 Two schemas share this class.  A legacy-lane run (no fabric fault
 plan) emits ``repro.cluster/1`` — byte-for-byte the pre-fault digest,
@@ -148,7 +146,7 @@ class FleetReport:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """The canonical JSON-ready digest (worker-count-free)."""
+        """The canonical JSON-ready digest."""
         totals = self.totals()
         totals["drop_pct"] = round(
             100.0 * totals["dropped"] / totals["offered"], 3
@@ -221,8 +219,8 @@ class FleetReport:
         return digest
 
     def to_json(self) -> str:
-        """Canonical serialization: byte-identical for any worker
-        count (sorted keys, fixed separators, pre-rounded floats)."""
+        """Canonical serialization: sorted keys, fixed separators,
+        pre-rounded floats."""
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
 

@@ -11,8 +11,8 @@ cluster tenant is assigned to exactly one node frontend by a
   one fabric latency of staleness, like any physical load balancer).
 
 Hashes use ``zlib.crc32`` on stable strings, never Python's salted
-``hash()``, so placements replay across interpreter restarts and
-worker processes — the cluster's byte-identity contract depends on it.
+``hash()``, so placements replay across interpreter restarts — the
+cluster's byte-identity contract depends on it.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ violates causality (the approach of "Parallelizing a modern GPU
 simulator", PAPERS.md).  The epoch length defaults to the lookahead
 and may be shortened, never lengthened.
 
-Everything here is plain data and must pickle cleanly: topologies are
-shipped to worker processes, which rebuild their shards from them.
+Everything here is plain data: each shard is built from its
+:class:`NodeSpec` alone.
 """
 
 from __future__ import annotations

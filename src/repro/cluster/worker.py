@@ -1,63 +1,24 @@
-"""Shard hosts: the same epoch protocol, in-process or across workers.
+"""The shard host: every node's shard, stepped in the coordinator.
 
 The coordinator (:mod:`repro.cluster.driver`) never talks to a
-:class:`~repro.cluster.node.NodeShard` directly; it talks to a *host*:
-
-- :class:`InProcessHost` builds every shard in the coordinator's own
-  interpreter and steps them sequentially — the reference execution,
-  and the fallback when ``workers == 0``;
-- :class:`WorkerPoolHost` partitions the nodes round-robin across N
-  worker processes, each of which rebuilds its shards from the plain
-  pickled topology/config data and serves the *identical* step
-  protocol over a pipe.
-
-Both hosts are pure transports: every routing/ordering decision is
-made coordinator-side from data that is identical in either mode, and
-each shard's evolution is a pure function of its deliveries — which
-is why the merged fleet report is byte-identical for any worker
-count (asserted by ``tests/cluster``).
-
-Workers are plain ``multiprocessing`` processes (``fork`` where
-available, ``spawn`` elsewhere — task-spec kernels must be picklable,
-i.e. module-level, for ``spawn``).  Worker environments are scrubbed
-with :func:`repro.bench.subproc.silence_conda` so nothing pollutes
-stdout mid-protocol.  A worker that dies mid-protocol (OOM kill,
-segfault, unhandled exception) is *detected*, not waited on: every
-receive watches the process sentinel alongside the pipe, tears the
-pool down, and raises :class:`ClusterWorkerError` naming the nodes
-and the epoch instead of blocking forever on a dead pipe.
+:class:`~repro.cluster.node.NodeShard` directly; it talks to an
+:class:`InProcessHost`, which builds every shard in the coordinator's
+own interpreter and steps them sequentially, in topology order, once
+per epoch.  The host is a pure transport: every routing and ordering
+decision is made coordinator-side, and each shard's evolution is a
+pure function of its deliveries.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from multiprocessing.connection import wait as _conn_wait
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.bench.subproc import silence_conda
 from repro.cluster.fabric import Message
 from repro.cluster.node import NodeShard, Outbound
 from repro.cluster.topology import Topology
 
 #: per-node step result: ``(outbox, status)``.
 StepResult = Tuple[List[Outbound], Dict[str, int]]
-
-
-class ClusterWorkerError(RuntimeError):
-    """A shard worker process died mid-protocol.
-
-    Carries the nodes the dead worker hosted, its exit code, and the
-    epoch the coordinator was stepping when the pipe went dark."""
-
-    def __init__(self, nodes: List[str], exitcode: Optional[int],
-                 epoch: int) -> None:
-        self.nodes = list(nodes)
-        self.exitcode = exitcode
-        self.epoch = epoch
-        super().__init__(
-            f"cluster worker hosting nodes {self.nodes} died "
-            f"(exitcode={exitcode}) during epoch {epoch}"
-        )
 
 
 class InProcessHost:
@@ -81,152 +42,3 @@ class InProcessHost:
 
     def finish(self) -> Dict[str, tuple]:
         return {name: self.shards[name].finish() for name in self._order}
-
-    def close(self) -> None:
-        pass
-
-
-def _worker_main(conn, topology: Topology, names: List[str],
-                 tenant_slos, template, obs: bool,
-                 reliable: bool = False) -> None:
-    """One worker process: build the assigned shards, speak the
-    step/finish protocol over the pipe until told to exit."""
-    silence_conda()
-    shards = {
-        name: NodeShard(topology.node(name), tenant_slos, template, obs,
-                        reliable=reliable)
-        for name in names
-    }
-    while True:
-        cmd = conn.recv()
-        if cmd[0] == "step":
-            _, epoch_end, inboxes = cmd
-            conn.send({
-                name: shards[name].step(epoch_end, inboxes.get(name, []))
-                for name in names
-            })
-        elif cmd[0] == "finish":
-            conn.send({name: shards[name].finish() for name in names})
-        elif cmd[0] == "exit":
-            conn.close()
-            return
-        else:  # pragma: no cover - protocol guard
-            raise ValueError(f"unknown worker command {cmd[0]!r}")
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
-class WorkerPoolHost:
-    """N worker processes, nodes partitioned round-robin."""
-
-    def __init__(self, topology: Topology, tenant_slos: Sequence[tuple],
-                 template, obs: bool, workers: int,
-                 reliable: bool = False) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._order = topology.node_names
-        workers = min(workers, len(self._order))
-        assigned: List[List[str]] = [[] for _ in range(workers)]
-        for i, name in enumerate(self._order):
-            assigned[i % workers].append(name)
-        ctx = _mp_context()
-        self._conns = []
-        self._procs = []
-        self._names: List[List[str]] = assigned
-        self._epoch = 0
-        for names in assigned:
-            parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child, topology, names, list(tenant_slos),
-                      template, obs, reliable),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-
-    def _recv(self, conn, proc, names: List[str]):
-        """Receive one reply, watching the worker's sentinel: a dead
-        worker raises instead of blocking the coordinator forever."""
-        ready = _conn_wait([conn, proc.sentinel])
-        if conn in ready:
-            try:
-                return conn.recv()
-            except (EOFError, OSError):
-                pass  # pipe torn down mid-reply: treat as death
-        proc.join(timeout=5)
-        self._teardown()
-        raise ClusterWorkerError(names, proc.exitcode, self._epoch)
-
-    def _teardown(self) -> None:
-        """Kill the whole pool (one worker is gone; the fleet state is
-        unrecoverable mid-epoch)."""
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5)
-
-    def step(self, epoch_end: float,
-             inboxes: Dict[str, List[Message]]) -> Dict[str, StepResult]:
-        # fan the command out to every worker *before* reading any
-        # reply — this is where the wall-clock parallelism comes from
-        self._epoch += 1
-        for conn, names, proc in zip(self._conns, self._names, self._procs):
-            try:
-                conn.send(("step", epoch_end,
-                           {n: inboxes[n] for n in names if n in inboxes}))
-            except (BrokenPipeError, OSError):
-                proc.join(timeout=5)
-                self._teardown()
-                raise ClusterWorkerError(names, proc.exitcode, self._epoch)
-        results: Dict[str, StepResult] = {}
-        for conn, names, proc in zip(self._conns, self._names, self._procs):
-            results.update(self._recv(conn, proc, names))
-        return results
-
-    def finish(self) -> Dict[str, tuple]:
-        for conn, names, proc in zip(self._conns, self._names, self._procs):
-            try:
-                conn.send(("finish",))
-            except (BrokenPipeError, OSError):
-                proc.join(timeout=5)
-                self._teardown()
-                raise ClusterWorkerError(names, proc.exitcode, self._epoch)
-        results: Dict[str, tuple] = {}
-        for conn, names, proc in zip(self._conns, self._names, self._procs):
-            results.update(self._recv(conn, proc, names))
-        return results
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("exit",))
-                conn.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        for proc in self._procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-
-
-def make_host(topology: Topology, tenant_slos: Sequence[tuple],
-              template, obs: bool, workers: int,
-              reliable: bool = False):
-    """``workers == 0`` -> sequential reference; ``>= 1`` -> pool."""
-    if workers == 0:
-        return InProcessHost(topology, tenant_slos, template, obs,
-                             reliable=reliable)
-    return WorkerPoolHost(topology, tenant_slos, template, obs, workers,
-                          reliable=reliable)

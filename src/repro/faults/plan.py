@@ -50,7 +50,7 @@ def stream_seed(seed: int, name: str) -> int:
     """A per-entity RNG seed derived from ``(seed, name)``.
 
     Uses :mod:`hashlib` (blake2b), never Python's salted ``hash()``,
-    so a node's noise stream is identical across worker processes,
+    so a node's noise stream is identical across processes,
     interpreter restarts, and Python versions — the property the
     cluster's byte-identity contract needs from node-local jitter.
     """
@@ -65,7 +65,7 @@ def hash01(seed: int, *parts) -> float:
     The rate-based fabric faults use this instead of an RNG stream so
     each message's fate is a pure function of its stable identity
     (plan seed, message id, attempt number, link) — independent of
-    draw order, worker count, and interpreter salt.
+    draw order and interpreter salt.
     """
     key = ":".join([str(seed)] + [str(p) for p in parts])
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
@@ -161,10 +161,10 @@ class FaultPlan:
         Unlike :meth:`generate`, the draws come from **per-node RNG
         streams** seeded by :func:`stream_seed` ``(seed, node)``: each
         node's share of the faults is a pure function of the cluster
-        seed and its own name, so adding a node to the topology (or
-        resharding the fleet across workers) never reshuffles another
-        node's noise.  ``n_faults`` is the fleet total, split evenly
-        with the remainder going to the first nodes in sorted order.
+        seed and its own name, so adding a node to the topology never
+        reshuffles another node's noise.  ``n_faults`` is the fleet
+        total, split evenly with the remainder going to the first nodes
+        in sorted order.
 
         Windowed kinds use ``window_ns`` for their duration
         (``fabric.link.partition`` windows, pause→resume spans);

@@ -1,4 +1,4 @@
-"""The built-in incident catalog: six scenarios across the serve,
+"""The built-in incident catalog: seven scenarios across the serve,
 fault, cluster and partition layers (the paper layer's claims live in
 :mod:`repro.scenarios.paper`).
 
@@ -6,17 +6,14 @@ Each scenario is one packaged incident with the detectors that decide
 whether the stack handled it — the experiment definitions ROADMAP
 item 4 asked for.  Every workload here is deliberately small: the
 whole catalog runs in seconds so CI can matrix it, and each runner is
-a pure function of ``(seed, workers)`` with workers changing nothing
-but wall time.
-
-Kernels and runners are module-level so cluster scenarios pickle into
-worker processes under the spawn start method.
+a pure function of its seed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.bench import partition as bench_partition
 from repro.cluster import ConsistentHashRouter, NodeSpec, Topology, run_cluster
 from repro.core.runtime import PagodaConfig
 from repro.faults import FaultPlan, FaultSpec
@@ -270,7 +267,7 @@ def _cluster_run(params: ScenarioParams, plan: FaultPlan, label: str):
     return run_cluster(
         _cluster_tenants(params.seed), topo,
         router=ConsistentHashRouter(topo, key="request"),
-        workers=params.workers, label=label, fabric_plan=plan,
+        label=label, fabric_plan=plan,
     )
 
 
@@ -408,5 +405,41 @@ register(Scenario(
         Conservation("aggressor_conserved", "static.aggressor.totals"),
         ReportValue("victim_unharmed", "static.victim.totals.dropped",
                     "==", 0),
+    ),
+))
+
+
+# -- partition.elastic_recovery -----------------------------------------------
+
+
+def _elastic_recovery_runner(params: ScenarioParams) -> ScenarioOutcome:
+    results = bench_partition.run(num_tasks=96, seed=params.seed)
+    report = {mode: {k: round(v, 3) for k, v in sorted(cell.items())}
+              for mode, cell in sorted(results["results"].items())}
+    return ScenarioOutcome(
+        report=report,
+        extra={
+            "p99_shared_over_static":
+                round(results["p99_shared_over_static"], 3),
+            "elastic_util_recovery":
+                round(results["elastic_util_recovery"], 3),
+        },
+    )
+
+
+register(Scenario(
+    name="partition.elastic_recovery",
+    version=1,
+    layer="partition",
+    description=("shared vs static DPX vs elastic DPX on one device: "
+                 "static isolation improves the victim's p99, and the "
+                 "elastic rebalancer wins back at least half of the "
+                 "utilization static isolation gives up"),
+    runner=_elastic_recovery_runner,
+    detectors=(
+        ExtraValue("isolation_improves_tail", "p99_shared_over_static",
+                   ">", 1.0),
+        ExtraValue("recovers_half_the_gap", "elastic_util_recovery",
+                   ">=", 0.5),
     ),
 ))

@@ -55,19 +55,14 @@ def get(name: str) -> Scenario:
         ) from None
 
 
-def run_scenario(name: str, seed: Optional[int] = None,
-                 workers: int = 0) -> ScenarioResult:
+def run_scenario(name: str, seed: Optional[int] = None) -> ScenarioResult:
     """Run one scenario end to end: runner, then every detector.
 
-    ``seed`` defaults to the scenario's ``default_seed``; ``workers``
-    picks the execution strategy and must not change one byte of the
-    result (``tests/scenarios`` holds the registry to that).
+    ``seed`` defaults to the scenario's ``default_seed``.
     """
     scenario = get(name)
     params = ScenarioParams(
-        seed=scenario.default_seed if seed is None else seed,
-        workers=workers,
-    )
+        seed=scenario.default_seed if seed is None else seed)
     outcome = scenario.runner(params)
     ctx = ScenarioContext(scenario=scenario, params=params,
                           report=outcome.report, obs=outcome.obs,
@@ -77,8 +72,6 @@ def run_scenario(name: str, seed: Optional[int] = None,
                           outcome=outcome, verdicts=verdicts)
 
 
-def run_catalog(seed: Optional[int] = None,
-                workers: int = 0) -> List[ScenarioResult]:
+def run_catalog(seed: Optional[int] = None) -> List[ScenarioResult]:
     """Run every registered scenario, in name order."""
-    return [run_scenario(n, seed=seed, workers=workers)
-            for n in names()]
+    return [run_scenario(n, seed=seed) for n in names()]

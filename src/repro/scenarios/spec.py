@@ -15,8 +15,7 @@ Determinism is the whole point.  A scenario run is a pure function of
 simulation is deterministic by the engine's contract, and detector
 details quote virtual-time values only — so the
 :meth:`ScenarioResult.to_json` bytes are identical across repeated
-runs and for any cluster worker count (the fleet contract).
-``tests/scenarios`` asserts both.
+runs, which ``tests/scenarios`` asserts.
 """
 
 from __future__ import annotations
@@ -35,14 +34,9 @@ LAYERS = ("serve", "fault", "cluster", "partition", "paper")
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Per-run knobs a caller may vary without changing the verdicts.
-
-    ``workers`` selects *how* the simulation executes, not what it
-    computes — the result bytes must not depend on it.
-    """
+    """Per-run knobs a caller may vary."""
 
     seed: int
-    workers: int = 0
 
 
 @dataclass
@@ -119,8 +113,7 @@ class Scenario:
     layer: str
     description: str
     #: builds the seeded inputs, runs the simulation, returns the
-    #: outcome.  Must honor ``params.workers`` without letting it
-    #: into the outcome's bytes.
+    #: outcome.
     runner: Callable[[ScenarioParams], ScenarioOutcome]
     detectors: Tuple[Detector, ...]
     default_seed: int = 0
@@ -166,10 +159,8 @@ class ScenarioResult:
                 f"detectors={ok}/{len(self.verdicts)}")
 
     def to_dict(self) -> dict:
-        """The canonical digest.  Deliberately **excludes** the params
-        that must not matter (workers): identical bytes across
-        execution strategies is the contract ``tests/scenarios``
-        checks, and leaking the knob here would fake it."""
+        """The canonical digest: the verdicts, the runner's scalars and
+        the report with its sha256 (and the obs snapshot's)."""
         digest = {
             "schema": SCHEMA,
             "scenario": self.scenario.name,
@@ -188,7 +179,7 @@ class ScenarioResult:
         return digest
 
     def to_json(self) -> str:
-        """Canonical serialization: byte-identical across worker
-        counts (sorted keys, fixed separators, pre-rounded floats)."""
+        """Canonical serialization: sorted keys, fixed separators,
+        pre-rounded floats."""
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))

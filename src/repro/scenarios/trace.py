@@ -14,9 +14,9 @@ Determinism discipline (same as :mod:`repro.faults`): every instant is
 a pure function of the row's stable identity.  Instance arrivals
 within a row are staggered by :func:`repro.faults.plan.hash01`
 ``(seed, job, task_type, instance)`` — not an RNG stream — so the
-schedule is independent of row order, worker count, and interpreter
-salt, and adding a row never reshuffles another row's instants.  All
-times round to 1/1000 ns, the serve layer's schedule grid.
+schedule is independent of row order and interpreter salt, and adding
+a row never reshuffles another row's instants.  All times round to
+1/1000 ns, the serve layer's schedule grid.
 
 Row format (CSV, header required, extra columns ignored)::
 

@@ -9,9 +9,10 @@ Three contracts, straight from the cluster layer's docstrings:
    answer-ledger frontier balances (offered == completed + failed +
    dropped, every request answered exactly once) and the fleet
    quiesces (``run_cluster`` raises if it does not).
-3. **Worker-count identity** — a faulted run is still a pure function
-   of ``(tenants, topology, router, plan)``: workers=0 and workers=3
-   emit the same bytes.
+3. **Replayability** — a faulted run is still a pure function of
+   ``(tenants, topology, router, plan)``: its ``to_json()`` sha256
+   and engine event count match a recording made while ``workers=0``
+   and ``workers=3`` both emitted those bytes.
 
 Plus the explicit partition-then-heal scenario: a quarantined node is
 re-admitted (quarantine → probation → readmit events) and every
@@ -36,13 +37,28 @@ from repro.serve import PoissonArrivals, TenantSpec
 from repro.serve.slo import SloClass
 from repro.tasks import TaskSpec
 
+from tests.differential.harness import run_pinned
+
 REQUESTS = 12  # per tenant
 NODES = 4
 LINK_NS = 50_000.0
 
 
+#: run -> (sha256 of ``to_json()``, summed engine events)
+PINNED = {
+    "chaos_3": (
+        "35767e4ee862d2e55da6bd76694258fc780d75cebc7a7cf05df8d3229bbaa2ff",
+        1193),
+    "chaos_11": (
+        "77f8f7dbe1b5db1a2ec77e9f7862812dcde2bc138f3286eb9922a36b12d3d93f",
+        1251),
+    "partition": (
+        "421a816a4873a3bbca5c0e6d7a4ce8a3137ec75ea8ba65f32dfb55a60517478e",
+        1106),
+}
+
+
 def _kernel(task, block_id, warp_id):
-    # module-level so specs pickle into worker processes
     yield Phase(inst=8_000.0, mem_bytes=512)
 
 
@@ -65,12 +81,12 @@ def _topology():
                     link_ns=LINK_NS)
 
 
-def _run(workers=0, fabric_plan=None, label="chaos"):
+def _run(fabric_plan=None, label="chaos"):
     topo = _topology()
     return run_cluster(
         _tenants(), topo,
         router=ConsistentHashRouter(topo, key="request"),
-        workers=workers, label=label, fabric_plan=fabric_plan,
+        label=label, fabric_plan=fabric_plan,
     )
 
 
@@ -139,15 +155,14 @@ def test_sweep_actually_perturbs_some_seeds():
     assert retransmits > 0
 
 
-# -- worker-count identity under faults ---------------------------------------
+# -- recorded bytes under faults ----------------------------------------------
 
 
 @pytest.mark.parametrize("seed", (3, 11))
 def test_fault_plan_bytes_match_across_worker_counts(seed):
-    seq = _run(workers=0, fabric_plan=_chaos_plan(seed))
-    par = _run(workers=3, fabric_plan=_chaos_plan(seed))
-    assert seq.to_json() == par.to_json()
-    _assert_conserved(seq)
+    report, pin = run_pinned(lambda: _run(fabric_plan=_chaos_plan(seed)))
+    assert pin == PINNED[f"chaos_{seed}"]
+    _assert_conserved(report)
 
 
 # -- partition-then-heal ------------------------------------------------------
@@ -187,9 +202,8 @@ def test_partition_then_heal_readmits_and_suppresses_hedge_dups():
 
 
 def test_partition_identity_across_worker_counts():
-    seq = _run(workers=0, fabric_plan=_partition_plan())
-    par = _run(workers=3, fabric_plan=_partition_plan())
-    assert seq.to_json() == par.to_json()
+    _, pin = run_pinned(lambda: _run(fabric_plan=_partition_plan()))
+    assert pin == PINNED["partition"]
 
 
 # -- report shape -------------------------------------------------------------

@@ -8,6 +8,7 @@ short ``max_events`` slices — and assert strict equality: a bound stop
 must resume in exactly the original order (docs/INTERNALS.md §10).
 """
 
+import hashlib
 import json
 from contextlib import contextmanager
 
@@ -27,6 +28,32 @@ DIFF_SEEDS = range(25)
 #: events per slice of a sliced drain: small and prime, so slice
 #: boundaries land inside same-instant runs of every length.
 SLICE_EVENTS = 13
+
+
+@contextmanager
+def collect_engines():
+    """Collect every :class:`Engine` built inside the block."""
+    built = []
+    init = Engine.__init__
+
+    def registered(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    Engine.__init__ = registered
+    try:
+        yield built
+    finally:
+        Engine.__init__ = init
+
+
+def run_pinned(run) -> tuple:
+    """Call ``run()`` once and return ``(result, pin)``, the pin being
+    ``(sha256 of result.to_json(), summed engine events)``."""
+    with collect_engines() as built:
+        result = run()
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    return result, (digest, sum(engine.event_count for engine in built))
 
 
 @contextmanager

@@ -21,7 +21,6 @@ barrier count in each runtime.
 
 import dataclasses
 import hashlib
-from contextlib import contextmanager
 
 import pytest
 
@@ -39,6 +38,7 @@ from repro.tasks import TaskResult, TaskSpec
 from tests.differential.harness import (
     DIFF_SEEDS,
     chaos_fingerprint,
+    collect_engines,
     serve_report_json,
 )
 from tests.test_determinism import (
@@ -65,23 +65,6 @@ PINNED = {
 }
 
 
-@contextmanager
-def _engines():
-    """Collect every :class:`Engine` built inside the block."""
-    built = []
-    init = Engine.__init__
-
-    def registered(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    Engine.__init__ = registered
-    try:
-        yield built
-    finally:
-        Engine.__init__ = init
-
-
 def _golden_cell(workload, runtime, seed):
     return fingerprint(run_tasks(make_tasks(workload, 24, 128, seed=seed),
                                  runtime))
@@ -98,7 +81,7 @@ ARTEFACTS = {
 
 def measure(name):
     """``(sha256, engine events)`` of one artefact set."""
-    with _engines() as built:
+    with collect_engines() as built:
         artefacts = ARTEFACTS[name]()
     digest = hashlib.sha256(repr(artefacts).encode()).hexdigest()
     return digest, sum(engine.event_count for engine in built)

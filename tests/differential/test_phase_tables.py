@@ -17,7 +17,6 @@ task field the kernel reads, so the tests here pin:
 """
 
 import dataclasses
-import pickle
 import types
 
 import pytest
@@ -138,13 +137,6 @@ IN_TREE = {
 def test_in_tree_keys_are_complete(name):
     tasks = IN_TREE[name]()
     _check_tables(tasks + _reshaped(tasks))
-
-
-def test_cluster_kernel_pickles_with_its_key():
-    """Fleet task specs cross to spawn-started workers by pickle."""
-    task = pickle.loads(pickle.dumps(cluster.fleet_tenants()[0].tasks[0]))
-    assert task.kernel is cluster._bench_kernel
-    assert task.kernel.phase_key is not None
 
 
 # ---------------------------------------------------------------------------

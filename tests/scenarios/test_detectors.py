@@ -150,7 +150,7 @@ def _result(obs=None):
                            "dropped": 0}},
         obs=obs, extra={"x": 1.5})
     c = ScenarioContext(scenario=scenario,
-                        params=ScenarioParams(seed=3, workers=2),
+                        params=ScenarioParams(seed=3),
                         report=outcome.report, obs=outcome.obs,
                         extra=outcome.extra)
     verdicts = [d.evaluate(c) for d in scenario.detectors]
@@ -164,7 +164,6 @@ def test_result_digest_excludes_execution_strategy():
     assert digest["scenario"] == "unit.test"
     assert digest["seed"] == 3
     assert digest["passed"] is True
-    assert "workers" not in digest
     assert "report_sha256" in digest
     assert "obs_sha256" not in digest  # no snapshot attached
 

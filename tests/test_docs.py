@@ -80,6 +80,24 @@ def test_experiments_deviations_section_exists():
     assert "Known deviations" in text
 
 
+#: the documents whose ``scripts/...`` and ``*.json`` mentions must
+#: name files in the tree.
+REFERENCING_DOCS = ("README.md", "DESIGN.md", "docs/*.md",
+                    ".claude/skills/verify/SKILL.md")
+#: a relative path (an absolute one such as ``/tmp/x.json`` is an
+#: example, not a reference) to a script or a JSON file.
+FILE_REFERENCE = re.compile(
+    r"(?<![\w/.])(scripts/[\w-]+\.(?:py|sh)|(?:[\w-]+/)*[\w-]+\.json)")
+
+
 def test_scripts_are_executable_helpers():
     assert (ROOT / "scripts" / "calibrate.py").is_file()
     assert (ROOT / "scripts" / "reproduce_all.sh").is_file()
+    docs = [path for pattern in REFERENCING_DOCS
+            for path in sorted(ROOT.glob(pattern))]
+    assert len(docs) >= 5
+    missing = [(doc.relative_to(ROOT).as_posix(), target)
+               for doc in docs
+               for target in FILE_REFERENCE.findall(doc.read_text())
+               if not (ROOT / target).is_file()]
+    assert not missing
