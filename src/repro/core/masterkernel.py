@@ -12,6 +12,9 @@ sleep until their WarpTable slot's exec flag is set.  The scheduler's
 per-warp placement function is Algorithm 2's ``pSched``.  The
 scheduler warp is a process; an executor warp is a per-slot callback
 object (:class:`_Executor`) that the scheduler starts on each dispatch.
+
+An MTB's WarpTable is built the first time it is used, not at boot;
+the scheduler process still spawns at boot.
 """
 
 from __future__ import annotations
@@ -90,8 +93,30 @@ class ExecState:
     killed: bool = False
 
 
+class _WarpTableOnFirstUse:
+    """``Mtb.warptable``: the MTB's WarpTable, built on first access.
+
+    The table is then stored as a plain instance attribute, which
+    shadows this non-data descriptor, so later reads are ordinary
+    attribute loads.  It is stored with ``setattr``, never through
+    ``__dict__``: touching ``__dict__`` turns CPython's inline instance
+    attributes into a per-instance dict and makes every ``self.x`` on
+    the MTB several times slower.  CPython also shares at most one
+    attribute name added after ``__init__`` across a class's
+    instances, so this is the only lazily built MTB attribute.
+    """
+
+    def __get__(self, mtb, owner=None):
+        if mtb is None:
+            return self
+        mtb.built_warptable = mtb.warptable = WarpTable()
+        return mtb.built_warptable
+
+
 class Mtb:
     """One MasterKernel threadblock: scheduler warp + 31 executors."""
+
+    warptable = _WarpTableOnFirstUse()
 
     def __init__(self, engine: Engine, gpu: Gpu, smm: Smm, table: TaskTable,
                  column: int, functional: bool = False,
@@ -153,7 +178,10 @@ class Mtb:
             self._obs_busy = None
             self._obs_part_busy = None
         self.arena_bytes = arena_bytes
-        self.warptable = WarpTable()
+        #: the WarpTable once something has used :attr:`warptable`, else
+        #: ``None``; walkers read this so they never build it (a table
+        #: never built is 31 free slots).
+        self.built_warptable: Optional[WarpTable] = None
         self.buddy = BuddyAllocator(arena_bytes)
         self.barriers = NamedBarrierPool()
         self.arena = (
@@ -171,7 +199,7 @@ class Mtb:
         #: slot index -> its executor warp, made on the slot's first
         #: dispatch (and again after a kill): most workloads touch a
         #: handful of the 31 slots per MTB.
-        self._executors: list = [None] * len(self.warptable)
+        self._executors: list = [None] * WarpTable.EXECUTOR_WARPS
 
     def shutdown(self) -> None:
         """Interrupt this component's daemon processes and stop its
@@ -511,7 +539,10 @@ class Mtb:
         )
         if state is not None:
             state.killed = True
-        for idx, slot in enumerate(self.warptable.slots):
+        warptable = self.built_warptable
+        busy = warptable.busy_slots() if warptable is not None else ()
+        for idx in busy:
+            slot = warptable.slots[idx]
             if not slot.exec_flag or slot.e_num != row or idx == skip_slot:
                 continue
             executor = self._executors[idx]
@@ -571,11 +602,12 @@ class Mtb:
         Queued-but-unscheduled entries survive (they hold no SMM
         state); each resident task dies with a :class:`TaskError` and
         its resources return to the pools, so the MTB keeps scheduling
-        afterwards.  Returns the number of tasks killed.
+        afterwards.  Returns the number of tasks killed.  Only built
+        rows are visited, in row order: a row never built is free.
         """
         col = self.table.gpu[self.column]
         killed = 0
-        for row in range(self.table.rows):
+        for row in sorted(col):
             entry = col[row]
             if entry.ready == READY_FREE or entry.exec_state is None:
                 continue

@@ -21,12 +21,22 @@ copy-backs of the whole table (§4.2.2).
 
 The CPU and GPU mirrors are distinct objects here, so tests can observe
 the mismatching-values window Fig. 2b calls out.
+
+On hardware both mirrors are one preallocated buffer.  Here a row's
+:class:`TaskEntry` is built the first time the row is indexed
+(:class:`MirrorColumn`), so a table costs what it runs, not its
+capacity: a row that was never built is free (``ready == 0``) and not
+in flight, and the walkers that visit whole columns read only the rows
+that exist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from collections import deque
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, zip_longest
+from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.errors import QuarantineEvent, TaskError
 from repro.pcie.bus import Direction, PcieBus
@@ -70,8 +80,47 @@ class TaskEntry:
         return (self.ready, self.sched)
 
 
+class MirrorColumn(dict):
+    """One mirror column: row -> :class:`TaskEntry`, each entry built
+    the first time its row is indexed.
+
+    ``column[row]`` reads like the list it replaces; a present row is a
+    C-level dict hit.  Rows outside ``0 <= row < rows`` raise
+    :class:`IndexError` instead of growing the column.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: int) -> None:
+        # dict.__new__ already made the empty mapping
+        self.rows = rows
+
+    def __missing__(self, row: int) -> TaskEntry:
+        if not 0 <= row < self.rows:
+            raise IndexError(f"row {row} outside a {self.rows}-row column")
+        entry = self[row] = TaskEntry()
+        return entry
+
+
+@lru_cache(maxsize=None)
+def _boot_free_order(num_columns: int,
+                     rows: int) -> Tuple[Tuple[int, int], ...]:
+    """Every slot, interleaved across columns so consecutive spawns
+    land on different MTBs (load balance), reversed so ``pop()``
+    yields row 0 of each column first.  Shared by every table of this
+    geometry; each table copies it into its own free queue."""
+    return tuple(reversed([(col, row) for row in range(rows)
+                           for col in range(num_columns)]))
+
+
 class TaskTable:
-    """Both mirrors plus the transfer machinery between them."""
+    """Both mirrors plus the transfer machinery between them.
+
+    ``cpu[col][row]`` and ``gpu[col][row]`` index the two mirrors; the
+    entries, like the host free queue's contents, are built on first
+    use (see the module docstring).  Nothing the engine sees depends on
+    when an entry object was built.
+    """
 
     def __init__(self, engine: Engine, bus: PcieBus, num_columns: int,
                  rows: int = 32, faults=None,
@@ -105,11 +154,11 @@ class TaskTable:
         self.timing = bus.timing
         self.num_columns = num_columns
         self.rows = rows
-        self.cpu: List[List[TaskEntry]] = [
-            [TaskEntry() for _ in range(rows)] for _ in range(num_columns)
+        self.cpu: List[MirrorColumn] = [
+            MirrorColumn(rows) for _ in range(num_columns)
         ]
-        self.gpu: List[List[TaskEntry]] = [
-            [TaskEntry() for _ in range(rows)] for _ in range(num_columns)
+        self.gpu: List[MirrorColumn] = [
+            MirrorColumn(rows) for _ in range(num_columns)
         ]
         #: per-column change notification on the GPU side (scheduler
         #: warps block here instead of burning poll loops).
@@ -137,13 +186,13 @@ class TaskTable:
         )
         if not self.open_columns <= set(range(num_columns)):
             raise ValueError("open_columns out of range")
-        # Host-side free-entry queue, interleaved across columns so
-        # consecutive spawns land on different MTBs (load balance).
-        self._cpu_free: List[Tuple[int, int]] = [
-            (col, row) for row in range(rows) for col in range(num_columns)
-            if col in self.open_columns
-        ]
-        self._cpu_free.reverse()  # pop() yields column-major order
+        # Host-side free-entry queue in boot order (_boot_free_order);
+        # LIFO tables take from the right end, FIFO ones from the left.
+        boot_order = _boot_free_order(num_columns, rows)
+        if len(self.open_columns) < num_columns:
+            boot_order = [slot for slot in boot_order
+                          if slot[0] in self.open_columns]
+        self._cpu_free: Deque[Tuple[int, int]] = deque(boot_order)
         #: free-entry recycling order.  The legacy host pops the most
         #: recently freed slot (LIFO) — byte-exact with the golden
         #: schedules.  Partitioned tables use FIFO: freed slots go to
@@ -269,9 +318,10 @@ class TaskTable:
         (stuck hardware warp, corrupted shared-memory line) and retired
         rather than handed to yet another victim.
         """
-        while self._cpu_free:
-            col, row = (self._cpu_free.pop() if self._free_lifo
-                        else self._cpu_free.pop(0))
+        free = self._cpu_free
+        take = free.pop if self._free_lifo else free.popleft
+        while free:
+            col, row = take()
             if (col, row) in self.quarantined:
                 continue
             if col not in self.open_columns:
@@ -290,14 +340,16 @@ class TaskTable:
         if col not in self.open_columns:
             return
         self.open_columns.discard(col)
-        self._cpu_free = [slot for slot in self._cpu_free if slot[0] != col]
+        self._cpu_free = deque(slot for slot in self._cpu_free
+                               if slot[0] != col)
 
     def open_column(self, col: int) -> None:
         """Re-admit one column to the spawn path (partition grow).
 
         Free, non-quarantined rows of the column rejoin the free queue;
         completions observed while the column was closed are recovered
-        here instead of being lost.
+        here instead of being lost.  A row whose entry was never built
+        is free.
         """
         if col < 0 or col >= self.num_columns:
             raise ValueError(f"column {col} out of range")
@@ -305,13 +357,15 @@ class TaskTable:
             return
         self.open_columns.add(col)
         present = set(self._cpu_free)
+        cpu = self.cpu[col]
         recovered = []
         for row in range(self.rows):
             slot = (col, row)
             if slot in self.quarantined or slot in present:
                 continue
-            if self.cpu[col][row].ready == READY_FREE and \
-                    not self.cpu[col][row].inflight:
+            entry = cpu.get(row)
+            if entry is None or (entry.ready == READY_FREE
+                                 and not entry.inflight):
                 recovered.append(slot)
         # Recovered rows must not all be the *next* slots handed out:
         # that funnels every spawn into the new column, whose single
@@ -323,16 +377,14 @@ class TaskTable:
         # across columns, restoring the boot-time invariant that
         # consecutive handouts land on different MTBs.
         if self._free_lifo:
-            self._cpu_free[:0] = recovered
+            self._cpu_free.extendleft(reversed(recovered))
         else:
             by_col: Dict[int, List[Tuple[int, int]]] = {}
-            for slot in self._cpu_free + recovered:
+            for slot in chain(self._cpu_free, recovered):
                 by_col.setdefault(slot[0], []).append(slot)
-            merged: List[Tuple[int, int]] = []
-            queues = [by_col[c] for c in sorted(by_col)]
-            while queues:
-                queues = [q for q in queues if q]
-                merged.extend(q.pop(0) for q in queues)
+            merged: Deque[Tuple[int, int]] = deque()
+            for rank in zip_longest(*(by_col[c] for c in sorted(by_col))):
+                merged.extend(slot for slot in rank if slot is not None)
             self._cpu_free = merged
 
     def column_busy(self, col: int) -> bool:
@@ -341,13 +393,11 @@ class TaskTable:
         when a closed column has drained.  The CPU mirror's lazily
         copied-back ``ready`` words are deliberately ignored — they are
         bookkeeping staleness, not residency, and waiting on them could
-        outlive the last ``gpu_done_signal`` pulse."""
-        for row in range(self.rows):
-            if self.cpu[col][row].inflight:
-                return True
-            if self.gpu[col][row].ready != READY_FREE:
-                return True
-        return False
+        outlive the last ``gpu_done_signal`` pulse.  Only built rows
+        are read: a row never built is neither."""
+        return (any(entry.inflight for entry in self.cpu[col].values())
+                or any(entry.ready != READY_FREE
+                       for entry in self.gpu[col].values()))
 
     def fill_cpu_entry(self, col: int, row: int, spec: TaskSpec,
                        result: TaskResult, prev_task_id: Optional[int]) -> int:

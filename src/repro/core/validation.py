@@ -4,16 +4,27 @@ These are the conservation laws that make the schedule trustworthy;
 stress tests call :func:`check_session` at arbitrary points mid-run
 and after completion.  A violation raises :class:`InvariantViolation`
 with a precise description.
+
+The checks only read: an MTB whose WarpTable was never built
+(``Mtb.built_warptable`` is ``None``) reads as 31 free slots, and is
+not built by checking it.
 """
 
 from __future__ import annotations
 
 from repro.core.runtime import PagodaSession
 from repro.core.tasktable import READY_FREE
+from repro.core.warptable import WarpTable
 
 
 class InvariantViolation(AssertionError):
     """A Pagoda conservation law was broken."""
+
+
+def _busy_warps(mtb) -> int:
+    """Executing WarpTable slots (0 when the table was never built)."""
+    warptable = mtb.built_warptable
+    return warptable.busy_count if warptable is not None else 0
 
 
 def check_mtb(mtb, deep: bool = False) -> None:
@@ -24,8 +35,9 @@ def check_mtb(mtb, deep: bool = False) -> None:
     run inside timed benchmarks without distorting them; ``deep=True``
     additionally walks every WarpTable slot and the full buddy tree.
     """
-    busy = mtb.warptable.busy_count
-    if not 0 <= busy <= len(mtb.warptable):
+    warptable = mtb.built_warptable
+    busy = _busy_warps(mtb)
+    if warptable is not None and not 0 <= busy <= len(warptable):
         raise InvariantViolation(
             f"MTB {mtb.column}: busy_count {busy} out of range"
         )
@@ -34,12 +46,13 @@ def check_mtb(mtb, deep: bool = False) -> None:
             f"MTB {mtb.column}: occupancy tracker says "
             f"{mtb.busy_warps.current} busy warps, WarpTable says {busy}"
         )
-    if deep:
+    if deep and warptable is not None:
         # every executing slot must reference a live TaskTable entry
-        for i, slot in enumerate(mtb.warptable.slots):
+        column = mtb.table.gpu[mtb.column]
+        for i, slot in enumerate(warptable.slots):
             if slot.exec_flag:
-                entry = mtb.table.gpu[mtb.column][slot.e_num]
-                if entry.spec is None:
+                entry = column.get(slot.e_num)
+                if entry is None or entry.spec is None:
                     raise InvariantViolation(
                         f"MTB {mtb.column} slot {i}: executing a task with "
                         "no parameters"
@@ -54,6 +67,7 @@ def check_mtb(mtb, deep: bool = False) -> None:
                         f"MTB {mtb.column} slot {i}: block_id "
                         f"{slot.block_id} out of range"
                     )
+    if deep:
         # the buddy tree's structural invariants (full-tree walk)
         try:
             mtb.buddy.check_invariants()
@@ -92,8 +106,8 @@ def check_session(session: PagodaSession, deep: bool = False) -> None:
     check_table(session.table, deep=deep)
     # warp conservation across the whole device: busy executor warps
     # never exceed capacity
-    total_busy = sum(m.warptable.busy_count for m in session.master.mtbs)
-    capacity = len(session.master.mtbs) * len(session.master.mtbs[0].warptable)
+    total_busy = sum(_busy_warps(m) for m in session.master.mtbs)
+    capacity = len(session.master.mtbs) * WarpTable.EXECUTOR_WARPS
     if total_busy > capacity:
         raise InvariantViolation(
             f"{total_busy} busy warps exceed capacity {capacity}"
@@ -104,10 +118,10 @@ def check_quiescent(session: PagodaSession, deep: bool = False) -> None:
     """After a drained run: everything returned to the free state."""
     check_session(session, deep=deep)
     for mtb in session.master.mtbs:
-        if mtb.warptable.busy_count != 0:
+        busy = _busy_warps(mtb)
+        if busy != 0:
             raise InvariantViolation(
-                f"MTB {mtb.column}: {mtb.warptable.busy_count} warps "
-                "still executing after drain"
+                f"MTB {mtb.column}: {busy} warps still executing after drain"
             )
         mtb.buddy.flush_deferred()
         if mtb.buddy.allocated_bytes != 0:

@@ -86,13 +86,12 @@ class WarpTable:
     def free_slots(self):
         """Indices of executor warps with a clear exec flag (a
         materialized view of the free mask, ascending)."""
-        out = []
-        mask = self._free_mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return _bits(self._free_mask)
+
+    def busy_slots(self):
+        """Indices of executor warps whose exec flag is set (the
+        complement of :meth:`free_slots`, ascending)."""
+        return _bits(~self._free_mask & ((1 << len(self.slots)) - 1))
 
     # -- dispatch / retire ----------------------------------------------------
 
@@ -121,3 +120,13 @@ class WarpTable:
         slot.e_num = -1
         self._free_mask |= 1 << slot_index
         self.free_signal.pulse(slot_index)
+
+
+def _bits(mask: int) -> list:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
