@@ -3,25 +3,20 @@
 #
 #   scripts/reproduce_all.sh            # scaled (CI-speed) pass
 #   PAGODA_FULL=1 scripts/reproduce_all.sh   # paper-scale (hours)
-#   PAGODA_JOBS=8 scripts/reproduce_all.sh   # worker count for the sweep
 #
-# Produces test_output.txt, sweep_output.txt and scenario_output.txt
-# (every paper claim's pass/fail line).
+# Produces test_output.txt and scenario_output.txt (every paper
+# claim's pass/fail line).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== unit / property / integration tests"
 python -m pytest tests/ 2>&1 | tee test_output.txt | tail -2
 
-echo "== every table & figure, fanned across worker processes"
-# Each artefact is an independent deterministic sim, so the sweep is
-# embarrassingly parallel and produces the same result tables as a
-# serial run (repro.bench.parallel's determinism contract).
-python -m repro.bench all --parallel "${PAGODA_JOBS:-$(nproc)}" 2>&1 \
-    | tee sweep_output.txt | tail -3
-
 echo "== every claim of the paper's evaluation, checked (scenario catalog)"
-python -m repro.bench scenarios --check 2>&1 \
+# Each paper artefact runs once, inside its paper.* scenario; print one
+# artefact's paper-vs-measured tables with e.g.
+# `python -m repro.bench paper.fig5`.
+python -m repro.bench all 2>&1 \
     | tee scenario_output.txt | tail -5
 
 echo "== simulator benchmark: every perf/ workload, end to end and by layer"

@@ -5,7 +5,8 @@ results) and ``report(results) -> str`` (text rendering with
 paper-vs-measured rows).  The ``paper.*`` scenarios of
 :mod:`repro.scenarios` run them at scaled task counts and check the
 paper's claims; EXPERIMENTS.md's tables are generated from those
-results.
+results, and ``python -m repro.bench paper.<artefact>`` prints one
+artefact's report with its verdicts.
 
 =========== ==========================================================
 module      paper artefact

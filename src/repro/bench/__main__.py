@@ -1,75 +1,75 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner: every checked experiment, by name.
 
-Run any paper artefact directly::
+The names are the :mod:`repro.scenarios` registry's, the one catalog of
+checked experiments::
 
-    python -m repro.bench fig5
-    python -m repro.bench tab3 --tasks 1024
-    python -m repro.bench all --tasks 256
-    python -m repro.bench all --parallel 8
+    python -m repro.bench paper.fig5
+    python -m repro.bench serve.trace_replay
+    python -m repro.bench all
+    PAGODA_FULL=1 python -m repro.bench paper.fig5   # paper scale
 
-Reports print to stdout in paper-vs-measured form (the checked
-versions of these runs are the ``paper.*`` scenarios, run with
-``python -m repro.bench scenarios --check``).  With
-``--parallel N`` the experiments fan out across N worker processes
-(each simulation is single-threaded and deterministic, so the result
-tables are identical to a serial run; only the wall-time lines
-differ).
+One scenario prints its artefact's paper-vs-measured text report (the
+``paper.*`` scenarios and ``partition.elastic_recovery`` have one),
+then its pass/fail summary line and every failing detector's evidence.
+``all`` runs the whole catalog and prints one line per scenario (the
+lines the CI ``scenario-matrix`` job puts in its summary).  The exit
+status is the verdict: 1 if any detector failed, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import List
 
-from repro.bench.parallel import run_parallel
-from repro.bench.runner import EXPERIMENTS, TASK_SIZED, run_one  # noqa: F401  (TASK_SIZED re-exported for compatibility)
+from repro.scenarios import ScenarioResult, names, run_scenario
+
+
+def _failures(result: ScenarioResult) -> List[str]:
+    """One line of evidence per failing detector."""
+    return [f"      FAIL {v.detector}: {v.detail}"
+            for v in result.verdicts if not v.passed]
+
+
+def _run_all() -> int:
+    results = [run_scenario(name) for name in names()]
+    passed = sum(1 for r in results if r.passed)
+    print(f"SCENARIOS: scenario catalog, {passed}/{len(results)} passed")
+    for result in results:
+        print("  " + result.summary_line())
+        for line in _failures(result):
+            print(line)
+    return 0 if passed == len(results) else 1
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: one positional, a scenario name or ``all``."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Run one checked experiment (a repro.scenarios "
+                    "scenario) or, with 'all', the whole catalog; exits "
+                    "1 if any detector fails.",
+    )
+    parser.add_argument(
+        "scenario", choices=names() + ["all"],
+        help="scenario to run, or 'all' for the catalog",
+    )
+    return parser
 
 
 def main(argv=None) -> int:
     """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Reproduce one of the paper's tables/figures.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="which artefact to reproduce",
-    )
-    parser.add_argument(
-        "--tasks", type=int, default=None,
-        help="override the task count (where applicable)",
-    )
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="fan independent experiments across N worker processes "
-             "(default: serial)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="scenarios only: exit non-zero if any catalog scenario "
-             "fails its detectors",
-    )
-    args = parser.parse_args(argv)
-    if args.check:
-        if args.experiment != "scenarios":
-            parser.error("--check is only valid with 'scenarios'")
-        from repro.bench.scenarios import run_check
-        return run_check()
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [
-        args.experiment
-    ]
-    if args.parallel is not None:
-        if args.parallel < 1:
-            parser.error("--parallel must be >= 1")
-        for _name, report in run_parallel(names, args.tasks, args.parallel):
-            print(report)
-            print()
-    else:
-        for name in names:
-            print(run_one(name, args.tasks))
-            print()
-    return 0
+    args = build_parser().parse_args(argv)
+    if args.scenario == "all":
+        return _run_all()
+    result = run_scenario(args.scenario)
+    if result.outcome.text:
+        print(result.outcome.text)
+        print()
+    print(result.summary_line())
+    for line in _failures(result):
+        print(line)
+    return 0 if result.passed else 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ Dispatch additionally claims the partition's Zorua quota
 (:mod:`repro.partition.quota`) per request: a request whose footprint
 exceeds the current grant waits at dispatch until usage drains or the
 elastic controller borrows headroom — which is exactly the isolation/
-utilization trade the `partition_isolation` bench measures.
+utilization trade the `partition.elastic_recovery` scenario checks.
 """
 
 from __future__ import annotations

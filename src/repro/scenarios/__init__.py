@@ -7,8 +7,9 @@ pass/fail-checkable experiment, and the registry runs any of them by
 name.  The ``paper`` layer (:mod:`repro.scenarios.paper`) holds the
 reproduction's claims about the paper's figures and tables, and
 EXPERIMENTS.md's tables are rendered from its results.
-``python -m repro.bench scenarios --check`` runs the whole catalog; the
-trace loader (:mod:`repro.scenarios.trace`) feeds
+It is the one catalog of checked experiments: ``python -m repro.bench
+<name>`` runs one scenario and ``python -m repro.bench all`` the whole
+catalog.  The trace loader (:mod:`repro.scenarios.trace`) feeds
 production-shaped arrival schedules into any of it.
 """
 

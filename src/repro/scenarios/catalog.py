@@ -424,6 +424,7 @@ def _elastic_recovery_runner(params: ScenarioParams) -> ScenarioOutcome:
             "elastic_util_recovery":
                 round(results["elastic_util_recovery"], 3),
         },
+        text=bench_partition.report(results),
     )
 
 

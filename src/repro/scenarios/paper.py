@@ -5,7 +5,11 @@ scaled task count the reproduction quotes, hands the detectors a
 rounded, JSON-ready digest of its results (the report) plus the
 derived ratios and counts a claim compares (the extra), and checks the
 paper's shapes with the stock detectors: who wins, by roughly what
-factor, and where the crossovers fall.
+factor, and where the crossovers fall.  The artefact's own
+paper-vs-measured text report, rendered from the same results, rides
+along as the outcome's ``text`` (``python -m repro.bench paper.fig5``
+prints it).  Under ``PAGODA_FULL=1`` the artefacts that size by task
+count run at paper scale instead of their pinned counts.
 
 EXPERIMENTS.md's headline and per-artefact tables are rendered from
 the ``repro.scenarios/1`` JSON of these scenarios (:func:`render`,
@@ -20,7 +24,8 @@ stay out of ``import repro.bench``'s path).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Tuple
+from types import ModuleType
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.bench import (
     ablations,
@@ -37,6 +42,7 @@ from repro.bench import (
     tab3,
     tab5,
 )
+from repro.bench.harness import full_scale
 from repro.scenarios.detectors import ExtraValue, ReportValue
 from repro.scenarios.registry import get, register
 from repro.scenarios.spec import Scenario, ScenarioOutcome, ScenarioParams
@@ -70,16 +76,32 @@ def _digest(value):
     return value
 
 
-def _paper(name: str, label: str, claim: str,
+def _scaled(pinned: int) -> Optional[int]:
+    """A scenario's pinned task count, or ``None`` under ``PAGODA_FULL=1``
+    so the artefact sizes itself at paper scale (32K tasks, 273K for
+    SLUD: :func:`repro.bench.harness.default_num_tasks`)."""
+    return None if full_scale() else pinned
+
+
+def _paper(name: str, label: str, claim: str, module: ModuleType,
            run: Callable[[int], dict], derive: Callable[[dict], dict],
-           detectors: list, measured: Callable[[dict], str]) -> None:
-    """Register one artefact as ``paper.<name>``."""
+           detectors: list, measured: Callable[[dict], str],
+           reshape: Callable[[dict], dict] = lambda results: results,
+           ) -> None:
+    """Register one artefact as ``paper.<name>``.
+
+    ``run`` produces ``module``'s results, which ``module.report``
+    renders as the outcome's text; ``reshape`` then turns them into the
+    digest's JSON shape (``raw`` per-run stats are dropped first).
+    """
 
     def runner(params: ScenarioParams) -> ScenarioOutcome:
         results = run(params.seed)
+        text = module.report(results)
         results.pop("raw", None)
+        results = reshape(results)
         return ScenarioOutcome(report=_digest(results),
-                               extra=_digest(derive(results)))
+                               extra=_digest(derive(results)), text=text)
 
     full = f"paper.{name}"
     register(Scenario(name=full, version=1, layer="paper",
@@ -118,8 +140,8 @@ def _fig5_measured(d: dict) -> str:
 _paper(
     "fig5", "Fig. 5",
     "Pagoda geomean 5.70x over PThreads, 1.51x over HyperQ, 1.69x over "
-    "GeMTC; it beats HyperQ everywhere but copy-bound DCT (parity)",
-    lambda seed: fig5.run(num_tasks=384, seed=seed), _fig5_extra,
+    "GeMTC; it beats HyperQ everywhere but copy-bound DCT (parity)", fig5,
+    lambda seed: fig5.run(num_tasks=_scaled(384), seed=seed), _fig5_extra,
     [
         ReportValue("beats_pthreads", "geomeans.pthreads", ">", 3.0),
         ReportValue("hyperq_band_low", "geomeans.hyperq", ">", 1.2),
@@ -168,7 +190,7 @@ def _fig6_measured(d: dict) -> str:
 _paper(
     "fig6", "Fig. 6",
     "Pagoda pulls ahead of HyperQ and GeMTC beyond ~512 tasks; its time "
-    "grows ~linearly with the task count",
+    "grows ~linearly with the task count", fig6,
     lambda seed: fig6.run(counts=fig6.task_counts(), seed=seed),
     _fig6_extra,
     [ExtraValue("ahead_of_hyperq_at_max", "ahead_of_hyperq_at_max", ">=",
@@ -217,8 +239,8 @@ def _fig7_measured(d: dict) -> str:
 _paper(
     "fig7", "Fig. 7",
     "compute only: 2.29x over HyperQ and 2.26x over GeMTC at 128 "
-    "threads/task; the HyperQ gap narrows as threads per task grow",
-    lambda seed: fig7.run(num_tasks=256, seed=seed), _fig7_extra,
+    "threads/task; the HyperQ gap narrows as threads per task grow", fig7,
+    lambda seed: fig7.run(num_tasks=_scaled(256), seed=seed), _fig7_extra,
     [
         ReportValue("hyperq_band_low", "geomeans_128.hyperq", ">", 1.3),
         ReportValue("hyperq_band_high", "geomeans_128.hyperq", "<", 3.5),
@@ -262,7 +284,7 @@ _paper(
     "fig8", "Fig. 8",
     "MM/CONV over HyperQ: >1 at small thread counts for every input size, "
     "diminishing past ~512 threads; CONV wins again at the largest shape",
-    lambda seed: fig8.run(seed=seed), _fig8_extra,
+    fig8, lambda seed: fig8.run(seed=seed), _fig8_extra,
     [ExtraValue(f"small_threads_win_{w}", f"small_thread_losses_{w}", "<=", 1)
      for w in ("mm", "conv")]
     + [ExtraValue(f"advantage_diminishes_{w}", f"mid_minus_small_peak_{w}",
@@ -290,8 +312,8 @@ def _fig9_measured(d: dict) -> str:
 
 _paper(
     "fig9", "Fig. 9",
-    "irregular task sizes: Pagoda 1.79x geomean over static fusion",
-    lambda seed: fig9.run(num_tasks=256, seed=seed), _fig9_extra,
+    "irregular task sizes: Pagoda 1.79x geomean over static fusion", fig9,
+    lambda seed: fig9.run(num_tasks=_scaled(256), seed=seed), _fig9_extra,
     [
         ReportValue("band_low", "pagoda_over_fusion", ">", 1.3),
         ReportValue("band_high", "pagoda_over_fusion", "<", 3.0),
@@ -338,7 +360,7 @@ def _fig10_measured(d: dict) -> str:
 _paper(
     "fig10", "Fig. 10",
     "fused latency grows ~linearly with the task count; Pagoda's stays "
-    "flat",
+    "flat", fig10,
     lambda seed: fig10.run(counts=fig10.task_counts(), seed=seed),
     _fig10_extra,
     [d for w in fig10.WORKLOADS for d in (
@@ -373,8 +395,9 @@ def _fig11_measured(d: dict) -> str:
 
 _paper(
     "fig11", "Fig. 11",
-    "Pagoda > Pagoda-Batching > GeMTC in all cases",
-    lambda seed: fig11.run(num_tasks=384, seed=seed), _fig11_extra,
+    "Pagoda > Pagoda-Batching > GeMTC in all cases", fig11,
+    lambda seed: fig11.run(num_tasks=_scaled(384), seed=seed),
+    _fig11_extra,
     [d for w in fig11.WORKLOADS for d in (
         ReportValue(f"beats_gemtc_{w}", f"speedups.{w}.pagoda", ">", 1.0),
         ExtraValue(f"spawning_beats_batching_{w}",
@@ -404,8 +427,8 @@ def _tab3_measured(d: dict) -> str:
 _paper(
     "tab3", "Table 3",
     "per-benchmark %copy under HyperQ; DCT and 3DES copy-bound, BF and "
-    "SLUD compute-bound",
-    lambda seed: tab3.run(num_tasks=384, seed=seed), _tab3_extra,
+    "SLUD compute-bound", tab3,
+    lambda seed: tab3.run(num_tasks=_scaled(384), seed=seed), _tab3_extra,
     [ExtraValue(f"near_paper_{w}", f"copy_pct_err_{w}", "<=",
                 max(10, 0.4 * paper))
      for w, paper in tab3.PAPER_COPY_PCT.items()]
@@ -424,8 +447,9 @@ _paper(
 _SMEM = {True: "smem", False: "no_smem"}
 
 
-def _tab5_run(seed: int) -> dict:
-    measured = tab5.run(num_tasks=256, seed=seed)["measured"]
+def _tab5_reshape(r: dict) -> dict:
+    # (workload, use_smem) tuple keys -> JSON-ready nested keys
+    measured = r["measured"]
     return {"measured": {w: {_SMEM[s]: measured[(w, s)] for s in _SMEM}
                          for w in tab5.CONFIGS}}
 
@@ -457,7 +481,8 @@ _paper(
     "tab5", "Table 5",
     "shared memory beats no shared memory (DCT 1.35 vs 1.25x, MM 1.51 vs "
     "1.20x over HyperQ); occupancy 25/97/97/97 %",
-    _tab5_run, _tab5_extra,
+    tab5, lambda seed: tab5.run(num_tasks=_scaled(256), seed=seed),
+    _tab5_extra,
     [d for w in tab5.CONFIGS for d in (
         ExtraValue(f"smem_faster_{w}", f"smem_over_no_smem_kernel_{w}",
                    "<", 1.0),
@@ -470,6 +495,7 @@ _paper(
        for w, v, pct in (("dct", "smem", 25), ("dct", "no_smem", 97),
                          ("mm", "smem", 97), ("mm", "no_smem", 97))],
     _tab5_measured,
+    reshape=_tab5_reshape,
 )
 
 
@@ -519,7 +545,7 @@ _paper(
     "ablations", "Ablations",
     "§4.2.1 two-copy spawning is slower; a 1-row TaskTable throttles "
     "the spawner; Algorithm 2's parallel pSched stays flat; longer "
-    "copy-back timeouts cut D2H traffic (§4.2.2)",
+    "copy-back timeouts cut D2H traffic (§4.2.2)", ablations,
     lambda seed: ablations.run(num_tasks=384, seed=seed), _ablations_extra,
     [
         ReportValue("two_copies_slower", "protocol.overhead", ">", 1.05),
@@ -570,7 +596,7 @@ _paper(
     "config_sweeps", "Config sweeps",
     "§6.2: 32-thread GeMTC workers cap at 50 % occupancy, wider ones "
     "reach 100 % at similar speed; HyperQ needs many connections for "
-    "narrow tasks",
+    "narrow tasks", config_sweeps,
     lambda seed: config_sweeps.run(num_tasks=384, seed=seed), _sweeps_extra,
     [ReportValue(f"gemtc_occupancy_{t}",
                  f"gemtc_workers.sweep.{t}.occupancy_pct", "==", pct)
@@ -623,6 +649,7 @@ _paper(
     "latency_under_load", "Latency under load",
     "§1 motivation: Pagoda sustains task rates at which HyperQ misses "
     "its deadlines, and batching inflates the tail first",
+    latency_under_load,
     lambda seed: latency_under_load.run(num_tasks=384, seed=seed),
     _load_extra,
     [ReportValue(f"light_load_on_time_{rt}",
@@ -660,7 +687,7 @@ def _priorities_measured(d: dict) -> str:
 _paper(
     "priorities", "Priorities",
     "deferred scheduling plus priority order cuts an urgent task's tail "
-    "without costing throughput",
+    "without costing throughput", priorities,
     lambda seed: priorities.run(num_tasks=1200, seed=seed),
     _priorities_extra,
     [

@@ -52,6 +52,10 @@ class ScenarioOutcome:
     #: deterministic virtual-time scalars the runner derived (ratios,
     #: calibrated capacities, trace mixes) for detectors to assert on.
     extra: Dict[str, float] = field(default_factory=dict)
+    #: the artefact's human-readable report from the same run (what
+    #: ``python -m repro.bench <name>`` prints); never part of the
+    #: digest.
+    text: str = ""
 
 
 @dataclass

@@ -23,7 +23,7 @@ import pytest
 
 from repro.baselines import run_gemtc, run_hyperq
 from repro.baselines.fusion import fuse_tasks
-from repro.bench import ablations, cluster, obs_profile, partition, priorities
+from repro.bench import ablations, partition, priorities
 from repro.core import PagodaConfig
 from repro.core.errors import TaskError, TaskErrorGroup
 from repro.core.runtime import PagodaSession
@@ -116,10 +116,6 @@ IN_TREE = {
         + partition._make_tasks("a", 8, partition.AGGRESSOR_INST,
                                 partition.AGGRESSOR_THREADS)),
     "priorities._const_kernel": lambda: priorities.build_mix(40, True),
-    "cluster._bench_kernel": lambda: _serve_tenant_tasks(
-        cluster.fleet_tenants()),
-    "obs_profile._kernel": lambda: [
-        TaskSpec(f"t{i}", 128, 1, obs_profile._kernel) for i in range(4)],
     "ablations.tiny_kernel": lambda: [
         TaskSpec("t", warps * 32, 1, ablations.tiny_kernel)
         for warps in (4, 8, 16)],

@@ -87,13 +87,12 @@ def test_repeated_runs_are_byte_identical():
     assert a.to_json() == b.to_json()
 
 
-def test_bench_cell_reports_every_scenario(monkeypatch):
-    from repro.bench import scenarios as bench_scenarios
+def test_bench_cell_reports_every_scenario(monkeypatch, capsys):
+    from repro.bench import __main__ as cli
 
-    monkeypatch.setattr(bench_scenarios, "run_scenario", run_once)
-    results = bench_scenarios.run()
-    assert results["total"] == len(names())
-    assert results["all_passed"]
-    text = bench_scenarios.report(results)
-    for name in names():
-        assert name in text
+    monkeypatch.setattr(cli, "run_scenario", run_once)
+    assert cli.main(["all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    total = len(names())
+    assert lines[0] == f"SCENARIOS: scenario catalog, {total}/{total} passed"
+    assert [line.split()[1] for line in lines[1:]] == names()
