@@ -73,12 +73,15 @@ class CudaLaunchError(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff for ``task_spawn_with_retry``.
+    """Capped exponential backoff for re-issued spawns.
 
-    Attempt ``k`` (0-based) that fails sleeps
+    ``PagodaHost.post`` re-issues a spawn whose launch failed
+    (:class:`CudaLaunchError`); ``task_spawn_with_retry`` also
+    re-issues a task that failed (:class:`TaskError`).  Attempt ``k``
+    (0-based) that fails sleeps
     ``min(backoff_base_ns * 2**k, backoff_cap_ns)`` before re-spawning;
-    after ``max_attempts`` total attempts the last :class:`TaskError`
-    propagates to the caller.
+    after ``max_attempts`` total attempts the last error propagates to
+    the caller.
     """
 
     max_attempts: int = 3

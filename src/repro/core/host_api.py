@@ -8,12 +8,18 @@ steady state each task costs exactly one cudamemcopy (§4.2.1).
 Completions flow back only through lazy aggregate copy-backs (§4.2.2):
 ``wait``/``waitAll`` poll with a timeout and then *force* a copy-back;
 when the spawner runs out of free entries it reclaims the same way.
+
+Fig. 1a's two host threads live here too, once for every driver:
+:meth:`PagodaHost.post` is the spawner's step (input copy, then a
+``taskSpawn`` that rides out launch failures) and
+:meth:`PagodaHost.collect` is the collector's poll loop (tail
+promotion, aggregate copy-back, output copies).
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Generator, List, Optional
+from typing import Callable, Generator, List, Optional
 
 from repro.core.errors import (
     CudaLaunchError,
@@ -29,11 +35,18 @@ from repro.sim import Engine
 from repro.tasks import TaskResult, TaskSpec
 
 
-def _caller_site(depth: int = 2) -> str:
-    """``file:line`` of the frame ``depth`` levels up (the taskSpawn
-    call site, recorded for TaskError diagnostics)."""
-    frame = sys._getframe(depth)
+def _caller_site() -> str:
+    """``file:line`` of the nearest frame outside this module (the
+    taskSpawn call site, recorded for TaskError diagnostics)."""
+    frame = sys._getframe(1)
+    while frame.f_globals.get("__name__") == __name__:
+        frame = frame.f_back
     return f"{frame.f_code.co_filename}:{frame.f_lineno}"
+
+
+#: launch-failure retry schedule of :meth:`PagodaHost.post` and the
+#: default of :meth:`PagodaHost.task_spawn_with_retry`.
+_RETRY = RetryPolicy()
 
 
 #: spawn-protocol variants (§4.2.1): the pipelined taskID protocol is
@@ -223,6 +236,70 @@ class PagodaHost:
         if errs:
             raise errs[0] if len(errs) == 1 else TaskErrorGroup(errs)
 
+    # -- the host pipeline (Fig. 1a's spawner and collector threads) ----------
+
+    def post(self, spec: TaskSpec, result: TaskResult,
+             name: Optional[str]) -> Generator:
+        """The spawner's step for one task; subroutine returns the taskID.
+
+        Issues the input copy (a ``cudaMemcpyAsync`` call, then an H2D
+        transfer process called ``name``; ``None`` skips the copy),
+        then ``taskSpawn``.  An injected launch failure is re-issued
+        after :class:`RetryPolicy`'s capped backoff; the last one
+        propagates, as does :class:`GpuDeadError`.
+        """
+        if name is not None and spec.input_bytes:
+            yield self.timing.memcpy_issue_ns
+            self.engine.spawn(
+                self.table.bus.transfer(spec.input_bytes, Direction.H2D),
+                name)
+        attempt = 0
+        while True:
+            try:
+                return (yield from self.task_spawn(spec, result))
+            except CudaLaunchError:
+                attempt += 1
+                if attempt >= _RETRY.max_attempts:
+                    raise
+                yield _RETRY.backoff_ns(attempt - 1)
+
+    def collect(self, spawning_over: Callable[[], bool],
+                finished: Callable[[bool], bool],
+                on_complete: Callable[[int], int],
+                outcopy_prefix: str) -> Generator:
+        """The collector's poll loop, until ``finished`` says stop.
+
+        Each round samples ``idle = spawning_over()`` and, when no
+        spawn is coming, promotes the pipeline tail (§4.2.2); then it
+        waits out the poll timeout, takes an aggregate copy-back and
+        hands every newly finished taskID to ``on_complete``, which
+        returns the output bytes to copy back (0 for none; the D2H
+        transfer process is ``outcopy_prefix`` + taskID).  The round
+        ends the loop when ``finished(idle)`` holds, and a dead host
+        ends it at once.  Returns after the output copies landed.
+        """
+        timing, bus = self.timing, self.table.bus
+        transfers = []
+        while not self.dead:
+            idle = spawning_over()
+            if idle:
+                yield from self.finalize_last()
+            yield timing.wait_timeout_ns
+            if self.dead:
+                break
+            yield from self.table.copy_back()
+            for task_id in self.table.drain_completions():
+                nbytes = on_complete(task_id)
+                if nbytes:
+                    yield timing.memcpy_issue_ns
+                    transfers.append(self.engine.spawn(
+                        bus.transfer(nbytes, Direction.D2H),
+                        f"{outcopy_prefix}{task_id}"))
+            if finished(idle):
+                break
+        for proc in transfers:
+            yield proc
+
     # -- hardened spawn (retry with capped exponential backoff) ----------------
 
     def task_spawn_with_retry(self, spec: TaskSpec,
@@ -239,7 +316,7 @@ class PagodaHost:
                                result: Optional[TaskResult],
                                policy: Optional[RetryPolicy],
                                spawn_site: str) -> Generator:
-        policy = policy or RetryPolicy()
+        policy = policy or _RETRY
         attempt = 0
         while True:
             try:

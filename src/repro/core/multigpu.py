@@ -29,7 +29,6 @@ from repro.core.errors import DegradationEvent, GpuDeadError
 from repro.core.runtime import PagodaConfig, PagodaSession
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
-from repro.pcie.bus import Direction
 from repro.sim import Engine
 from repro.tasks import RunStats, TaskResult, TaskSpec
 
@@ -118,7 +117,6 @@ def run_multi_gpu_pagoda(tasks: List[TaskSpec],
     config = config or PagodaConfig()
     node = MultiGpuPagoda(num_gpus, spec, timing, config)
     engine = node.engine
-    timing = node.sessions[0].timing
     results = [TaskResult(i, t.name) for i, t in enumerate(tasks)]
     placements: List[int] = [-1] * len(tasks)
     #: task indices not yet (or no longer) handed to a GPU.
@@ -141,14 +139,10 @@ def run_multi_gpu_pagoda(tasks: List[TaskSpec],
             session = node.sessions[gpu_idx]
             if first_spawn:
                 results[i].spawn_time = engine.now
-            if config.copy_inputs and task.input_bytes:
-                yield timing.memcpy_issue_ns
-                engine.spawn(
-                    session.bus.transfer(task.input_bytes, Direction.H2D),
-                    f"incopy.{i}",
-                )
             try:
-                task_id = yield from session.host.task_spawn(task, results[i])
+                task_id = yield from session.host.post(
+                    task, results[i],
+                    f"incopy.{i}" if config.copy_inputs else None)
             except GpuDeadError:
                 # the device died while this spawn was in flight —
                 # put the task back and try a survivor
@@ -196,40 +190,27 @@ def run_multi_gpu_pagoda(tasks: List[TaskSpec],
             engine.call_at(die.at_ns, fire)
 
     def collector(gpu_idx: int):
-        session = node.sessions[gpu_idx]
-        host, table = session.host, session.table
-        transfers = []
-        while True:
-            if host.dead:
-                break  # fail_over re-queued this device's tasks
-            if done_spawning():
-                yield from host.finalize_last()
-            yield timing.wait_timeout_ns
-            if host.dead:
-                break
-            yield from table.copy_back()
-            # push-based completion reporting (no per-poll set diff)
-            for task_id in table.drain_completions():
-                i = inflight[gpu_idx].pop(task_id, None)
-                if i is None or done[i]:
-                    continue
-                done[i] = True
-                remaining[0] -= 1
-                node._outstanding[gpu_idx] -= 1
-                col, row = table.id_map[task_id]
-                spec_done = table.cpu[col][row].spec
-                if (config.copy_outputs and spec_done is not None
-                        and spec_done.output_bytes):
-                    yield timing.memcpy_issue_ns
-                    transfers.append(engine.spawn(
-                        session.bus.transfer(spec_done.output_bytes,
-                                             Direction.D2H),
-                        f"outcopy.{gpu_idx}.{task_id}",
-                    ))
-            if done_spawning() and remaining[0] == 0:
-                break
-        for proc in transfers:
-            yield proc
+        table = node.sessions[gpu_idx].table
+
+        def output_bytes(task_id):
+            i = inflight[gpu_idx].pop(task_id, None)
+            if i is None or done[i]:
+                return 0
+            done[i] = True
+            remaining[0] -= 1
+            node._outstanding[gpu_idx] -= 1
+            col, row = table.id_map[task_id]
+            spec_done = table.cpu[col][row].spec
+            if config.copy_outputs and spec_done is not None:
+                return spec_done.output_bytes
+            return 0
+
+        # a dead host ends the loop: fail_over re-queued its tasks.
+        # Stop on the spawner state sampled after the poll.
+        yield from node.sessions[gpu_idx].host.collect(
+            done_spawning,
+            lambda idle: done_spawning() and remaining[0] == 0,
+            output_bytes, f"outcopy.{gpu_idx}.")
         finish_time[0] = max(finish_time[0], engine.now)
 
     collectors = [engine.spawn(collector(i), f"mg-collector.{i}")

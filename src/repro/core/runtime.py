@@ -6,10 +6,11 @@ daemon, and a host, then plays a task list through the Table 1 API.
 
 Two host threads mirror Fig. 1a's structure: a *spawner* issuing input
 copies and ``taskSpawn`` calls, and a *collector* waiting on
-completions and pulling output data back.  A ``batch_size`` turns the
-runner into the **Pagoda-Batching** ablation of Fig. 11 (spawn a batch,
-wait for it to drain, spawn the next — concurrent scheduling but no
-continuous spawning).
+completions and pulling output data back; both run the host pipeline
+of :class:`~repro.core.host_api.PagodaHost` (``post``/``collect``).
+A ``batch_size`` turns the runner into the **Pagoda-Batching**
+ablation of Fig. 11 (spawn a batch, wait for it to drain, spawn the
+next — concurrent scheduling but no continuous spawning).
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.errors import CudaLaunchError, RetryPolicy
 from repro.core.host_api import PagodaHost
 from repro.core.masterkernel import MTBS_PER_SMM, MasterKernel
 from repro.core.tasktable import TaskTable
 from repro.gpu.device import Gpu
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
-from repro.pcie.bus import Direction, PcieBus
+from repro.pcie.bus import PcieBus
 from repro.sim import Engine
 from repro.tasks import RunStats, TaskResult, TaskSpec
 
@@ -54,9 +54,6 @@ class PagodaConfig:
     #: (safe strawman, doubles copy overhead), or "unsafe-single"
     #: (demonstrates the PCIe ordering hazard — may corrupt entries).
     protocol: str = "pipelined"
-    #: number of host spawner threads (Fig. 1a uses 2 CPU threads; the
-    #: collector is always a separate thread on top of these).
-    spawner_threads: int = 1
     #: ablation: disable Algorithm 2's warp-parallel search — the
     #: scheduler places one warp per pass.
     serial_psched: bool = False
@@ -180,21 +177,15 @@ def run_pagoda(tasks: List[TaskSpec],
     engine, host, table, bus = (
         session.engine, session.host, session.table, session.bus
     )
-    timing = session.timing
     results = [TaskResult(i, t.name) for i, t in enumerate(tasks)]
     id_to_task = {}
-
-    if config.batch_size and config.spawner_threads != 1:
-        raise ValueError("batching mode requires a single spawner thread")
-    retry_policy = RetryPolicy()
     # the watchdog's stale one-shot timers outlive the workload and
     # inflate engine.now; the makespan is the instant the collector
     # finished, not when the queue drained
     finish_time = [0.0]
 
-    def spawner(indices):
-        for count, i in enumerate(indices):
-            task = tasks[i]
+    def spawner():
+        for i, task in enumerate(tasks):
             if config.spawn_gap_ns and config.open_loop:
                 arrival = (i + 1) * config.spawn_gap_ns
                 if engine.now < arrival:
@@ -205,59 +196,27 @@ def run_pagoda(tasks: List[TaskSpec],
                 results[i].spawn_time = engine.now
             else:
                 results[i].spawn_time = engine.now
-            if config.copy_inputs and task.input_bytes:
-                yield timing.memcpy_issue_ns  # cudaMemcpyAsync driver call
-                engine.spawn(
-                    bus.transfer(task.input_bytes, Direction.H2D),
-                    f"incopy.{i}",
-                )
-            attempt = 0
-            while True:
-                try:
-                    task_id = yield from host.task_spawn(task, results[i])
-                    break
-                except CudaLaunchError:
-                    # injected cudaErrorLaunchFailure: back off and
-                    # re-issue (capped exponential) instead of dying
-                    attempt += 1
-                    if attempt >= retry_policy.max_attempts:
-                        raise
-                    yield retry_policy.backoff_ns(attempt - 1)
+            task_id = yield from host.post(
+                task, results[i],
+                f"incopy.{i}" if config.copy_inputs else None)
             id_to_task[task_id] = task
-            if config.batch_size and (count + 1) % config.batch_size == 0:
+            if config.batch_size and (i + 1) % config.batch_size == 0:
                 yield from host.wait_all()
 
-    n_spawners = max(1, config.spawner_threads)
-    spawner_procs = [
-        engine.spawn(spawner(range(k, len(tasks), n_spawners)),
-                     f"spawner{k}")
-        for k in range(n_spawners)
-    ]
+    spawner_proc = engine.spawn(spawner(), "spawner0")
+
+    def output_bytes(task_id):
+        task = id_to_task.get(task_id)
+        if config.copy_outputs and task is not None:
+            return task.output_bytes
+        return 0
 
     def collector():
-        transfers = []
-        while True:
-            done_spawning = not any(p.alive for p in spawner_procs)
-            if done_spawning:
-                yield from host.finalize_last()
-            yield timing.wait_timeout_ns
-            yield from table.copy_back()
-            # push-based completion reporting: the copy-back already
-            # recorded which tasks newly finished, so drain that list
-            # instead of diffing the whole ``finished`` set each poll
-            for task_id in table.drain_completions():
-                task = id_to_task.get(task_id)
-                if (config.copy_outputs and task is not None
-                        and task.output_bytes):
-                    yield timing.memcpy_issue_ns  # issued by 2nd thread
-                    transfers.append(engine.spawn(
-                        bus.transfer(task.output_bytes, Direction.D2H),
-                        f"outcopy.{task_id}",
-                    ))
-            if done_spawning and len(table.finished) >= len(tasks):
-                break
-        for proc in transfers:
-            yield proc
+        # stop on the spawner state sampled before the poll
+        yield from host.collect(
+            lambda: not spawner_proc.alive,
+            lambda idle: idle and len(table.finished) >= len(tasks),
+            output_bytes, "outcopy.")
         finish_time[0] = engine.now
 
     collector_proc = engine.spawn(collector(), "collector")

@@ -10,32 +10,26 @@ budget and rebalance at runtime.
 
 from repro.partition.elastic import ElasticConfig, elastic_controller
 from repro.partition.manager import (
-    SCHEMA,
     Partition,
     PartitionedStack,
     PartitionPlan,
-    PartitionReport,
     PartitionSpec,
-    run_partitioned,
     task_demand,
 )
 from repro.partition.modes import MODES, mode_masks, validate_masks
 from repro.partition.quota import QuotaAccount, QuotaLedger
 
 __all__ = [
-    "SCHEMA",
     "MODES",
     "ElasticConfig",
     "Partition",
     "PartitionedStack",
     "PartitionPlan",
-    "PartitionReport",
     "PartitionSpec",
     "QuotaAccount",
     "QuotaLedger",
     "elastic_controller",
     "mode_masks",
-    "run_partitioned",
     "task_demand",
     "validate_masks",
 ]

@@ -16,9 +16,9 @@ subset:
 - its own optional seeded fault plan and injector.
 
 Because partitions share **no timed resource**, a partition's
-schedule — and therefore its :class:`PartitionReport` bytes — is
-unaffected by anything its siblings do, including brown-outs and
-bursts.  That is the isolation contract the tests pin, and it is what
+schedule — and therefore the bytes of its serve report
+(:func:`repro.partition.serve.serve_partitioned`) — is unaffected by
+anything its siblings do, including brown-outs and bursts.  That is the isolation contract the tests pin, and it is what
 the shared-mode baseline (one SPX partition, every tenant in it)
 deliberately gives up.
 
@@ -31,12 +31,9 @@ whole SMMs at epoch boundaries, all as deterministic engine events.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
-from repro.core.errors import CudaLaunchError, RetryPolicy
 from repro.core.host_api import PagodaHost
 from repro.core.masterkernel import MTBS_PER_SMM, MasterKernel
 from repro.core.runtime import PagodaConfig
@@ -46,13 +43,9 @@ from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.partition.modes import mode_masks, validate_masks
 from repro.partition.quota import QuotaLedger
-from repro.pcie.bus import Direction, PcieBus
+from repro.pcie.bus import PcieBus
 from repro.sim import Engine, ProcessorSharing, Signal
-from repro.tasks import TaskResult, TaskSpec
-
-#: canonical report schema tag.
-SCHEMA = "repro.partition/1"
-
+from repro.tasks import TaskSpec
 
 def task_demand(task: TaskSpec) -> Tuple[int, int]:
     """(shared-mem bytes, registers) a task's admission claims."""
@@ -385,175 +378,3 @@ class PartitionedStack:
             self.obs.timeline(f"gpu.partition.{recipient}.smms").set(
                 now, len(r.master.smm_indices))
         self._moves_inflight.discard(smm_index)
-
-
-@dataclass
-class PartitionReport:
-    """Canonical per-partition outcome of one partitioned run."""
-
-    partition: str
-    smms: List[int]
-    mode: str
-    tasks: int
-    executed: int
-    failed: int
-    makespan_ns: float
-    busy_warp_ns: float
-    latencies_ns: List[float] = field(default_factory=list)
-    error_reasons: List[str] = field(default_factory=list)
-
-    def percentile(self, pct: float) -> float:
-        if not self.latencies_ns:
-            return 0.0
-        ordered = sorted(self.latencies_ns)
-        idx = min(len(ordered) - 1,
-                  max(0, int(math.ceil(pct / 100.0 * len(ordered))) - 1))
-        return ordered[idx]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "partition": self.partition,
-            "smms": list(self.smms),
-            "mode": self.mode,
-            "tasks": self.tasks,
-            "executed": self.executed,
-            "failed": self.failed,
-            "makespan_ns": self.makespan_ns,
-            "busy_warp_ns": self.busy_warp_ns,
-            "latency_p50_ns": self.percentile(50.0),
-            "latency_p99_ns": self.percentile(99.0),
-            "latencies_ns": list(self.latencies_ns),
-            "error_reasons": sorted(self.error_reasons),
-        }
-
-    def to_json(self) -> bytes:
-        """Byte-canonical encoding (the isolation tests diff these)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")).encode("ascii")
-
-
-def run_partitioned(groups: Dict[str, List[TaskSpec]],
-                    plan: PartitionPlan,
-                    spec: Optional[GpuSpec] = None,
-                    timing: Optional[TimingModel] = None,
-                    config: Optional[PagodaConfig] = None,
-                    gaps: Optional[Dict[str, float]] = None,
-                    ) -> Dict[str, PartitionReport]:
-    """Run one task group per partition on a fresh partitioned stack.
-
-    ``groups`` maps partition name -> task list (missing partitions
-    idle); ``gaps`` optionally spaces one group's spawns (open-loop,
-    task i arrives at ``i * gap``).  Returns one canonical
-    :class:`PartitionReport` per partition of the plan.
-    """
-    config = config or PagodaConfig()
-    stack = PartitionedStack(plan, spec, timing, config)
-    engine = stack.engine
-    unknown = set(groups) - set(stack.partitions)
-    if unknown:
-        raise ValueError(f"groups name unknown partitions: {sorted(unknown)}")
-    gaps = gaps or {}
-    finish: Dict[str, float] = {p: 0.0 for p in stack.partitions}
-    claims: Dict[str, Dict[int, Tuple[int, int]]] = {
-        p: {} for p in stack.partitions
-    }
-    results: Dict[str, List[TaskResult]] = {
-        p: [TaskResult(i, t.name) for i, t in enumerate(groups.get(p, []))]
-        for p in stack.partitions
-    }
-    retry_policy = RetryPolicy()
-
-    def spawner(part: Partition, tasks: List[TaskSpec]) -> Generator:
-        gap = gaps.get(part.name, 0.0)
-        res = results[part.name]
-        for i, task in enumerate(tasks):
-            if gap:
-                arrival = (i + 1) * gap
-                if engine.now < arrival:
-                    yield arrival - engine.now
-                res[i].spawn_time = arrival
-            else:
-                res[i].spawn_time = engine.now
-            if config.copy_inputs and task.input_bytes:
-                yield part.timing.memcpy_issue_ns
-                engine.spawn(
-                    part.bus.transfer(task.input_bytes, Direction.H2D),
-                    f"{part.name}.incopy.{i}",
-                )
-            claim = yield from part.claim_quota(*task_demand(task))
-            attempt = 0
-            while True:
-                try:
-                    task_id = yield from part.host.task_spawn(task, res[i])
-                    break
-                except CudaLaunchError:
-                    attempt += 1
-                    if attempt >= retry_policy.max_attempts:
-                        part.release_quota(claim)
-                        raise
-                    yield retry_policy.backoff_ns(attempt - 1)
-            claims[part.name][task_id] = claim
-
-    def collector(part: Partition, tasks: List[TaskSpec],
-                  spawn_proc) -> Generator:
-        table, host = part.table, part.host
-        transfers = []
-        out_bytes = {t.name: t.output_bytes for t in tasks}
-        while True:
-            done_spawning = not spawn_proc.alive
-            if done_spawning:
-                yield from host.finalize_last()
-            yield part.timing.wait_timeout_ns
-            yield from table.copy_back()
-            for task_id in table.drain_completions():
-                claim = claims[part.name].pop(task_id, None)
-                if claim is not None:
-                    part.release_quota(claim)
-                nbytes = out_bytes.get(
-                    table.entry_for(task_id, "cpu").spec.name, 0
-                ) if task_id in table.id_map else 0
-                if config.copy_outputs and nbytes:
-                    yield part.timing.memcpy_issue_ns
-                    transfers.append(engine.spawn(
-                        part.bus.transfer(nbytes, Direction.D2H),
-                        f"{part.name}.outcopy.{task_id}",
-                    ))
-            if done_spawning and len(table.finished) >= len(tasks):
-                break
-        for proc in transfers:
-            yield proc
-        finish[part.name] = engine.now
-
-    for name in sorted(stack.partitions):
-        tasks = groups.get(name, [])
-        if not tasks:
-            continue
-        part = stack.partitions[name]
-        sp = engine.spawn(spawner(part, tasks), f"{name}.spawner")
-        stack.workload_procs.append(
-            engine.spawn(collector(part, tasks, sp), f"{name}.collector")
-        )
-    engine.run(raise_on_deadlock=True)
-    stack.shutdown()
-
-    reports: Dict[str, PartitionReport] = {}
-    for name in sorted(stack.partitions):
-        part = stack.partitions[name]
-        res = results[name]
-        end = finish[name]
-        lat = [r.end_time - r.spawn_time for r in res
-               if r.end_time > 0.0]
-        reports[name] = PartitionReport(
-            partition=name,
-            smms=sorted(part.master.smm_indices),
-            mode=plan.mode,
-            tasks=len(res),
-            executed=part.master.tasks_executed(),
-            failed=part.master.tasks_failed(),
-            makespan_ns=end,
-            busy_warp_ns=part.master.busy_integral(end),
-            latencies_ns=lat,
-            error_reasons=[e.reason for e in part.host.task_errors()],
-        )
-    return reports

@@ -14,12 +14,13 @@ processes:
   and answered immediately, backpressure blocks the source;
 - one **dispatcher**, which pops queue-front batches (optionally fused
   by the :mod:`repro.serve.batcher`), remaps priorities through the
-  SLO shim, picks the shortest-queue GPU, and drives the Table 1
-  ``taskSpawn`` path;
-- one **collector per GPU**, pulling completions back via the
-  TaskTable's push-based ``drain_completions`` and stamping the
-  per-stage latency breakdown into the accountant's histograms
-  (ingress wait → PCIe post → TaskTable ready → warp exec).
+  SLO shim, picks the shortest-queue GPU, and posts the task
+  (:meth:`~repro.core.host_api.PagodaHost.post`);
+- one **collector per GPU**, running the host's poll loop
+  (:meth:`~repro.core.host_api.PagodaHost.collect`) and stamping the
+  per-stage latency breakdown of each completion into the
+  accountant's histograms (ingress wait → PCIe post → TaskTable
+  ready → warp exec).
 
 Determinism: every source of variation — arrival schedules, admission
 state, fault plans — is fixed before ``engine.run()``; the report of
@@ -33,12 +34,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.core.errors import CudaLaunchError, RetryPolicy
 from repro.core.multigpu import MultiGpuPagoda
 from repro.core.runtime import PagodaConfig
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
-from repro.pcie.bus import Direction
 from repro.serve.arrivals import ArrivalProcess
 from repro.serve.batcher import BatchPolicy, fuse_key, fuse_specs
 from repro.serve.histogram import LatencyHistogram
@@ -239,7 +238,6 @@ class TaskServer:
         self.node = node if node is not None else MultiGpuPagoda(
             self.config.num_gpus, spec, timing, self.config.pagoda)
         self.engine = self.node.engine
-        self.timing = self.node.sessions[0].timing
         self.policy = self.config.policy
         self.queue = IngressQueue(self.tenants,
                                   fair=self.policy.fair_dequeue)
@@ -400,7 +398,6 @@ class TaskServer:
 
     def _dispatch(self) -> Generator:
         engine = self.engine
-        retry_policy = RetryPolicy()
         while True:
             if len(self.queue) == 0:
                 if self._generators_done():
@@ -424,22 +421,10 @@ class TaskServer:
             gpu_idx = self.node.pick_gpu()
             session = self.node.sessions[gpu_idx]
             result = TaskResult(0, spec.name)
-            if self.config.pagoda.copy_inputs and spec.input_bytes:
-                yield self.timing.memcpy_issue_ns
-                engine.spawn(
-                    session.bus.transfer(spec.input_bytes, Direction.H2D),
-                    f"serve-incopy.{head.index}",
-                )
-            attempt = 0
-            while True:
-                try:
-                    task_id = yield from session.host.task_spawn(spec, result)
-                    break
-                except CudaLaunchError:
-                    attempt += 1
-                    if attempt >= retry_policy.max_attempts:
-                        raise
-                    yield retry_policy.backoff_ns(attempt - 1)
+            task_id = yield from session.host.post(
+                spec, result,
+                f"serve-incopy.{head.index}"
+                if self.config.pagoda.copy_inputs else None)
             # latency is measured from arrival, not from when the host
             # got around to posting the entry
             result.spawn_time = head.arrival_ns
@@ -489,11 +474,14 @@ class TaskServer:
     def _release_slot(self, task_id: int) -> None:
         """Hook: the task finished; return its claim."""
 
-    def _finish_batch(self, gpu_idx: int, task_id: int,
-                      batch: List[Request], transfers: List) -> Generator:
-        session = self.node.sessions[gpu_idx]
+    def _finish_batch(self, gpu_idx: int, task_id: int) -> int:
+        """Answer the requests of one finished task; returns the output
+        bytes to copy back (0 for a failed task or an unknown id)."""
+        batch = self._inflight[gpu_idx].pop(task_id, None)
+        if batch is None:
+            return 0
         self._release_slot(task_id)
-        err = session.table.errors.get(task_id)
+        err = self.node.sessions[gpu_idx].table.errors.get(task_id)
         now = self.engine.now
         self._inflight_count -= len(batch)
         self.node._outstanding[gpu_idx] -= len(batch)
@@ -515,35 +503,25 @@ class TaskServer:
             self._note_terminal(r)
             r.done.fire(r)
         self._sample()
-        out_bytes = sum(r.spec.output_bytes for r in batch)
-        if self.config.pagoda.copy_outputs and out_bytes and err is None:
-            yield self.timing.memcpy_issue_ns
-            transfers.append(self.engine.spawn(
-                session.bus.transfer(out_bytes, Direction.D2H),
-                f"serve-outcopy.{gpu_idx}.{task_id}",
-            ))
+        if not self.config.pagoda.copy_outputs or err is not None:
+            return 0
+        return sum(r.spec.output_bytes for r in batch)
+
+    def _spawning_over(self) -> bool:
+        """No spawn is imminent: the dispatcher sleeps or has ended."""
+        return self._dispatch_idle or (
+            self._dispatch_proc is not None and self._dispatch_proc._done)
 
     def _collect(self, gpu_idx: int) -> Generator:
-        session = self.node.sessions[gpu_idx]
-        host, table = session.host, session.table
-        transfers: List = []
-        while not self._all_done():
-            if self._dispatch_idle or (
-                    self._dispatch_proc is not None
-                    and self._dispatch_proc._done):
-                # no spawn is imminent: promote the pipeline tail so the
-                # last posted task cannot wedge at (-1, 0) (§4.2.2)
-                yield from host.finalize_last()
-            yield self.timing.wait_timeout_ns
-            yield from table.copy_back()
-            for task_id in table.drain_completions():
-                batch = self._inflight[gpu_idx].pop(task_id, None)
-                if batch is None:
-                    continue
-                yield from self._finish_batch(gpu_idx, task_id, batch,
-                                              transfers)
-        for proc in transfers:
-            yield proc
+        # the run may be over before this collector first looks (a
+        # frontend closed before its first step, or every arrival
+        # dropped at t=0): then it never polls.  Otherwise it stops on
+        # the state after the poll.
+        if not self._all_done():
+            yield from self.node.sessions[gpu_idx].host.collect(
+                self._spawning_over, lambda idle: self._all_done(),
+                lambda task_id: self._finish_batch(gpu_idx, task_id),
+                f"serve-outcopy.{gpu_idx}.")
         self._finish_ns = max(self._finish_ns, self.engine.now)
 
     # -- driver ---------------------------------------------------------------

@@ -8,6 +8,7 @@ a :class:`~repro.core.errors.DegradationEvent`, and finish every task
 
 import pytest
 
+from repro.bench import harness
 from repro.core import PagodaConfig
 from repro.core.errors import GpuDeadError
 from repro.core.multigpu import MultiGpuPagoda, run_multi_gpu_pagoda
@@ -86,3 +87,20 @@ def test_dead_host_raises_instead_of_spinning():
     # placement keeps working, routed to the survivor
     assert node.pick_gpu() == 1
     node.shutdown()
+
+
+def test_launch_failure_is_retried_not_fatal():
+    """An injected cudaErrorLaunchFailure costs the multi-GPU runner a
+    backoff and a re-issue, as it does run_pagoda, never the run."""
+    tasks = harness.make_tasks("mb", 64, 128, 0)
+    plan = FaultPlan(specs=[FaultSpec(kind="cuda.launch_fail")])
+    stats = run_multi_gpu_pagoda(tasks, num_gpus=2,
+                                 config=PagodaConfig(fault_plan=plan))
+    assert all(r.end_time > 0 for r in stats.results)
+    assert stats.meta["tasks_failed"] == 0
+    assert stats.meta["degradation_events"] == []
+    assert stats.meta["dead_gpus"] == []
+    assert sorted(set(stats.meta["placements"])) == [0, 1]
+    # the failures were real: the retry backoff moved the schedule
+    clean = run_multi_gpu_pagoda(tasks, num_gpus=2)
+    assert stats.makespan != clean.makespan

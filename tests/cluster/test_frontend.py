@@ -59,6 +59,13 @@ def test_unknown_tenant_and_closed_frontend_are_refused():
         fe.inject(0, "t", _spec(), at_ns=1.0)
 
 
+def test_frontend_closed_before_any_step_never_polls():
+    """Drained with nothing injected, the run is over before the
+    collector's first look: no poll, no copy-back, makespan 0."""
+    report = _frontend().close_and_drain()
+    assert report.makespan_ns == 0.0
+
+
 def test_step_until_pins_clock_forward_on_idle():
     fe = _frontend()
     fe.step_until(30_000.0)

@@ -1,9 +1,13 @@
 """Multi-GPU Pagoda extension tests."""
 
+import hashlib
+
 import pytest
 
+from repro.bench import harness
 from repro.core import PagodaConfig
 from repro.core.multigpu import MultiGpuPagoda, run_multi_gpu_pagoda
+from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
 from repro.tasks import TaskSpec
 
@@ -62,3 +66,38 @@ def test_pick_gpu_prefers_shorter_queue():
     node._outstanding = [5, 2, 7]
     assert node.pick_gpu() == 1
     node.shutdown()
+
+
+#: sha256 of ``repr((makespan, [(spawn_time, end_time), ...],
+#: placements))`` for 64 mb tasks on two GPUs with both copies on,
+#: recorded while the runner still had its own spawner and collector
+#: loops: they pin the collector's stop rule and its dead-host breaks.
+CLEAN_PIN = "3e8f41917751007e828c21b02acf5f3a96401ed8efb9ff3f9a2854943e575bdc"
+FAILOVER_PIN = (
+    "ee744749dbedd702fa8aab9cb157fc5774786d6f6c442811794d9cf400194571")
+
+
+def _pin(stats):
+    return hashlib.sha256(repr((
+        stats.makespan,
+        [(r.spawn_time, r.end_time) for r in stats.results],
+        stats.meta["placements"],
+    )).encode()).hexdigest()
+
+
+def test_clean_two_gpu_run_matches_recording():
+    stats = run_multi_gpu_pagoda(harness.make_tasks("mb", 64, 128, 0),
+                                 num_gpus=2)
+    assert _pin(stats) == CLEAN_PIN
+
+
+def test_failover_run_matches_recording():
+    plan = FaultPlan(specs=[
+        FaultSpec(kind="gpu.die", at_ns=120_000.0, target=0),
+    ])
+    stats = run_multi_gpu_pagoda(harness.make_tasks("mb", 64, 128, 0),
+                                 num_gpus=2,
+                                 config=PagodaConfig(fault_plan=plan))
+    (event,) = stats.meta["degradation_events"]
+    assert event["resubmitted"] == 14
+    assert _pin(stats) == FAILOVER_PIN

@@ -88,29 +88,6 @@ def test_unsafe_single_benign_ordering_masks_the_bug():
     session.shutdown()
 
 
-def test_multi_spawner_threads_complete_all_tasks():
-    tasks = make_tasks(120)
-    stats = run_pagoda(tasks, config=PagodaConfig(spawner_threads=2))
-    assert all(r.end_time > 0 for r in stats.results)
-
-
-def test_two_spawner_threads_raise_spawn_throughput():
-    tasks = make_tasks(400, inst=50)
-    one = run_pagoda(tasks, config=PagodaConfig(spawner_threads=1,
-                                                copy_inputs=False,
-                                                copy_outputs=False))
-    two = run_pagoda(tasks, config=PagodaConfig(spawner_threads=2,
-                                                copy_inputs=False,
-                                                copy_outputs=False))
-    assert two.makespan < one.makespan
-
-
-def test_batching_with_multi_spawners_rejected():
-    with pytest.raises(ValueError):
-        run_pagoda(make_tasks(4),
-                   config=PagodaConfig(batch_size=2, spawner_threads=2))
-
-
 def test_serial_psched_ablation_inflates_placement_latency():
     """Algorithm 2's warp-parallel search: without it the scheduler
     places one warp per pSched pass, so a 16-warp task pays ~16 passes

@@ -2,13 +2,16 @@
 
 The contract SR-IOV-style partitioning makes: a fault plan scoped to
 one partition may wreck that partition's schedule, but every sibling
-partition's canonical report stays byte-identical — both to the same
-run without the fault and to the sibling running entirely alone.
+partition's canonical serve report stays byte-identical — both to the
+same run without the fault and to the sibling running entirely alone.
 """
 
+from repro.core import PagodaConfig
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
-from repro.partition import PartitionPlan, run_partitioned
+from repro.partition import PartitionPlan
+from repro.partition.serve import serve_partitioned
+from repro.serve import DeterministicArrivals, ServeConfig, TenantSpec
 from repro.tasks import TaskSpec
 
 from tests.differential.harness import drained_both_ways
@@ -39,14 +42,16 @@ def _brownout_plan():
 
 
 def _run(fault_plan=None, include_noisy=True):
-    groups = {"quiet": _tasks("q", 24)}
-    if include_noisy:
-        groups["noisy"] = _tasks("n", 24)
     # quiet trickles in; noisy slams every column at once so the
     # brown-outs land on occupied MTBs
-    gaps = {name: (500.0 if name == "noisy" else 4_000.0)
-            for name in groups}
-    return run_partitioned(groups, _plan(fault_plan), gaps=gaps)
+    tenants = [TenantSpec("quiet", _tasks("q", 24),
+                          DeterministicArrivals(4_000.0), partition="quiet")]
+    if include_noisy:
+        tenants.append(TenantSpec("noisy", _tasks("n", 24),
+                                  DeterministicArrivals(500.0),
+                                  partition="noisy"))
+    config = ServeConfig(pagoda=PagodaConfig(partition=_plan(fault_plan)))
+    return serve_partitioned(tenants, config)
 
 
 def test_brownout_leaves_sibling_report_bytes_unchanged():
@@ -57,7 +62,7 @@ def test_brownout_leaves_sibling_report_bytes_unchanged():
     assert faulted["quiet"].to_json() == clean["quiet"].to_json()
     # and the fault was real: the noisy partition's own report moved
     assert faulted["noisy"].to_json() != clean["noisy"].to_json()
-    assert clean["quiet"].executed == 24
+    assert clean["quiet"].completed == 24
 
 
 def test_sibling_schedule_matches_solo_run():
