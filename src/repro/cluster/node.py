@@ -11,11 +11,12 @@ shard's evolution depends only on its own deliveries — the root of
 the fleet report's byte-replayability.
 
 Node-scoped faults: the spec's :class:`~repro.faults.FaultPlan` rides
-into the node's own runtime unchanged, except that ``gpu.die`` is
-interpreted here as *node death* (one box, one failure domain): at the
+into the node's own runtime minus its ``gpu.die`` specs, which the
+shard owns as *node death* (one box, one failure domain): at the
 spec's ``at_ns`` the shard freezes its engine, reports every
 unanswered request back over the fabric for cross-shard failover, and
-answers all later deliveries with a bounce.
+answers all later deliveries with a bounce.  The serve node never sees
+them: in a cluster a multi-GPU box dies whole.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.fabric import ANSWER, RESPAWN, Message
 from repro.cluster.topology import NodeSpec
+from repro.faults import FaultPlan
 from repro.serve.remote import NodeFrontend, remote_tenants
 from repro.serve.server import ServeConfig
 
@@ -40,6 +42,15 @@ def _die_schedule(fault_plan) -> Optional[float]:
     times = [spec.at_ns for spec in fault_plan
              if spec.kind == "gpu.die"]
     return min(times) if times else None
+
+
+def _without_deaths(fault_plan) -> Optional[FaultPlan]:
+    """The node plan the serve config gets: ``gpu.die`` removed, the
+    seed and the other specs kept in order."""
+    if fault_plan is None:
+        return None
+    return FaultPlan(specs=[s for s in fault_plan if s.kind != "gpu.die"],
+                     seed=fault_plan.seed)
 
 
 class NodeShard:
@@ -58,7 +69,7 @@ class NodeShard:
             )
         config.label = spec.name
         config.num_gpus = spec.num_gpus
-        config.pagoda.fault_plan = spec.fault_plan
+        config.pagoda.fault_plan = _without_deaths(spec.fault_plan)
         self.obs = None
         if obs:
             from repro.obs import Obs
@@ -97,7 +108,6 @@ class NodeShard:
             self.frontend.inject(rid, tenant, spec, msg.arrive_ns)
         if self.die_ns is not None and self.die_ns < epoch_end:
             report, respawns = self.frontend.abort(self.die_ns)
-            self._record_death()
             self.dead = True
             self._report = report
             self._drain_answers(outbox)
@@ -115,16 +125,6 @@ class NodeShard:
             return
         for when_ns, rid, outcome in self.frontend.drain_answered():
             outbox.append((ANSWER, when_ns, (rid, outcome)))
-
-    def _record_death(self) -> None:
-        """Log the fired ``gpu.die`` on the node-level injector."""
-        node = self.frontend.node
-        if node.faults is None:
-            return
-        for spec in node.faults.time_triggered("gpu.die"):
-            if spec.at_ns == self.die_ns:
-                node.faults.record_fired(spec, site=self.name)
-                break
 
     def status(self) -> Dict[str, int]:
         s = self.frontend.status()

@@ -30,7 +30,7 @@ from repro.core.errors import (
 from repro.core.host_api import PagodaHost
 from repro.core.masterkernel import MasterKernel, Mtb, MTB_ARENA_BYTES
 from repro.core.named_barriers import NamedBarrierPool, PTX_NAMED_BARRIERS
-from repro.core.multigpu import MultiGpuPagoda, run_multi_gpu_pagoda
+from repro.core.multigpu import MultiGpuPagoda
 from repro.core.runtime import PagodaConfig, PagodaSession, run_pagoda
 from repro.core.validation import (
     InvariantViolation,
@@ -66,7 +66,6 @@ __all__ = [
     "PagodaSession",
     "run_pagoda",
     "MultiGpuPagoda",
-    "run_multi_gpu_pagoda",
     "InvariantViolation",
     "check_session",
     "check_quiescent",

@@ -120,9 +120,9 @@ class QuarantineEvent:
 class DegradationEvent:
     """A multi-GPU node lost a device and failed work over.
 
-    ``resubmitted`` counts the in-flight tasks re-spawned onto the
-    survivors; throughput degrades proportionally instead of the run
-    deadlocking.
+    ``resubmitted`` counts the in-flight requests put back in the
+    queue for the survivors; throughput degrades proportionally
+    instead of the run deadlocking.
     """
 
     when_ns: float

@@ -246,7 +246,8 @@ class PagodaHost:
         transfer process called ``name``; ``None`` skips the copy),
         then ``taskSpawn``.  An injected launch failure is re-issued
         after :class:`RetryPolicy`'s capped backoff; the last one
-        propagates, as does :class:`GpuDeadError`.
+        propagates, as does :class:`GpuDeadError` — also when the
+        device died while the entry was being posted.
         """
         if name is not None and spec.input_bytes:
             yield self.timing.memcpy_issue_ns
@@ -256,12 +257,15 @@ class PagodaHost:
         attempt = 0
         while True:
             try:
-                return (yield from self.task_spawn(spec, result))
+                task_id = yield from self.task_spawn(spec, result)
             except CudaLaunchError:
                 attempt += 1
                 if attempt >= _RETRY.max_attempts:
                     raise
                 yield _RETRY.backoff_ns(attempt - 1)
+                continue
+            self._check_dead()
+            return task_id
 
     def collect(self, spawning_over: Callable[[], bool],
                 finished: Callable[[bool], bool],

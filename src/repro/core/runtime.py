@@ -152,7 +152,7 @@ class PagodaSession:
     def _arm_timed_faults(self, num_columns: int) -> None:
         """Schedule the plan's time-triggered faults (SMM brown-outs)
         as engine callbacks.  ``gpu.die`` specs are left to the
-        multi-GPU node, which owns device lifetime."""
+        serve node's driver, :class:`repro.serve.server.TaskServer`."""
         for spec in self.faults.time_triggered("gpu.brownout"):
             column = (spec.target or 0) % num_columns
 

@@ -35,6 +35,9 @@ class PartitionNode:
     """Adapter giving one partition the MultiGpuPagoda node shape the
     serve layer drives (one 'GPU': the partition)."""
 
+    #: the stack arms the device's timed faults, not the serve layer.
+    faults = None
+
     def __init__(self, partition: Partition) -> None:
         self.partition = partition
         self.engine = partition.engine

@@ -22,6 +22,11 @@ processes:
   accountant's histograms (ingress wait → PCIe post → TaskTable
   ready → warp exec).
 
+A multi-GPU node survives device death: each ``gpu.die`` of the pagoda
+config's fault plan kills its GPU at ``at_ns``, and the requests in
+flight there go back to the queue front for the survivors (recorded
+as a :class:`~repro.core.errors.DegradationEvent` on the node).
+
 Determinism: every source of variation — arrival schedules, admission
 state, fault plans — is fixed before ``engine.run()``; the report of
 :func:`serve` is a pure function of ``(tenants, config)`` and
@@ -34,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
+from repro.core.errors import DegradationEvent, GpuDeadError
 from repro.core.multigpu import MultiGpuPagoda
 from repro.core.runtime import PagodaConfig
 from repro.gpu.spec import GpuSpec
@@ -162,6 +168,18 @@ class IngressQueue:
             self._len = 0
         return evicted
 
+    def requeue(self, requests: List[Request]) -> None:
+        """Put dispatched requests back at the queue front (their own
+        tenant's queue when fair), in the given order and ``queued``
+        again: work lost on a dead GPU is served next, not re-admitted."""
+        for req in reversed(requests):
+            req.status = "queued"
+            q = self._per_tenant[req.tenant] if self.fair else self._fifo
+            q.appendleft(req)
+        self._len += len(requests)
+        if self._len > self.max_depth_seen:
+            self.max_depth_seen = self._len
+
     def pop_batch(self, policy: BatchPolicy) -> List[Request]:
         """Pop the next request plus any fusable run behind it.
 
@@ -197,8 +215,9 @@ class ServeConfig:
     #: deferred scheduling for SLO priorities, ... all plug in here).
     pagoda: PagodaConfig = field(default_factory=PagodaConfig)
     #: Pagoda stacks behind the one ingress queue (shortest-queue
-    #: placement; ``gpu.die`` fault specs are not served — device
-    #: failover stays with :func:`repro.core.run_multi_gpu_pagoda`).
+    #: placement).  A ``gpu.die`` in ``pagoda.fault_plan`` kills GPU
+    #: ``target % num_gpus`` and fails its work over to the survivors;
+    #: one GPU has none, so there it raises ``ValueError``.
     num_gpus: int = 1
     #: histogram resolution: percentiles are exact to 2**-bits.
     precision_bits: int = 10
@@ -293,6 +312,20 @@ class TaskServer:
         self._dispatch_proc = None
         self._collector_procs: List = []
         self._finish_ns = 0.0
+
+        faults = self.node.faults
+        deaths = (faults.time_triggered("gpu.die")
+                  if faults is not None else [])
+        if deaths and self.config.num_gpus == 1:
+            raise ValueError(
+                "gpu.die on a one-GPU server leaves no GPU to fail over "
+                "to; node death belongs in NodeSpec.fault_plan under "
+                "repro.cluster"
+            )
+        for die in deaths:
+            gpu_idx = (die.target or 0) % self.config.num_gpus
+            self.engine.call_at(
+                die.at_ns, lambda d=die, g=gpu_idx: self._fail_over(d, g))
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -421,10 +454,15 @@ class TaskServer:
             gpu_idx = self.node.pick_gpu()
             session = self.node.sessions[gpu_idx]
             result = TaskResult(0, spec.name)
-            task_id = yield from session.host.post(
-                spec, result,
-                f"serve-incopy.{head.index}"
-                if self.config.pagoda.copy_inputs else None)
+            try:
+                task_id = yield from session.host.post(
+                    spec, result,
+                    f"serve-incopy.{head.index}"
+                    if self.config.pagoda.copy_inputs else None)
+            except GpuDeadError:
+                # the GPU died during the post: a survivor takes it
+                self.queue.requeue(batch)
+                continue
             # latency is measured from arrival, not from when the host
             # got around to posting the entry
             result.spawn_time = head.arrival_ns
@@ -507,6 +545,35 @@ class TaskServer:
             return 0
         return sum(r.spec.output_bytes for r in batch)
 
+    def _fail_over(self, die, gpu_idx: int) -> None:
+        """``die`` fired: kill GPU ``gpu_idx`` and put the requests in
+        flight on it back at the queue front, for the survivors."""
+        node = self.node
+        if not node.kill_gpu(gpu_idx):
+            return
+        node.faults.record_fired(die, f"gpu{gpu_idx}")
+        lost = self._inflight[gpu_idx]
+        self._inflight[gpu_idx] = {}
+        requests = sorted((r for batch in lost.values() for r in batch),
+                          key=lambda r: r.index)
+        self.queue.requeue(requests)
+        self._inflight_count -= len(requests)
+        node.degradation_events.append(DegradationEvent(
+            when_ns=self.engine.now, gpu_index=gpu_idx,
+            resubmitted=len(requests), survivors=tuple(node.survivors),
+            reason=die.kind))
+        self._sample()
+        if not requests:
+            return
+        if self._dispatch_proc._done:
+            # the dispatcher already returned; the re-queued work needs
+            # a fresh one or it would never be posted
+            self._dispatch_proc = self.engine.spawn(
+                self._dispatch(),
+                f"{self._name_prefix}serve-redispatch.{gpu_idx}")
+        else:
+            self._work.pulse()
+
     def _spawning_over(self) -> bool:
         """No spawn is imminent: the dispatcher sleeps or has ended."""
         return self._dispatch_idle or (
@@ -570,9 +637,11 @@ class TaskServer:
         return self.finish()
 
     def faults_injected(self) -> int:
-        """Faults fired across every session's injector."""
-        return sum(s.faults.injected_count
-                   for s in self.node.sessions if s.faults is not None)
+        """Faults fired across every session's injector and the
+        node's (``gpu.die``)."""
+        injectors = [s.faults for s in self.node.sessions]
+        injectors.append(self.node.faults)
+        return sum(f.injected_count for f in injectors if f is not None)
 
 
 def serve(tenants: List[TenantSpec],

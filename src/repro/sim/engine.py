@@ -39,11 +39,10 @@ Hot-path design (the fast paths that make paper-scale runs practical):
   numeric-delay case pays a single pointer compare.  Warps are not
   processes (the SMM carries them), so event waits are rare enough
   for :meth:`Engine._dispatch_slow`.
-- **One run loop.**  ``run``, ``run_until`` and
-  ``run_until_idle_processes`` all drain through :meth:`Engine._drain`,
-  one record at a time in global ``(when, seq)`` order.  A bound
-  (``until``, ``max_events``, idle) only stops the loop between
-  records, so the undispatched records stay queued where they were and
+- **One run loop.**  ``run`` and ``run_until`` both drain through
+  :meth:`Engine._drain`, one record at a time in global ``(when,
+  seq)`` order.  A bound (``until``, ``max_events``) only stops the
+  loop between records, so the undispatched records stay queued where they were and
   a later drain resumes in exactly the original order
   (docs/INTERNALS.md §10).
 """
@@ -151,20 +150,11 @@ class Process:
 
     def interrupt(self, exc: Optional[BaseException] = None) -> None:
         """Kill the process.  Used to tear down daemon loops at the end
-        of an experiment (e.g. the MasterKernel's scheduler warps).
-
-        The engine's live-process count is settled here: a process
-        blocked on an event that never fires has no scheduled resume,
-        so deferring the decrement to the next resume (as the seed
-        did) leaked the live count and made
-        :meth:`Engine.run_until_idle_processes` spin past the true
-        idle point.
-        """
+        of an experiment (e.g. the MasterKernel's scheduler warps)."""
         if not self.alive:
             return
         self.alive = False
         self._done = True
-        self.engine._nlive -= 1
         self.engine._live.discard(self)
         self.gen.close()
         waiters, self._waiters = self._waiters, []
@@ -181,12 +171,11 @@ class Process:
         is inlined here because every event fire lands in this frame.
         """
         if not self.alive:
-            return  # interrupted; interrupt() already settled _nlive
+            return  # interrupted
         engine = self.engine
         try:
             command = self.gen.send(value)
         except StopIteration as stop:
-            engine._nlive -= 1
             self._finish(stop.value)
             return
         if type(command) is float:
@@ -218,7 +207,6 @@ class Engine:
         self._queue: list = []    # heap of (when, seq, kind, payload, value)
         self._ready: deque = deque()  # ring of (seq, kind, payload, value)
         self._seq = 0
-        self._nlive = 0
         #: every live process (for the deadlock reporter).
         self._live: set = set()
         self.event_count = 0
@@ -271,7 +259,6 @@ class Engine:
             name = name or getattr(gen, "__name__", "process")
             gen = self.profiler.wrap(gen, name, self)
         proc = Process(self, gen, name, daemon)
-        self._nlive += 1
         self._live.add(proc)
         self._seq += 1
         self._ready.append((self._seq, _RESUME, proc, None))
@@ -326,7 +313,7 @@ class Engine:
         silently with work undone (bound runs only check when the queue
         truly drained, not when a bound stopped them early).
         """
-        end = self._drain(until, max_events, False)
+        end = self._drain(until, max_events)
         if raise_on_deadlock:
             self.check_deadlock()
         return end
@@ -351,19 +338,17 @@ class Engine:
         if blocked:
             raise DeadlockError(blocked)
 
-    def _drain(self, until: Optional[float], max_events: Optional[int],
-               stop_on_idle: bool) -> float:
-        """The run loop behind :meth:`run`, :meth:`run_until` and
-        :meth:`run_until_idle_processes`.
+    def _drain(self, until: Optional[float],
+               max_events: Optional[int]) -> float:
+        """The run loop behind :meth:`run` and :meth:`run_until`.
 
         Ring and heap are merged one record at a time in global
         ``(when, seq)`` order: ring records sit at the current instant,
         so a heap record goes first only when it is also due now with
         an earlier sequence number.  Ring records are never held back
         by ``until``; a heap record later than ``until`` parks the clock
-        at ``until`` and ends the drain.  ``max_events`` and
-        ``stop_on_idle`` stop the drain between records, so the rest
-        stay queued in place and the next drain resumes in the original
+        at ``until`` and ends the drain.  ``max_events`` stops the
+        drain between records, so the rest stay queued in place and the next drain resumes in the original
         order.  A record that raises is not counted, and every record
         after it stays queued.
 
@@ -386,8 +371,6 @@ class Engine:
         count = 0
         try:
             while queue or ready:
-                if stop_on_idle and self._nlive <= 0:
-                    break
                 if ready and not (
                     queue and queue[0][0] <= now and queue[0][1] < ready[0][0]
                 ):
@@ -406,7 +389,6 @@ class Engine:
                         try:
                             command = payload.gen.send(value)
                         except StopIteration as stop:
-                            self._nlive -= 1
                             payload._finish(stop.value)
                         else:
                             if type(command) is float:
@@ -446,15 +428,6 @@ class Engine:
             self.now = when
             return when
         return end
-
-    def run_until_idle_processes(self, until: Optional[float] = None) -> float:
-        """Like :meth:`run`, but also stops once no process is alive.
-
-        Daemon loops (e.g. Pagoda's scheduler warps) block on events, so
-        the queue empties naturally; this variant exists for workloads
-        that keep re-arming timers.
-        """
-        return self._drain(until, None, True)
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires after ``delay``; usable for sleep-with-value."""

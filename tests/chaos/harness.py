@@ -9,6 +9,8 @@ import random
 
 from repro.gpu.phases import BLOCK_SYNC, Phase
 from repro.gpu.spec import GpuSpec
+from repro.serve import DeterministicArrivals, ServeConfig, TenantSpec
+from repro.serve.server import TaskServer
 from repro.tasks import TaskSpec
 
 #: MTB columns of the chaos GPU (num_smms * MTBS_PER_SMM).
@@ -32,6 +34,16 @@ def chaos_spec() -> GpuSpec:
         dram_bandwidth_gbps=336.0,
         hyperq_connections=32,
     )
+
+
+def serve_batch(tasks, num_gpus, pagoda, spec=None):
+    """Offer every task at t=0 from one tenant to a ``num_gpus`` serve
+    node and run it; returns the finished server (its node keeps the
+    failover record) and its report."""
+    server = TaskServer(
+        [TenantSpec("batch", tasks, DeterministicArrivals(0.0))],
+        ServeConfig(pagoda=pagoda, num_gpus=num_gpus), spec)
+    return server, server.run()
 
 
 def const_kernel(inst, mem=0.0):

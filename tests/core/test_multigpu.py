@@ -1,4 +1,4 @@
-"""Multi-GPU Pagoda extension tests."""
+"""Multi-GPU Pagoda extension tests, driven through the serve node."""
 
 import hashlib
 
@@ -6,10 +6,12 @@ import pytest
 
 from repro.bench import harness
 from repro.core import PagodaConfig
-from repro.core.multigpu import MultiGpuPagoda, run_multi_gpu_pagoda
+from repro.core.multigpu import MultiGpuPagoda
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
 from repro.tasks import TaskSpec
+
+from tests.chaos.harness import serve_batch
 
 NO_COPIES = PagodaConfig(copy_inputs=False, copy_outputs=False)
 
@@ -30,35 +32,33 @@ def test_validation():
 
 
 def test_all_tasks_complete_across_two_gpus():
-    stats = run_multi_gpu_pagoda(make_tasks(200), num_gpus=2,
-                                 config=NO_COPIES)
-    assert stats.runtime == "pagoda-x2"
-    assert all(r.end_time > 0 for r in stats.results)
+    _, report = serve_batch(make_tasks(200), 2, NO_COPIES)
+    assert report.num_gpus == 2
+    assert report.completed == 200
+    assert all(r.status == "done" for r in report.requests)
 
 
 def test_tasks_spread_over_both_gpus():
-    stats = run_multi_gpu_pagoda(make_tasks(100), num_gpus=2,
-                                 config=NO_COPIES)
-    placements = set(stats.meta["placements"])
-    assert placements == {0, 1}
+    _, report = serve_batch(make_tasks(100), 2, NO_COPIES)
+    assert {r.gpu_index for r in report.requests} == {0, 1}
 
 
 def test_single_gpu_degenerates_to_pagoda():
     from repro.core import run_pagoda
     tasks = make_tasks(60)
-    single = run_multi_gpu_pagoda(tasks, num_gpus=1, config=NO_COPIES)
+    _, single = serve_batch(tasks, 1, NO_COPIES)
     baseline = run_pagoda(tasks, config=NO_COPIES)
-    # identical scheduling stack; only collector plumbing differs
-    assert single.makespan == pytest.approx(baseline.makespan, rel=0.2)
+    # identical scheduling stack; only the host loops differ
+    assert single.makespan_ns == pytest.approx(baseline.makespan, rel=0.2)
 
 
 def test_two_gpus_speed_up_gpu_bound_work():
     """Heavy narrow tasks that saturate one GPU split ~2x across two."""
     tasks = make_tasks(600, inst=200_000)
-    one = run_multi_gpu_pagoda(tasks, num_gpus=1, config=NO_COPIES)
-    two = run_multi_gpu_pagoda(tasks, num_gpus=2, config=NO_COPIES)
-    assert two.makespan < one.makespan
-    assert one.makespan / two.makespan > 1.3
+    _, one = serve_batch(tasks, 1, NO_COPIES)
+    _, two = serve_batch(tasks, 2, NO_COPIES)
+    assert two.makespan_ns < one.makespan_ns
+    assert one.makespan_ns / two.makespan_ns > 1.3
 
 
 def test_pick_gpu_prefers_shorter_queue():
@@ -68,36 +68,32 @@ def test_pick_gpu_prefers_shorter_queue():
     node.shutdown()
 
 
-#: sha256 of ``repr((makespan, [(spawn_time, end_time), ...],
-#: placements))`` for 64 mb tasks on two GPUs with both copies on,
-#: recorded while the runner still had its own spawner and collector
-#: loops: they pin the collector's stop rule and its dead-host breaks.
-CLEAN_PIN = "3e8f41917751007e828c21b02acf5f3a96401ed8efb9ff3f9a2854943e575bdc"
+#: sha256 of ``ServeReport.to_json()`` for 64 mb tasks on two GPUs
+#: with both copies on.  The clean pin was recorded before the server
+#: took over ``gpu.die`` failover, so a run without one moves no byte;
+#: the failover pin (GPU 0 dies at 120 us) was recorded with it.
+CLEAN_PIN = (
+    "2bcb04d0eb9b0beee41d23d1f4674e57276683bf4e8194427a960b1fc77a37ec")
 FAILOVER_PIN = (
-    "ee744749dbedd702fa8aab9cb157fc5774786d6f6c442811794d9cf400194571")
+    "b7880b07fbd7c0548946d49c62a9d8cbdd054df23e9d304d032eeaeafe438a6d")
 
 
-def _pin(stats):
-    return hashlib.sha256(repr((
-        stats.makespan,
-        [(r.spawn_time, r.end_time) for r in stats.results],
-        stats.meta["placements"],
-    )).encode()).hexdigest()
+def _pin(report):
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
 def test_clean_two_gpu_run_matches_recording():
-    stats = run_multi_gpu_pagoda(harness.make_tasks("mb", 64, 128, 0),
-                                 num_gpus=2)
-    assert _pin(stats) == CLEAN_PIN
+    _, report = serve_batch(harness.make_tasks("mb", 64, 128, 0), 2,
+                            PagodaConfig())
+    assert _pin(report) == CLEAN_PIN
 
 
 def test_failover_run_matches_recording():
     plan = FaultPlan(specs=[
         FaultSpec(kind="gpu.die", at_ns=120_000.0, target=0),
     ])
-    stats = run_multi_gpu_pagoda(harness.make_tasks("mb", 64, 128, 0),
-                                 num_gpus=2,
-                                 config=PagodaConfig(fault_plan=plan))
-    (event,) = stats.meta["degradation_events"]
-    assert event["resubmitted"] == 14
-    assert _pin(stats) == FAILOVER_PIN
+    server, report = serve_batch(harness.make_tasks("mb", 64, 128, 0), 2,
+                                 PagodaConfig(fault_plan=plan))
+    (event,) = server.node.degradation_events
+    assert event.resubmitted > 0
+    assert _pin(report) == FAILOVER_PIN

@@ -93,24 +93,6 @@ def test_bounded_run_resumes_identically():
     assert run(Engine()) == run(ReferenceEngine())
 
 
-def test_run_until_idle_processes_equivalent():
-    def run(engine):
-        trace = []
-
-        def rearming():
-            # keeps re-arming timers; only liveness stops the run
-            for j in range(3):
-                yield 1.0
-                trace.append((engine.now, "work", j))
-            engine.call_after(1.0, lambda: trace.append((engine.now, "cb")))
-
-        engine.spawn(rearming(), name="w")
-        end = engine.run_until_idle_processes()
-        return tuple(trace), end, engine.event_count
-
-    assert run(Engine()) == run(ReferenceEngine())
-
-
 def test_deadlock_detection_both_lanes():
     """Deadlocks are reported after a plain and after a sliced drain."""
     def stuck():

@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.core import PagodaConfig
+from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
 from repro.serve import (Backpressure, BurstyArrivals,
                          DeterministicArrivals, PoissonArrivals,
@@ -71,6 +73,15 @@ def test_multi_gpu_spreads_load():
     assert rep.completed == 60
     used = {r.gpu_index for r in rep.requests}
     assert used == {0, 1}
+
+
+def test_gpu_death_on_one_gpu_is_rejected():
+    """One GPU has no survivor to fail over to; node death is the
+    cluster layer's."""
+    plan = FaultPlan(specs=[FaultSpec(kind="gpu.die", at_ns=20_000.0)])
+    with pytest.raises(ValueError, match="NodeSpec.fault_plan"):
+        serve([TenantSpec("a", make_tasks(4), DeterministicArrivals(0.0))],
+              ServeConfig(pagoda=PagodaConfig(fault_plan=plan)))
 
 
 def test_multi_gpu_report_matches_single_seeds():

@@ -54,8 +54,7 @@ def test_run_until_stops_clock():
     assert eng.now == 10.0
 
 
-@pytest.mark.parametrize("drain", ["run", "run_until",
-                                   "run_until_idle_processes"])
+@pytest.mark.parametrize("drain", ["run", "run_until"])
 def test_run_until_in_the_past_raises(drain):
     eng = Engine()
     eng.call_at(10.0, lambda: None)
@@ -308,34 +307,6 @@ def test_many_processes_complete():
     assert sorted(done) == list(range(500))
 
 
-def test_run_until_idle_processes_stops_when_no_process_left():
-    eng = Engine()
-    # a recurring timer that is NOT a process keeps the queue non-empty
-    def rearm():
-        eng.call_after(10.0, rearm)
-    eng.call_after(10.0, rearm)
-
-    def worker():
-        yield 25.0
-
-    eng.spawn(worker())
-    end = eng.run_until_idle_processes(until=1000.0)
-    # stops shortly after the only process finished, not at 1000
-    assert 25.0 <= end < 100.0
-
-
-def test_run_until_idle_processes_respects_until():
-    eng = Engine()
-
-    def forever():
-        while True:
-            yield 5.0
-
-    eng.spawn(forever())
-    end = eng.run_until_idle_processes(until=50.0)
-    assert end == 50.0
-
-
 def test_interrupt_during_resource_wait():
     from repro.sim import ProcessorSharing
 
@@ -368,44 +339,3 @@ def test_engine_handles_many_simultaneous_wakeups():
     eng.call_after(1.0, lambda: ev.fire(None))
     eng.run()
     assert len(woken) == 2000
-
-
-def test_interrupt_blocked_process_settles_live_count():
-    """Interrupting a process parked on an unfired Event must decrement
-    the engine's live count immediately.
-
-    Regression test: the seed decremented ``_nlive`` only inside
-    ``_step``, which never runs for a process with no scheduled resume,
-    so ``run_until_idle_processes`` kept draining unrelated timers
-    until the queue emptied (or ``until``) after such an interrupt.
-    """
-    eng = Engine()
-
-    def blocked():
-        yield Event()  # never fires
-
-    def rearm():
-        eng.call_after(10.0, rearm)  # keeps the queue non-empty forever
-
-    eng.call_after(10.0, rearm)
-    proc = eng.spawn(blocked())
-    eng.call_after(15.0, proc.interrupt)
-    end = eng.run_until_idle_processes(until=1000.0)
-    assert not proc.alive
-    # stops at the next queue pop after the interrupt, not at until=1000
-    assert end < 100.0
-
-
-def test_interrupt_then_idle_run_with_empty_queue():
-    """After interrupting the only process, an idle-run returns at once."""
-    eng = Engine()
-
-    def blocked():
-        yield Event()
-
-    proc = eng.spawn(blocked())
-    eng.run()  # parks the process on the event; queue drains
-    proc.interrupt()
-    end = eng.run_until_idle_processes(until=500.0)
-    assert end == eng.now
-    assert end < 500.0

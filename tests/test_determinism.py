@@ -59,18 +59,6 @@ def test_task_generation_is_seeded():
     assert [t.input_bytes for t in a] != [t.input_bytes for t in c]
 
 
-def test_multigpu_is_deterministic():
-    from repro.core import PagodaConfig
-    from repro.core.multigpu import run_multi_gpu_pagoda
-
-    tasks = make_tasks("mb", 40, 128, seed=3)
-    config = PagodaConfig(copy_inputs=False, copy_outputs=False)
-    a = run_multi_gpu_pagoda(tasks, num_gpus=2, config=config)
-    b = run_multi_gpu_pagoda(tasks, num_gpus=2, config=config)
-    assert fingerprint(a) == fingerprint(b)
-    assert a.meta["placements"] == b.meta["placements"]
-
-
 # ---------------------------------------------------------------------------
 # Golden-schedule equivalence: optimized core vs frozen seed implementation
 # ---------------------------------------------------------------------------
