@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.gpu.smm import Smm
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.sim import Engine, Event, ProcessorSharing
+from repro.sim.engine import _CALL
 
 
 class Gpu:
@@ -94,8 +94,13 @@ class Gpu:
             else:
                 finish(item)
 
+        # inlined engine.call_soon of a _CALL record: each warp starts
+        # from its own ready-ring slot, which carries its warp id
+        engine = self.engine
+        ready = engine._ready
         for warp_id in range(left[0]):
-            self.engine.call_soon(partial(start, warp_id))
+            engine._seq += 1
+            ready.append((engine._seq, _CALL, start, warp_id))
         return done
 
     def find_smm(

@@ -71,7 +71,8 @@ class PartitionSpec:
     oversubscribe: float = 1.0
     #: optional seeded :class:`repro.faults.FaultPlan` scoped to this
     #: partition only — its brown-outs and warp faults can, by
-    #: construction, not touch a sibling.
+    #: construction, not touch a sibling.  A ``gpu.die`` in it raises
+    #: ``ValueError`` when the partition is built.
     fault_plan: Optional[object] = None
 
 
@@ -137,6 +138,13 @@ class Partition:
         if pspec.fault_plan is not None:
             from repro.faults import FaultInjector
             self.faults = FaultInjector(self.engine, pspec.fault_plan)
+            if self.faults.time_triggered("gpu.die"):
+                raise ValueError(
+                    f"gpu.die in partition {self.name!r}: the GPU is "
+                    "shared by every partition, so its death is not a "
+                    "partition fault; node death belongs in "
+                    "NodeSpec.fault_plan under repro.cluster"
+                )
         self.obs = stack.obs
         #: the partition's virtual function: its own PCIe lanes.
         self.bus = PcieBus(self.engine, self.timing,

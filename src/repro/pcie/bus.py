@@ -24,6 +24,11 @@ class Direction(enum.Enum):
     H2D = "host_to_device"
     D2H = "device_to_host"
 
+    # members are singletons compared by identity, so identity hashing
+    # is consistent with equality and keeps the per-transfer dict
+    # lookups in C (Enum's own __hash__ is a Python-level call)
+    __hash__ = object.__hash__
+
 
 class PcieBus:
     """Full-duplex PCIe link with one DMA engine per direction."""

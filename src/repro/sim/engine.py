@@ -19,11 +19,13 @@ Hot-path design (the fast paths that make paper-scale runs practical):
 
 - **Slotted timer records.**  Heap entries are plain 5-tuples
   ``(when, seq, kind, payload, value)``.  ``kind`` discriminates a bare
-  callback (``payload()``) from a process resume
-  (``payload(value)``), so the common resume case allocates *no*
-  lambda closure — the seed implementation paid one closure plus one
-  3-tuple per event.  ``seq`` is unique, so heap comparisons never
-  reach the non-comparable payload.
+  callback (``payload()``), a process resume and a one-argument call
+  (both ``payload(value)``), so neither a resume nor a callback that
+  needs one value (a processor-sharing timer's version, a join's
+  instant, a warp's id) allocates a closure: the record's tuple is
+  the only object — the seed implementation paid one closure plus
+  one 3-tuple per event.  ``seq`` is unique, so heap comparisons
+  never reach the non-comparable payload.
 - **Ready ring.**  Zero-delay wakeups — process spawns, joins on
   already-finished processes, bounces through already-fired events
   and :meth:`Engine.call_soon` callbacks — skip the heap entirely and
@@ -58,6 +60,7 @@ from repro.sim.events import Event
 #: ``kind`` values for slotted timer records.
 _FN = 0      # payload is a zero-argument callable
 _RESUME = 1  # payload is a Process; resume it with ``value``
+_CALL = 2    # payload is a one-argument callable; call it with ``value``
 
 _INF = float("inf")
 
@@ -355,6 +358,8 @@ class Engine:
         The process-resume fast path (send a value, get a numeric delay
         back, push one slotted record) is inlined — one Python frame per
         event; every other command goes through :meth:`_dispatch_slow`.
+        A ``_CALL`` record is one ``payload(value)`` call and a ``_FN``
+        record one ``payload()`` call, both dispatched here directly.
         """
         if until is None:
             until = _INF
@@ -384,7 +389,9 @@ class Engine:
                         self.now = until
                         break
                     self.now = now = when
-                if kind:
+                if kind == _CALL:
+                    payload(value)
+                elif kind:
                     if payload.alive:
                         try:
                             command = payload.gen.send(value)

@@ -22,11 +22,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from functools import partial
 from operator import itemgetter
 from typing import Any, Deque, Generator, List, Optional, Tuple
 
-from repro.sim.engine import _FN, Engine
+from repro.sim.engine import _CALL, Engine
 from repro.sim.events import Event
 
 _EPS = 1e-9
@@ -173,19 +172,33 @@ class ProcessorSharing:
         self._timer_version = 0
         # time-weighted busy integral for utilization reporting
         self._busy_integral = 0.0
+        #: the timer and join callbacks, bound once: their engine
+        #: records carry the timer version or the join instant as the
+        #: record's value (``_CALL``), so a record allocates only its
+        #: tuple
+        self._timer_cb = self._on_timer
+        self._join_cb = self._join
 
     # -- internal -------------------------------------------------------------
 
     def _advance(self) -> None:
-        """Advance the virtual clock by the elapsed per-job service."""
+        """Advance the virtual clock by the elapsed per-job service.
+
+        ``x if x < y else y`` picks what ``min(y, x)`` picks (``min``
+        keeps its first argument unless a later one is smaller), so
+        these comparisons give the same floats as two ``min`` calls.
+        :meth:`_on_timer` and :meth:`_join` inline this body.
+        """
         now = self.engine.now
         elapsed = now - self._last_update
         n = self._n
         if elapsed > 0 and n:
-            self._v += elapsed * min(self.per_job_cap, self.rate / n)
-            self._busy_integral += elapsed * min(
-                self.rate, n * self.per_job_cap
-            )
+            cap = self.per_job_cap
+            rate = self.rate
+            pooled = rate / n
+            self._v += elapsed * (pooled if pooled < cap else cap)
+            busy = n * cap
+            self._busy_integral += elapsed * (busy if busy < rate else rate)
         self._last_update = now
 
     def _rebase(self) -> None:
@@ -196,15 +209,17 @@ class ProcessorSharing:
         self._v = 0.0
 
     def _reschedule(self) -> None:
-        self._timer_version += 1
+        self._timer_version = version = self._timer_version + 1
         heap = self._heap
         if not heap:
             self._v = 0.0  # idle pool: cheap exact rebase
             return
-        if self._v > _REBASE_V:
+        v = self._v
+        if v > _REBASE_V:
             self._rebase()
             heap = self._heap
-        shortest = heap[0][0] - self._v
+            v = 0.0
+        shortest = heap[0][0] - v
         if shortest < 0.0:
             shortest = 0.0
         job_rate = self.per_job_cap
@@ -214,15 +229,16 @@ class ProcessorSharing:
         eta = shortest / job_rate
         if eta < _MIN_ETA:
             eta = _MIN_ETA
-        # inlined engine.call_after / engine._push: one heap insert, no
-        # wrapper frames (this is the single hottest timer in the
-        # simulator — every PS arrival and departure lands here)
+        # inlined engine._push of a _CALL record: one heap insert whose
+        # value is the timer version, so it allocates only its tuple
+        # (this is the single hottest timer in the simulator — every
+        # PS arrival and departure lands here); this is the only place
+        # that arms a timer
         engine = self.engine
-        engine._seq += 1
+        engine._seq = seq = engine._seq + 1
         heapq.heappush(
             engine._queue,
-            (engine.now + eta, engine._seq, _FN,
-             partial(self._on_timer, self._timer_version), None),
+            (engine.now + eta, seq, _CALL, self._timer_cb, version),
         )
 
     def _on_timer(self, version: int) -> None:
@@ -233,13 +249,16 @@ class ProcessorSharing:
         elapsed = now - self._last_update
         heap = self._heap
         n = self._n
+        v = self._v
         if elapsed > 0 and n:
-            self._v += elapsed * min(self.per_job_cap, self.rate / n)
-            self._busy_integral += elapsed * min(
-                self.rate, n * self.per_job_cap
-            )
+            cap = self.per_job_cap
+            rate = self.rate
+            pooled = rate / n
+            self._v = v = v + elapsed * (pooled if pooled < cap else cap)
+            busy = n * cap
+            self._busy_integral += elapsed * (busy if busy < rate else rate)
         self._last_update = now
-        threshold = self._v + _EPS
+        threshold = v + _EPS
         if not heap or heap[0][0] > threshold:
             self._reschedule()
             return
@@ -306,8 +325,7 @@ class ProcessorSharing:
         self._arrivals[when] = batch
         engine._seq += 1
         heapq.heappush(engine._queue,
-                       (when, engine._seq, _FN,
-                        partial(self._join, when, batch), None))
+                       (when, engine._seq, _CALL, self._join_cb, when))
 
     def _grow(self, delay: float, target) -> bool:
         """Count one more job into ``target``'s pending arrival.
@@ -326,15 +344,26 @@ class ProcessorSharing:
         batch[-1] = (amount, target, k + 1)
         return True
 
-    def _join(self, when: float, batch: list) -> None:
-        """Enter one coalesced batch of deferred arrivals."""
-        del self._arrivals[when]
-        if self._heap:
-            self._advance()
-        else:
-            self._last_update = self.engine.now
+    def _join(self, when: float) -> None:
+        """Enter the coalesced batch of deferred arrivals due at
+        ``when``."""
+        batch = self._arrivals.pop(when)
         heap = self._heap
+        now = self.engine.now
         v = self._v
+        if heap:
+            # inlined _advance
+            elapsed = now - self._last_update
+            n = self._n
+            if elapsed > 0 and n:
+                cap = self.per_job_cap
+                rate = self.rate
+                pooled = rate / n
+                self._v = v = v + elapsed * (pooled if pooled < cap else cap)
+                busy = n * cap
+                self._busy_integral += elapsed * (
+                    busy if busy < rate else rate)
+        self._last_update = now
         for amt, target, k in batch:
             if amt == 0.0:
                 target.fire(None)

@@ -64,13 +64,13 @@ def test_block_warps_share_one_heap_entry(monkeypatch):
             counts["warps"] += k
         arrive(self, delay, amount, target, k)
 
-    def counted_join(self, when, batch):
+    def counted_join(self, when):
         if _gpu_pool(self):
-            for amount, _target, k in batch:
+            for amount, _target, k in self._arrivals[when]:
                 if amount:
                     counts["entries"] += 1
                     counts["warps"] += k
-        join(self, when, batch)
+        join(self, when)
 
     monkeypatch.setattr(ProcessorSharing, "_arrive", counted_arrive)
     monkeypatch.setattr(ProcessorSharing, "_join", counted_join)

@@ -9,6 +9,8 @@ from repro.gpu import Gpu, Phase, titan_x
 from repro.gpu.phases import BLOCK_SYNC, BlockSync, total_cost
 from repro.gpu.timing import TimingModel
 from repro.sim import Engine, Event
+from repro.sim.engine import _CALL
+from repro.tasks import TaskSpec
 
 NO_OVERHEAD = TimingModel(phase_overhead_ns=0.0, mem_latency_ns=0.0,
                           warp_stall_ratio=0.0)
@@ -215,6 +217,25 @@ def test_device_mean_occupancy_and_resident_warps():
     eng.call_after(100.0, lambda: None)
     eng.run()
     assert gpu.mean_occupancy(100.0) == pytest.approx(64 / (64 * 24))
+
+
+def test_run_block_starts_each_warp_from_a_call_record():
+    """A block's warps start from ``_CALL`` ready-ring records that
+    share one start callback and carry the warp id as their value."""
+    eng, gpu = make_gpu()
+
+    def kernel(task, block_id, warp_id):
+        yield Phase(inst=8.0)
+
+    task = TaskSpec("t", threads_per_block=128, num_blocks=1,
+                    kernel=kernel)
+    done = gpu.run_block(task, 0, gpu.smms[0], None, 0.0)
+    records = list(eng._ready)
+    assert [r[1] for r in records] == [_CALL] * 4
+    assert [r[3] for r in records] == [0, 1, 2, 3]
+    assert all(r[2] is records[0][2] for r in records)
+    eng.run()
+    assert done.fired
 
 
 def test_find_smm_prefers_least_loaded():

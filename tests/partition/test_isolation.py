@@ -6,12 +6,15 @@ partition's canonical serve report stays byte-identical — both to the
 same run without the fault and to the sibling running entirely alone.
 """
 
+import pytest
+
 from repro.core import PagodaConfig
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
 from repro.partition import PartitionPlan
 from repro.partition.serve import serve_partitioned
-from repro.serve import DeterministicArrivals, ServeConfig, TenantSpec
+from repro.serve import (DeterministicArrivals, ServeConfig, TenantSpec,
+                         serve)
 from repro.tasks import TaskSpec
 
 from tests.differential.harness import drained_both_ways
@@ -78,3 +81,17 @@ def test_lanes_agree_on_partition_reports():
     plain, sliced = drained_both_ways(_run, fault_plan=_brownout_plan())
     for name in ("noisy", "quiet"):
         assert plain[name].to_json() == sliced[name].to_json()
+
+
+def test_gpu_die_in_a_partition_plan_is_rejected():
+    """A partition shares its GPU with its siblings, so the GPU's death
+    is no partition fault: building the partition refuses it instead
+    of serving every request as if the fault were not there."""
+    plan = PartitionPlan.from_mode("SPX")
+    plan.partitions[0].fault_plan = FaultPlan(specs=[
+        FaultSpec(kind="gpu.die", at_ns=20_000.0)])
+    tenants = [TenantSpec("t", _tasks("t", 40),
+                          DeterministicArrivals(1_000.0))]
+    config = ServeConfig(pagoda=PagodaConfig(partition=plan))
+    with pytest.raises(ValueError, match="NodeSpec.fault_plan"):
+        serve(tenants, config)

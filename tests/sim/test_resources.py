@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Engine, FifoResource, ProcessorSharing, Store
+from repro.sim.engine import _CALL
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +202,39 @@ def test_ps_consume_after_zero_delay_joins_now():
     assert ps.active_jobs == 1
     eng.run()
     assert ev.fired and eng.now == pytest.approx(14.0)
+
+
+def test_ps_records_carry_their_value_not_a_closure():
+    """Every record a pool leaves on the engine is a ``_CALL`` record
+    whose payload is the pool's bound-once timer or join callback; the
+    timer version or join instant travels as the record's value.
+    Identical schedules cannot show a slide back to a closure per
+    record; this can."""
+    eng = Engine()
+    ps = ProcessorSharing(eng, rate=1.0)
+    first = ps.consume(4.0)        # immediate arrival: timer v1 at 4
+    second = ps.consume(4.0)       # supersedes it: timer v2 at 8
+    late = [ps.consume_after(10.0, 1.0)
+            for _ in range(2)]     # one deferred batch: a join at 10
+    records = sorted(eng._queue)
+    assert [r[2] for r in records] == [_CALL] * 3
+    assert [(r[0], r[3], r[4]) for r in records] == [
+        (4.0, ps._timer_cb, 1),
+        (8.0, ps._timer_cb, 2),
+        (10.0, ps._join_cb, 10.0),
+    ]
+    assert records[0][3] is ps._timer_cb and records[2][3] is ps._join_cb
+    # the superseded timer still pops and counts one event, and
+    # completes nothing
+    eng.run(max_events=1)
+    assert eng.event_count == 1 and eng.now == 4.0
+    assert not first.fired and not second.fired
+    assert ps.active_jobs == 2 and len(eng._queue) == 2
+    eng.run()
+    assert first.fired and second.fired and all(ev.fired for ev in late)
+    assert eng.now == pytest.approx(12.0) and not ps._arrivals
+    # v2 at 8, the join at 10, the batch's timer at 12
+    assert eng.event_count == 4
 
 
 def test_ps_invalid_rate_rejected():
