@@ -21,13 +21,17 @@ A fabric with no injector is the legacy lane and behaves
 bit-identically to the pre-fault fabric: no mids, no acks, no
 reliability state ever touched.
 
-Payloads are task specs, plain tuples, and ints only.
+Payloads are task specs, plain tuples, and ints only.  A message and
+an unacked record are each a :class:`~typing.NamedTuple`: the
+coordinator builds several per request, and a tuple costs one
+allocation where a frozen dataclass paid a ``__setattr__`` per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cluster.topology import Topology
 from repro.faults.injector import DROP, HOLD, FabricInjector
@@ -44,13 +48,14 @@ ACK = "ack"            # receiver -> sender: delivery ack of one mid
 DATA_KINDS = (FORWARD, RESPAWN, ANSWER)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One unit crossing the fabric.
 
     ``mid`` is the message's stable identity across retransmits (the
     ``seq`` of its first post); ``attempt`` counts transmissions of
-    that identity.  Legacy-lane messages keep the defaults.
+    that identity.  Legacy-lane messages keep the defaults.  Being a
+    tuple, a message compares (and hashes) by every field, payload
+    included.
     """
 
     kind: str
@@ -59,9 +64,13 @@ class Message:
     send_ns: float
     arrive_ns: float
     seq: int
-    payload: Any = field(default=None, compare=False)
+    payload: Any = None
     mid: int = -1
     attempt: int = 1
+
+
+#: delivery order within an epoch bucket.
+_ARRIVAL_ORDER = attrgetter("arrive_ns", "seq")
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,9 @@ class FabricPolicy:
                 f"max_attempts={self.max_attempts})")
 
 
-@dataclass
-class _Pending:
-    """One unacked data message awaiting ack or retransmit."""
+class _Pending(NamedTuple):
+    """One unacked data message awaiting ack or retransmit (replaced
+    whole on every retransmit, never updated in place)."""
 
     mid: int
     kind: str
@@ -163,15 +172,13 @@ class Fabric:
         record survives, so the sweep retransmits it).
         """
         latency = self.topology.latency_ns(src, dst)
-        self._seq += 1
-        seq = self._seq
+        self._seq = seq = self._seq + 1
         self.posted += 1
         self.latency_sum_ns += latency
         if not self.reliable:
-            msg = Message(kind=kind, src=src, dst=dst, send_ns=send_ns,
-                          arrive_ns=round(send_ns + latency, 3),
-                          seq=seq, payload=payload)
-            self._buckets.setdefault(self.epoch_of(msg.arrive_ns),
+            arrive = round(send_ns + latency, 3)
+            msg = Message(kind, src, dst, send_ns, arrive, seq, payload)
+            self._buckets.setdefault(int(arrive // self.epoch_ns),
                                      []).append(msg)
             return msg
         if mid is None:
@@ -180,6 +187,7 @@ class Fabric:
             self._register(mid, kind, src, dst, payload, attempt,
                            send_ns, latency)
         inj = self.injector
+        drawn = inj.drawn_kinds
         draw_id = mid if mid >= 0 else seq
         # fault pipeline: windows at the source, point drop, delay
         # spike, windows at the destination, duplication.
@@ -193,15 +201,17 @@ class Fabric:
             inj.record(send_ns, fkind, (src, dst))
             self.wire_held += 1
             send_eff = release
-        if inj.draw("fabric.link.drop", send_ns, src, dst,
-                    draw_id, attempt) is not None:
+        if "fabric.link.drop" in drawn and inj.draw(
+                "fabric.link.drop", send_ns, src, dst,
+                draw_id, attempt) is not None:
             self.wire_dropped += 1
             return None
         delay = 0.0
-        spike = inj.draw("fabric.link.delay_spike", send_ns, src, dst,
-                         draw_id, attempt)
-        if spike is not None:
-            delay = spike.magnitude_ns
+        if "fabric.link.delay_spike" in drawn:
+            spike = inj.draw("fabric.link.delay_spike", send_ns, src, dst,
+                             draw_id, attempt)
+            if spike is not None:
+                delay = spike.magnitude_ns
         arrive = round(send_eff + latency + delay, 3)
         fate, release, fkind = inj.node_fate(dst, arrive)
         if fate == DROP:
@@ -212,18 +222,15 @@ class Fabric:
             inj.record(arrive, fkind, (src, dst))
             self.wire_held += 1
             arrive = round(release, 3)
-        msg = Message(kind=kind, src=src, dst=dst, send_ns=send_ns,
-                      arrive_ns=arrive, seq=seq, payload=payload,
-                      mid=mid, attempt=attempt)
-        self._buckets.setdefault(self.epoch_of(arrive), []).append(msg)
-        if inj.draw("fabric.link.dup", send_ns, src, dst,
-                    draw_id, attempt) is not None:
+        msg = Message(kind, src, dst, send_ns, arrive, seq, payload, mid,
+                      attempt)
+        bucket = self._buckets.setdefault(int(arrive // self.epoch_ns), [])
+        bucket.append(msg)
+        if "fabric.link.dup" in drawn and inj.draw(
+                "fabric.link.dup", send_ns, src, dst,
+                draw_id, attempt) is not None:
             self._seq += 1
-            dup = Message(kind=kind, src=src, dst=dst, send_ns=send_ns,
-                          arrive_ns=arrive, seq=self._seq,
-                          payload=payload, mid=mid, attempt=attempt)
-            self._buckets.setdefault(self.epoch_of(arrive),
-                                     []).append(dup)
+            bucket.append(msg._replace(seq=self._seq))
         return msg
 
     def _register(self, mid: int, kind: str, src: str, dst: str,
@@ -234,8 +241,8 @@ class Fabric:
         rto = max(self.policy.rto_factor * 2.0 * latency, self.epoch_ns)
         backoff = min(2.0 ** (attempt - 1), self.policy.backoff_cap_factor)
         self._unacked[mid] = _Pending(
-            mid=mid, kind=kind, src=src, dst=dst, payload=payload,
-            attempt=attempt, due_ns=round(send_ns + rto * backoff, 3))
+            mid, kind, src, dst, payload, attempt,
+            round(send_ns + rto * backoff, 3))
 
     # -- delivery ------------------------------------------------------------
 
@@ -243,7 +250,7 @@ class Fabric:
         """Every message arriving during ``epoch``, in
         ``(arrive_ns, seq)`` order.  Consumes the bucket."""
         msgs = self._buckets.pop(epoch, [])
-        msgs.sort(key=lambda m: (m.arrive_ns, m.seq))
+        msgs.sort(key=_ARRIVAL_ORDER)
         self.delivered += len(msgs)
         return msgs
 

@@ -13,19 +13,22 @@ cluster tenant is assigned to exactly one node frontend by a
 Hashes use ``zlib.crc32`` on stable strings, never Python's salted
 ``hash()``, so placements replay across interpreter restarts — the
 cluster's byte-identity contract depends on it.
+
+The coordinator builds one :class:`RouteRequest` per placement, so it
+is a :class:`~typing.NamedTuple` rather than a frozen dataclass (one
+allocation, no per-field ``__setattr__``).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from bisect import bisect_left
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.cluster.topology import Topology
 
 
-@dataclass(frozen=True)
-class RouteRequest:
+class RouteRequest(NamedTuple):
     """What a policy may look at when placing one request."""
 
     rid: int            # cluster-global request id
@@ -85,12 +88,14 @@ class ConsistentHashRouter(RouterPolicy):
             raise ValueError(f"unknown hash key {key!r}")
         self.replicas = replicas
         self.key = key
-        #: sorted [(point, node), ...] ring.
-        self._ring = sorted(
+        ring = sorted(
             (_crc(f"{name}#{v}"), name)
             for name in topology.node_names
             for v in range(replicas)
         )
+        #: the sorted ring as two parallel lists: points and owners.
+        self._points = [point for point, _ in ring]
+        self._owners = [name for _, name in ring]
 
     def _key_of(self, req: RouteRequest) -> str:
         if self.key == "kernel":
@@ -100,20 +105,15 @@ class ConsistentHashRouter(RouterPolicy):
         return f"{req.tenant}:{req.index}"
 
     def route(self, req: RouteRequest, view: FleetView) -> str:
-        alive = set(view.alive())
+        alive = {n for n, s in view.statuses.items() if s["alive"]}
         if not alive:
             raise RuntimeError("no live node to route to")
-        point = _crc(self._key_of(req))
-        # binary search for the first ring point >= the key hash
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        for step in range(len(self._ring)):
-            node = self._ring[(lo + step) % len(self._ring)][1]
+        owners = self._owners
+        n = len(owners)
+        # the first ring point >= the key hash, then clockwise
+        start = bisect_left(self._points, _crc(self._key_of(req)))
+        for step in range(n):
+            node = owners[(start + step) % n]
             if node in alive:
                 return node
         raise RuntimeError("unreachable: ring exhausted")

@@ -152,6 +152,8 @@ class TaskTable:
         #: the free list (None disables quarantine entirely).
         self.quarantine_threshold = quarantine_threshold
         self.timing = bus.timing
+        #: the posted-write landing, bound once (see post_entry_to_gpu).
+        self._land_cb = self._land_entry
         self.num_columns = num_columns
         self.rows = rows
         self.cpu: List[MirrorColumn] = [
@@ -431,14 +433,16 @@ class TaskTable:
         become visible after the mapped-write latency.
         """
         yield self.timing.mapped_write_ns
-        self._land_entry(col, row)
+        self._land_entry((col, row))
 
     def post_entry_to_gpu(self, col: int, row: int) -> None:
         """Timed-callback twin of :meth:`copy_entry_to_gpu`: the posted
         write lands after the mapped-write latency as a single engine
         callback instead of a full process lifecycle (the spawn path
         issues one of these per task, so the per-process overhead was
-        pure simulator tax)."""
+        pure simulator tax).  The callback is a ``_CALL`` record of the
+        table's bound-once landing, carrying ``(col, row)`` as its
+        value."""
         delay = self.timing.mapped_write_ns
         faults = self.faults
         if faults is not None:
@@ -449,10 +453,13 @@ class TaskTable:
                 # mapped-write window, so a successor's pipelining
                 # pointer can land first
                 delay += spec.magnitude_ns
-        self.engine.call_after(delay, lambda: self._land_entry(col, row))
+        engine = self.engine
+        engine.call_at_with(engine.now + delay, self._land_cb, (col, row))
 
-    def _land_entry(self, col: int, row: int) -> None:
-        """The posted write becomes visible in the GPU mirror."""
+    def _land_entry(self, cell: Tuple[int, int]) -> None:
+        """The posted write of ``cell = (col, row)`` becomes visible
+        in the GPU mirror."""
+        col, row = cell
         src = self.cpu[col][row]
         nbytes = (src.spec.param_bytes if src.spec else 0) + READBACK_BYTES_PER_ENTRY
         self.posted_bytes += nbytes

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan, hash01
+from repro.faults.plan import FaultPlan, _unit
 from repro.faults.spec import FaultSpec, InjectedFault
 
 #: Kinds fired by engine callbacks at ``at_ns`` rather than hook draws.
@@ -139,9 +139,13 @@ class FabricInjector:
     draws take an explicit ``now_ns``, and the rate-based specs
     (``meta={"rate": p}``) decide each message's fate from a
     :func:`~repro.faults.plan.hash01` over the message's stable
-    identity instead of consuming an armed count.  Windowed kinds
-    (``fabric.link.partition``, ``fabric.node.pause``/``resume``) are
-    compiled into per-node time windows up front.
+    identity instead of consuming an armed count.  :meth:`draw` formats
+    that key itself, once per message, and hands it to
+    :func:`~repro.faults.plan._unit` — the same bytes ``hash01`` would
+    join.  Windowed kinds (``fabric.link.partition``,
+    ``fabric.node.pause``/``resume``) are compiled into per-node time
+    windows up front; a plan without any makes :meth:`node_fate` a
+    constant.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
@@ -149,8 +153,10 @@ class FabricInjector:
         self.seed = self.plan.seed if self.plan.seed is not None else 0
         #: kind -> [spec, remaining] queues in time order (count specs).
         self._armed: Dict[str, List[List]] = {}
-        #: kind -> [spec, ...] rate specs in time order.
-        self._rates: Dict[str, List[FaultSpec]] = {}
+        #: kind -> [(at_ns, target, until_ns, rate, spec), ...] rate
+        #: specs in time order, their fields read once here.
+        self._rates: Dict[str, List[Tuple[float, Any, Optional[float],
+                                          float, FaultSpec]]] = {}
         pauses: Dict[Any, List[float]] = {}
         resumes: Dict[Any, List[float]] = {}
         #: target -> [(start_ns, end_ns)] drop windows (partitions).
@@ -169,7 +175,9 @@ class FabricInjector:
                 self._partitions.append(
                     (spec.target, spec.at_ns, spec.at_ns + spec.magnitude_ns))
             elif "rate" in spec.meta:
-                self._rates.setdefault(spec.kind, []).append(spec)
+                self._rates.setdefault(spec.kind, []).append(
+                    (spec.at_ns, spec.target, spec.meta.get("until_ns"),
+                     spec.meta["rate"], spec))
             else:
                 self._armed.setdefault(spec.kind, []).append(
                     [spec, spec.count])
@@ -189,6 +197,12 @@ class FabricInjector:
                 else:
                     windows.append((start, math.inf))
             self._pauses[target] = windows
+        #: any partition or pause window at all? (else every node's
+        #: fate is OK at every instant)
+        self._windowed = bool(self._partitions or self._pauses)
+        #: kinds :meth:`draw` can ever fire (rate or count specs); a
+        #: draw of any other kind is ``None`` and may be skipped.
+        self.drawn_kinds = frozenset(self._rates) | frozenset(self._armed)
         #: every fabric fault that actually fired, in firing order.
         self.injected: List[InjectedFault] = []
 
@@ -199,6 +213,8 @@ class FabricInjector:
         ``(OK, t, None)``, ``(DROP, t, kind)`` (partition / permanent
         pause), or ``(HOLD, release_ns, kind)`` (finite pause: the NIC
         queues it until the matching resume)."""
+        if not self._windowed:
+            return OK, t_ns, None
         for target, start, end in self._partitions:
             if (target is None or target == node) and start <= t_ns < end:
                 return DROP, t_ns, "fabric.link.partition"
@@ -233,13 +249,16 @@ class FabricInjector:
         ``now_ns``.  Deterministic: count specs consult only the plan
         and the clock; rate specs consult only the message identity."""
         site = (src, dst)
-        for spec in self._rates.get(kind, ()):
-            if spec.at_ns > now_ns or not _match_link(spec.target, src, dst):
+        unit = None
+        for at_ns, target, until, rate, spec in self._rates.get(kind, ()):
+            if at_ns > now_ns or not _match_link(target, src, dst):
                 continue
-            until = spec.meta.get("until_ns")
             if until is not None and now_ns >= until:
                 continue
-            if hash01(self.seed, kind, mid, attempt) < spec.meta["rate"]:
+            if unit is None:
+                # hash01(seed, kind, mid, attempt), key built once
+                unit = _unit(f"{self.seed}:{kind}:{mid}:{attempt}")
+            if unit < rate:
                 self.injected.append(
                     InjectedFault(now_ns, kind, site, spec))
                 return spec

@@ -65,9 +65,17 @@ def hash01(seed: int, *parts) -> float:
     The rate-based fabric faults use this instead of an RNG stream so
     each message's fate is a pure function of its stable identity
     (plan seed, message id, attempt number, link) — independent of
-    draw order and interpreter salt.
+    draw order and interpreter salt.  The key is the ``":"``-joined
+    ``str`` of every part; :func:`_unit` turns it into the draw, and a
+    hot caller that formats the same key itself (the fabric injector's
+    per-message draw) calls :func:`_unit` directly.
     """
-    key = ":".join([str(seed)] + [str(p) for p in parts])
+    return _unit(":".join([str(seed)] + [str(p) for p in parts]))
+
+
+def _unit(key: str) -> float:
+    """The ``[0, 1)`` draw of one :func:`hash01` key: the first 8
+    bytes of its blake2b digest over 2**64."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0 ** 64
 

@@ -79,6 +79,8 @@ class NodeFrontend(TaskServer):
         #: rid -> (tenant, spec, at_ns) for injections whose arrival
         #: instant has not been reached yet (needed for failover).
         self._undelivered: Dict[int, Tuple[str, TaskSpec, float]] = {}
+        #: the arrival callback, bound once (see :meth:`inject`).
+        self._arrive_cb = self._arrive
         #: request index -> rid (cluster-global request id).
         self._rid_of_index: Dict[int, int] = {}
         self._closed = False
@@ -150,7 +152,7 @@ class NodeFrontend(TaskServer):
         self._seen_rids.add(rid)
         self._pending_arrivals += 1
         self._undelivered[rid] = (tenant, spec, at_ns)
-        self.engine.call_at(at_ns, lambda: self._arrive(rid))
+        self.engine.call_at_with(at_ns, self._arrive_cb, rid)
         return True
 
     def _arrive(self, rid: int) -> None:

@@ -229,6 +229,19 @@ class Engine:
                 f"cannot schedule at {when!r}: the clock is at {self.now}")
         self._push(when, _FN, fn, None)
 
+    def call_at_with(self, when: float, fn: Callable[[Any], None],
+                     value: Any) -> None:
+        """Run ``fn(value)`` at absolute simulated time ``when``.
+
+        One ``_CALL`` record: a caller that binds ``fn`` once and passes
+        its argument as ``value`` builds no closure per call.  Rejects
+        NaN and past instants as :meth:`call_at` does.
+        """
+        if not when >= self.now:  # also rejects NaN
+            raise ValueError(
+                f"cannot schedule at {when!r}: the clock is at {self.now}")
+        self._push(when, _CALL, fn, value)
+
     def _push(self, when: float, kind: int, payload: Any, value: Any) -> None:
         """Schedule one slotted record at ``when``.
 

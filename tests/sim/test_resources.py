@@ -237,6 +237,56 @@ def test_ps_records_carry_their_value_not_a_closure():
     assert eng.event_count == 4
 
 
+def test_call_at_with_pushes_one_call_record_and_guards_the_clock():
+    eng = Engine()
+    got = []
+    eng.call_at_with(5.0, got.append, "v")
+    assert eng._queue == [(5.0, 1, _CALL, got.append, "v")]
+    eng.run()
+    assert got == ["v"] and eng.event_count == 1
+    for when in (4.0, float("nan")):
+        with pytest.raises(ValueError, match="cannot schedule"):
+            eng.call_at_with(when, got.append, None)
+
+
+def test_entry_landings_and_remote_arrivals_carry_their_value():
+    """A posted TaskTable entry lands, and an injected remote request
+    arrives, through a ``_CALL`` record of a callback bound once per
+    table / frontend; ``(col, row)`` and the ``rid`` travel as the
+    record's value, so no closure is built per task."""
+    from repro.core import TaskTable
+    from repro.gpu.timing import DEFAULT_TIMING
+    from repro.pcie import PcieBus
+    from repro.serve import NodeFrontend, ServeConfig, remote_tenants
+    from repro.serve.slo import SloClass
+    from repro.tasks import TaskResult, TaskSpec
+
+    eng = Engine()
+    table = TaskTable(eng, PcieBus(eng, DEFAULT_TIMING), 2, 4)
+    spec = TaskSpec("t", 32, 1, None)
+    col, row = table.take_free_entry()
+    table.fill_cpu_entry(col, row, spec, TaskResult(0, "t"), None)
+    table.post_entry_to_gpu(col, row)
+    (record,) = eng._queue
+    assert record[0] == DEFAULT_TIMING.mapped_write_ns
+    assert record[2:] == (_CALL, table._land_cb, (col, row))
+    assert record[3] is table._land_cb
+    eng.run()
+    assert table.gpu[col][row].spec is spec and table.entry_copies == 1
+
+    fe = NodeFrontend(remote_tenants([("t", SloClass())]), ServeConfig())
+    fe.start()
+    queued = len(fe.engine._queue)
+    fe.inject(7, "t", spec, at_ns=1_000.0)
+    fe.inject(8, "t", spec, at_ns=2_000.0)
+    records = sorted(fe.engine._queue)[-2:]
+    assert len(fe.engine._queue) == queued + 2
+    assert [r[0] for r in records] == [1_000.0, 2_000.0]
+    assert [r[2:] for r in records] == [(_CALL, fe._arrive_cb, 7),
+                                        (_CALL, fe._arrive_cb, 8)]
+    assert all(r[3] is fe._arrive_cb for r in records)
+
+
 def test_ps_invalid_rate_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
