@@ -9,18 +9,22 @@ thread, which is exactly 100 % occupancy (asserted in the tests).
 Inside each MTB, warp 0 is the *scheduler warp* running Algorithm 1
 over its TaskTable column, and warps 1–31 are *executor warps* that
 sleep until their WarpTable slot's exec flag is set.  The scheduler's
-per-warp placement function is Algorithm 2's ``pSched``.  The
-scheduler warp is a process; an executor warp is a per-slot callback
-object (:class:`_Executor`) that the scheduler starts on each dispatch.
+per-warp placement function is Algorithm 2's ``pSched``.  Neither kind
+of warp is a process: the scheduler warp is a callback object
+(:class:`_Scheduler`) that its column's signal re-arms, and an executor
+warp is a per-slot callback object (:class:`_Executor`) that the
+scheduler starts on each dispatch.
 
 An MTB's WarpTable is built the first time it is used, not at boot;
-the scheduler process still spawns at boot.
+the scheduler warp still starts at boot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from heapq import heappush
+from types import MethodType
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -39,7 +43,8 @@ from repro.device_api import BlockContext
 from repro.gpu.device import Gpu
 from repro.gpu.phases import BlockSync
 from repro.gpu.smm import Smm
-from repro.sim import Engine, Event, TimeWeighted
+from repro.sim import Engine, Event, Process, TimeWeighted
+from repro.sim.engine import _CALL, Op
 from repro.tasks import TaskSpec
 
 #: Shared memory each MTB statically reserves for task use on the
@@ -194,76 +199,20 @@ class Mtb:
         #: kernel exception, injected fault).
         self.tasks_failed = 0
         self.watchdog_kills: List[WatchdogKill] = []
-        self._procs = [engine.spawn(self._scheduler(), f"sched.mtb{column}",
-                                    daemon=True)]
+        self.scheduler = engine.spawn(_Scheduler(self), daemon=True)
         #: slot index -> its executor warp, made on the slot's first
         #: dispatch (and again after a kill): most workloads touch a
         #: handful of the 31 slots per MTB.
         self._executors: list = [None] * WarpTable.EXECUTOR_WARPS
 
     def shutdown(self) -> None:
-        """Interrupt this component's daemon processes and stop its
-        executor warps."""
-        for proc in self._procs:
-            proc.interrupt()
+        """Stop this MTB's scheduler and executor warps."""
+        self.scheduler.interrupt()
         for executor in self._executors:
             if executor is not None:
                 executor.alive = False
 
-    # -- scheduler warp (Algorithm 1, lines 2-28) ---------------------------
-
-    def _scheduler(self) -> Generator:
-        table = self.table
-        column = self.column
-        signal = table.column_signals[column]
-        col = table.gpu[column]
-        while True:
-            # Arm before scanning so changes made while we schedule are
-            # not lost; the scan itself costs one warp-parallel poll.
-            wakeup = signal.wait()
-            yield self.timing.poll_iteration_ns
-            # Drain the dirty-row queue in ascending row order — the
-            # same visit order as the warp-parallel scan over the full
-            # column, skipping the rows whose protocol words did not
-            # change since the last wake.
-            schedulable = []
-            pass_mask = table.take_dirty_rows(column)
-            while pass_mask:
-                low = pass_mask & -pass_mask
-                pass_mask ^= low
-                row = low.bit_length() - 1
-                entry = col[row]
-                if entry.ready > READY_SCHEDULING:
-                    self._handle_promotion(row, entry)
-                    # a promotion may have made a *later* row of this
-                    # column schedulable; the linear scan would still
-                    # reach it this pass
-                    pass_mask |= table.take_dirty_rows_above(column, row)
-                if entry.sched:
-                    entry.sched = 0
-                    schedulable.append(row)
-            if schedulable and len(schedulable) > 1:
-                # priority extension: the warp-parallel scan has every
-                # schedulable row in registers anyway; order by task
-                # priority (stable, so priority 0 keeps row order —
-                # the paper's behaviour)
-                schedulable.sort(
-                    key=lambda r: -(col[r].spec.priority
-                                    if col[r].spec else 0)
-                )
-            for row in schedulable:
-                entry = col[row]
-                if self.deferred_scheduling and not self._can_start(entry):
-                    entry.sched = 1  # requeue; retry on the next wake
-                    self.table.mark_row_dirty(self.column, row)
-                    if self.obs is not None:
-                        self._obs_defer.inc()
-                        self.obs.instant(f"sched.mtb{self.column}", "defer",
-                                         self.engine.now,
-                                         task_id=entry.task_id, row=row)
-                    continue
-                yield from self._schedule_task(row, entry)
-            yield wakeup
+    # -- scheduler warp (Algorithm 1, lines 2-28: see _Scheduler) -----------
 
     def _can_start(self, entry: TaskEntry) -> bool:
         """Deferred-scheduling probe: could placement begin right now?
@@ -319,157 +268,6 @@ class Mtb:
         # finished — nothing to promote.
         entry.ready = READY_COPIED
         self.table.notify_ready_copied(self.column, row)
-
-    def _schedule_task(self, row: int, entry: TaskEntry) -> Generator:
-        task = entry.spec
-        if task is None:
-            # Only reachable under the unsafe single-transaction spawn
-            # (§4.2.1): the ready flag overtook the parameters, so the
-            # scheduler is holding a garbage kernel pointer.
-            raise RuntimeError(
-                f"TaskTable corruption at column {self.column} row "
-                f"{row}: sched flag set before parameters arrived "
-                "(the unordered-PCIe hazard of §4.2.1)"
-            )
-        if task.warps_per_block > len(self.warptable):
-            raise ValueError(
-                f"task {task.name!r}: a threadblock of "
-                f"{task.warps_per_block} warps exceeds the MTB's "
-                f"{len(self.warptable)} executor warps"
-            )
-        if entry.result is not None:
-            entry.result.sched_time = self.engine.now
-        if self.obs is not None:
-            self._obs_sched.inc()
-            self.obs.instant(f"sched.mtb{self.column}", "schedule",
-                             self.engine.now, task_id=entry.task_id,
-                             task=task.name, row=row)
-        wpb = task.warps_per_block
-        state = ExecState(
-            done_ctr=task.total_warps,
-            block_warps_left={b: wpb for b in range(task.num_blocks)},
-        )
-        entry.exec_state = state
-        if self.watchdog_deadline_ns is not None:
-            # one-shot deadline armed per task at schedule time; the
-            # callback is generation-guarded (taskID + ready state) so
-            # a completed task's stale callback is a no-op
-            tid = entry.task_id
-            self.engine.call_after(
-                self.watchdog_deadline_ns,
-                lambda: self._watchdog_check(row, tid),
-            )
-        if task.shared_mem_bytes > 0 or task.needs_sync:
-            # per-threadblock placement (Algorithm 1 lines 17-26)
-            for block in range(task.num_blocks):
-                bar_id = -1
-                if task.needs_sync:
-                    while True:
-                        # arm BEFORE trying: a warp retiring (and
-                        # releasing its barrier ID) during this
-                        # iteration must not be a lost wakeup
-                        retry = self.warptable.free_signal.wait()
-                        got = self.barriers.acquire(wpb)
-                        if got is not None:
-                            bar_id = got
-                            break
-                        yield retry
-                        if state.killed:
-                            return
-                    # record before yielding: a kill during the
-                    # management window must see (and free) this ID
-                    state.block_bar_id[block] = bar_id
-                    yield self.timing.barrier_mgmt_ns
-                else:
-                    state.block_bar_id[block] = bar_id
-                offset: Optional[int] = None
-                if task.shared_mem_bytes > 0:
-                    while True:
-                        # arm BEFORE the alloc attempt: the last warp
-                        # can mark-and-retire inside the smem_alloc_ns
-                        # window, and its pulse must still wake us
-                        retry = self.warptable.free_signal.wait()
-                        self.buddy.flush_deferred()  # line 22
-                        offset = self.buddy.alloc(task.shared_mem_bytes)
-                        if offset is not None:
-                            # ledger update precedes the alloc-cost
-                            # yield so a mid-window kill frees it
-                            state.block_sm_offset[block] = offset
-                        yield self.timing.smem_alloc_ns
-                        if offset is not None:
-                            break
-                        yield retry
-                        if state.killed:
-                            return
-                else:
-                    state.block_sm_offset[block] = offset
-                if state.killed:
-                    return
-                yield from self._psched(
-                    row, base_warp=block * wpb, count=wpb,
-                    sm_index=offset or 0, bar_id=bar_id, wpb=wpb,
-                    state=state,
-                )
-                if state.killed:
-                    return
-        else:
-            # schedule every warp of every block in one go (line 28)
-            for block in range(task.num_blocks):
-                state.block_sm_offset[block] = None
-                state.block_bar_id[block] = -1
-            yield from self._psched(
-                row, base_warp=0, count=task.total_warps,
-                sm_index=0, bar_id=-1, wpb=wpb, state=state,
-            )
-
-    def _psched(self, row: int, base_warp: int, count: int, sm_index: int,
-                bar_id: int, wpb: int,
-                state: Optional[ExecState] = None) -> Generator:
-        """Algorithm 2: the scheduler warp's threads claim free executor
-        warps in parallel; loop until ``count`` warps are placed."""
-        wt = self.warptable
-        placed = 0
-        while placed < count:
-            # arm before scanning so a retire during the pass is not a
-            # lost wakeup
-            retry = wt.free_signal.wait()
-            yield self.timing.psched_pass_ns
-            if state is not None and state.killed:
-                # the task died during the scan window; dispatching its
-                # remaining warps would hand executors a freed entry
-                return
-            take = min(wt.free_count, count - placed)
-            if self.serial_psched:
-                take = min(take, 1)  # ablation: one placement per pass
-            dispatched = []
-            for _ in range(take):
-                # lowest-set-bit pick: the same slot the seed's
-                # ascending free-list scan chose, without building it
-                slot = wt.lowest_free()
-                warp_id = base_warp + placed
-                wt.dispatch(
-                    slot, warp_id=warp_id, e_num=row, sm_index=sm_index,
-                    bar_id=bar_id, block_id=warp_id // wpb,
-                )
-                self._busy(1)
-                placed += 1
-                dispatched.append(slot)
-            # start only the dispatched executors, after the whole pass
-            # (Algorithm 2 sets exec flags, then releases the warps)
-            executors = self._executors
-            for slot in dispatched:
-                executor = executors[slot]
-                if executor is None:
-                    # the scheduler sleeps before its next dispatch, so
-                    # this start has run by then
-                    executors[slot] = executor = _Executor(self, slot)
-                    self.engine.call_soon(executor.run)
-                else:
-                    executor.run()
-            if placed < count:
-                yield retry
-                if state is not None and state.killed:
-                    return
 
     def _busy(self, delta: int) -> None:
         now = self.engine.now
@@ -627,6 +425,395 @@ class Mtb:
             shared = self.arena[offset:offset + task.shared_mem_bytes]
             shared[:] = 0
         task.func(BlockContext(task, block_id, shared))
+
+
+class _Scheduler(Op):
+    """The scheduler warp of one MTB (Algorithm 1, lines 2-28), as a
+    callback object armed on its TaskTable column's signal.
+
+    One pass: arm on the column signal (a pulse while the pass runs is
+    not lost), pay one warp-parallel poll, drain the column's dirty
+    rows (resolving pipelining pointers), then place each schedulable
+    task: per threadblock a named barrier and an arena block when the
+    task needs them, and Algorithm 2's pSched passes over the
+    WarpTable.  Then it parks until the signal pulses — or starts the
+    next pass at once if it already has.
+
+    Waits on the WarpTable's free signal are armed by its pulse count
+    (the scheduler warp is that signal's only waiter): a pulse since
+    arming is a fired wait, which bounces through the ready ring;
+    otherwise the scheduler enrols for the next pulse.
+    """
+
+    __slots__ = ("mtb", "timing", "table", "column", "col", "signal",
+                 "woken", "parked", "rows", "row", "entry", "exec_state",
+                 "block", "bar_id", "offset", "armed", "base_warp", "count",
+                 "placed", "sm_index")
+
+    def __init__(self, mtb: Mtb) -> None:
+        Process.__init__(self, mtb.engine, None, f"sched.mtb{mtb.column}")
+        self.mtb = mtb
+        self.timing = mtb.timing
+        self.table = mtb.table
+        self.column = mtb.column
+        self.col = mtb.table.gpu[mtb.column]
+        self.signal = mtb.table.column_signals[mtb.column]
+        #: the column signal pulsed since the pass armed it
+        self.woken = False
+        #: parked on the column signal (between passes)
+        self.parked = False
+
+    def interrupt(self, exc=None) -> None:
+        """Stop the warp and drop what it holds, so a shut-down MTB is
+        freed by reference counting, not left to the cyclic
+        collector."""
+        Op.interrupt(self, exc)
+        # the MTB and the column signal (which may still hold this
+        # scheduler) point back here
+        self.mtb = self.table = self.signal = None
+
+    def _after(self, delay: float, step) -> None:
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, (engine.now + delay, seq, _CALL, step, self))
+
+    def _retry(self, step) -> None:
+        """Resume in ``step`` at the first free-signal pulse since
+        :attr:`armed`: at once, through the ready ring, if there was
+        one (a wait on a fired event), else inline at the next."""
+        signal = self.mtb.warptable.free_signal
+        if signal.pulse_count != self.armed:
+            engine = self.engine
+            engine._seq = seq = engine._seq + 1
+            engine._ready.append((seq, _CALL, step, self))
+        else:
+            signal.wait()._add_waiter(MethodType(step, self))
+
+    # -- the pass ------------------------------------------------------------
+
+    def fire(self, _value=None) -> None:
+        """The column signal pulsed (:meth:`Signal.pulse` fires the
+        scheduler as it fires an armed event): start the next pass if
+        parked, else note the pulse for the end of this one."""
+        if self.parked:
+            self.parked = False
+            self._begin()
+        else:
+            self.woken = True
+
+    def _begin(self, _value=None) -> None:
+        if not self.alive:
+            return  # shut down
+        # Arm before scanning so changes made while we schedule are
+        # not lost; the scan itself costs one warp-parallel poll.
+        self.woken = False
+        self.signal._pending.append(self)
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, (engine.now + self.timing.poll_iteration_ns,
+                                 seq, _CALL, _Scheduler._scan, self))
+
+    def _scan(self) -> None:
+        if not self.alive:
+            return
+        # Drain the dirty-row queue in ascending row order — the same
+        # visit order as the warp-parallel scan over the full column,
+        # skipping the rows whose protocol words did not change since
+        # the last wake.
+        mtb = self.mtb
+        table = self.table
+        column = self.column
+        col = self.col
+        schedulable = []
+        pass_mask = table.take_dirty_rows(column)
+        while pass_mask:
+            low = pass_mask & -pass_mask
+            pass_mask ^= low
+            row = low.bit_length() - 1
+            entry = col[row]
+            if entry.ready > READY_SCHEDULING:
+                mtb._handle_promotion(row, entry)
+                # a promotion may have made a *later* row of this
+                # column schedulable; the linear scan would still
+                # reach it this pass
+                pass_mask |= table.take_dirty_rows_above(column, row)
+            if entry.sched:
+                entry.sched = 0
+                schedulable.append(row)
+        if len(schedulable) > 1:
+            # priority extension: the warp-parallel scan has every
+            # schedulable row in registers anyway; order by task
+            # priority (stable, so priority 0 keeps row order — the
+            # paper's behaviour)
+            schedulable.sort(
+                key=lambda r: -(col[r].spec.priority
+                                if col[r].spec else 0)
+            )
+            schedulable.reverse()
+        self.rows = schedulable
+        self._next_row()
+
+    def _next_row(self) -> None:
+        """Place the pass's next schedulable task, or end the pass."""
+        mtb = self.mtb
+        rows = self.rows
+        while rows:
+            row = rows.pop()
+            entry = self.col[row]
+            if mtb.deferred_scheduling and not mtb._can_start(entry):
+                entry.sched = 1  # requeue; retry on the next wake
+                self.table.mark_row_dirty(self.column, row)
+                if mtb.obs is not None:
+                    mtb._obs_defer.inc()
+                    mtb.obs.instant(f"sched.mtb{self.column}", "defer",
+                                    self.engine.now,
+                                    task_id=entry.task_id, row=row)
+                continue
+            self._schedule_task(row, entry)
+            return
+        if self.woken:
+            # the signal pulsed during the pass: the bounce a wait on a
+            # fired event takes
+            engine = self.engine
+            engine._seq = seq = engine._seq + 1
+            engine._ready.append((seq, _CALL, _Scheduler._begin, self))
+        else:
+            self.parked = True
+
+    # -- one task (Algorithm 1 lines 14-28) -----------------------------------
+
+    def _schedule_task(self, row: int, entry: TaskEntry) -> None:
+        mtb = self.mtb
+        task = entry.spec
+        if task is None:
+            # Only reachable under the unsafe single-transaction spawn
+            # (§4.2.1): the ready flag overtook the parameters, so the
+            # scheduler is holding a garbage kernel pointer.
+            raise RuntimeError(
+                f"TaskTable corruption at column {self.column} row "
+                f"{row}: sched flag set before parameters arrived "
+                "(the unordered-PCIe hazard of §4.2.1)"
+            )
+        executors = len(mtb.warptable.slots)
+        if task.warps_per_block > executors:
+            raise ValueError(
+                f"task {task.name!r}: a threadblock of "
+                f"{task.warps_per_block} warps exceeds the MTB's "
+                f"{executors} executor warps"
+            )
+        now = self.engine.now
+        if entry.result is not None:
+            entry.result.sched_time = now
+        if mtb.obs is not None:
+            mtb._obs_sched.inc()
+            mtb.obs.instant(f"sched.mtb{self.column}", "schedule", now,
+                            task_id=entry.task_id, task=task.name, row=row)
+        total = task.total_warps
+        state = ExecState(
+            done_ctr=total,
+            block_warps_left=dict.fromkeys(range(task.num_blocks),
+                                           task.warps_per_block),
+        )
+        entry.exec_state = state
+        self.row = row
+        self.entry = entry
+        self.exec_state = state
+        if mtb.watchdog_deadline_ns is not None:
+            # one-shot deadline armed per task at schedule time; the
+            # callback is generation-guarded (taskID + ready state) so
+            # a completed task's stale callback is a no-op
+            tid = entry.task_id
+            self.engine.call_after(
+                mtb.watchdog_deadline_ns,
+                lambda: mtb._watchdog_check(row, tid),
+            )
+        if task.shared_mem_bytes > 0 or task.needs_sync:
+            # per-threadblock placement (Algorithm 1 lines 17-26)
+            self.block = 0
+            self._start_block()
+        else:
+            # schedule every warp of every block in one go (line 28)
+            self.block = None
+            for block in range(task.num_blocks):
+                state.block_sm_offset[block] = None
+                state.block_bar_id[block] = -1
+            self.base_warp = 0
+            self.count = total
+            self.placed = 0
+            self.sm_index = 0
+            self.bar_id = -1
+            self._psched_round()
+
+    def _start_block(self) -> None:
+        if self.entry.spec.needs_sync:
+            self._acquire_barrier()
+        else:
+            self.bar_id = -1
+            self.exec_state.block_bar_id[self.block] = -1
+            self._reserve_arena()
+
+    def _acquire_barrier(self) -> None:
+        mtb = self.mtb
+        # arm BEFORE trying: a warp retiring (and releasing its barrier
+        # ID) during this iteration must not be a lost wakeup
+        self.armed = mtb.warptable.free_signal.pulse_count
+        got = mtb.barriers.acquire(self.entry.spec.warps_per_block)
+        if got is None:
+            self._retry(_Scheduler._barrier_retry)
+            return
+        self.bar_id = got
+        # record before waiting: a kill during the management window
+        # must see (and free) this ID
+        self.exec_state.block_bar_id[self.block] = got
+        self._after(self.timing.barrier_mgmt_ns, _Scheduler._barrier_done)
+
+    def _barrier_retry(self, _value=None) -> None:
+        if not self.alive:
+            return
+        if self.exec_state.killed:
+            self._next_row()
+        else:
+            self._acquire_barrier()
+
+    def _barrier_done(self) -> None:
+        if self.alive:
+            self._reserve_arena()
+
+    def _reserve_arena(self) -> None:
+        if self.entry.spec.shared_mem_bytes > 0:
+            self._alloc_arena()
+        else:
+            self.offset = None
+            self.exec_state.block_sm_offset[self.block] = None
+            self._place_block()
+
+    def _alloc_arena(self) -> None:
+        mtb = self.mtb
+        # arm BEFORE the alloc attempt: the last warp can mark-and-
+        # retire inside the smem_alloc_ns window, and its pulse must
+        # still wake us
+        self.armed = mtb.warptable.free_signal.pulse_count
+        mtb.buddy.flush_deferred()  # line 22
+        offset = mtb.buddy.alloc(self.entry.spec.shared_mem_bytes)
+        if offset is not None:
+            # ledger update precedes the alloc-cost wait so a mid-
+            # window kill frees it
+            self.exec_state.block_sm_offset[self.block] = offset
+        self.offset = offset
+        self._after(self.timing.smem_alloc_ns, _Scheduler._arena_tried)
+
+    def _arena_tried(self) -> None:
+        if not self.alive:
+            return
+        if self.offset is not None:
+            self._place_block()
+        else:
+            self._retry(_Scheduler._arena_retry)
+
+    def _arena_retry(self, _value=None) -> None:
+        if not self.alive:
+            return
+        if self.exec_state.killed:
+            self._next_row()
+        else:
+            self._alloc_arena()
+
+    def _place_block(self) -> None:
+        if self.exec_state.killed:
+            self._next_row()
+            return
+        wpb = self.entry.spec.warps_per_block
+        self.base_warp = self.block * wpb
+        self.count = wpb
+        self.placed = 0
+        self.sm_index = self.offset or 0
+        self._psched_round()
+
+    # -- Algorithm 2: pSched ---------------------------------------------------
+
+    def _psched_round(self) -> None:
+        """One pass of the scheduler warp's threads claiming free
+        executor warps in parallel; passes repeat until :attr:`count`
+        warps of the task (or block) from :attr:`base_warp` on are
+        placed."""
+        if self.placed >= self.count:
+            self._psched_done()
+            return
+        # arm before scanning so a retire during the pass is not a lost
+        # wakeup
+        self.armed = self.mtb.warptable.free_signal.pulse_count
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, (engine.now + self.timing.psched_pass_ns,
+                                 seq, _CALL, _Scheduler._psched_pass, self))
+
+    def _psched_pass(self) -> None:
+        if not self.alive:
+            return
+        if self.exec_state.killed:
+            # the task died during the scan window; dispatching its
+            # remaining warps would hand executors a freed entry
+            self._psched_done()
+            return
+        mtb = self.mtb
+        wt = mtb.warptable
+        count = self.count
+        placed = self.placed
+        take = min(wt.free_count, count - placed)
+        if mtb.serial_psched:
+            take = min(take, 1)  # ablation: one placement per pass
+        row = self.row
+        wpb = self.entry.spec.warps_per_block
+        dispatched = []
+        for _ in range(take):
+            # lowest-set-bit pick: the same slot the seed's ascending
+            # free-list scan chose, without building it
+            slot = wt.lowest_free()
+            warp_id = self.base_warp + placed
+            wt.dispatch(
+                slot, warp_id=warp_id, e_num=row, sm_index=self.sm_index,
+                bar_id=self.bar_id, block_id=warp_id // wpb,
+            )
+            mtb._busy(1)
+            placed += 1
+            dispatched.append(slot)
+        self.placed = placed
+        # start only the dispatched executors, after the whole pass
+        # (Algorithm 2 sets exec flags, then releases the warps)
+        executors = mtb._executors
+        for slot in dispatched:
+            executor = executors[slot]
+            if executor is None:
+                # the scheduler sleeps before its next dispatch, so
+                # this start has run by then
+                executors[slot] = executor = _Executor(mtb, slot)
+                self.engine.call_soon(executor.run)
+            else:
+                executor.run()
+        if placed < count:
+            self._retry(_Scheduler._psched_retry)
+        else:
+            self._psched_done()
+
+    def _psched_retry(self, _value=None) -> None:
+        if not self.alive:
+            return
+        if self.exec_state.killed:
+            self._psched_done()
+        else:
+            self._psched_round()
+
+    def _psched_done(self) -> None:
+        block = self.block
+        if block is None or self.exec_state.killed:
+            self._next_row()
+            return
+        block += 1
+        if block < self.entry.spec.num_blocks:
+            self.block = block
+            self._start_block()
+        else:
+            self._next_row()
 
 
 class _Executor:

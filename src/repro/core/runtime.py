@@ -7,7 +7,9 @@ daemon, and a host, then plays a task list through the Table 1 API.
 Two host threads mirror Fig. 1a's structure: a *spawner* issuing input
 copies and ``taskSpawn`` calls, and a *collector* waiting on
 completions and pulling output data back; both run the host pipeline
-of :class:`~repro.core.host_api.PagodaHost` (``post``/``collect``).
+of :class:`~repro.core.host_api.PagodaHost` (``post``/``collect``),
+and both are callback objects (:class:`~repro.sim.engine.Op`), not
+processes.
 A ``batch_size`` turns the runner into the **Pagoda-Batching**
 ablation of Fig. 11 (spawn a batch, wait for it to drain, spawn the
 next — concurrent scheduling but no continuous spawning).
@@ -16,16 +18,18 @@ next — concurrent scheduling but no continuous spawning).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import List, Optional
 
-from repro.core.host_api import PagodaHost
+from repro.core.host_api import PagodaHost, _caller_site, _Post
 from repro.core.masterkernel import MTBS_PER_SMM, MasterKernel
 from repro.core.tasktable import TaskTable
 from repro.gpu.device import Gpu
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.pcie.bus import PcieBus
-from repro.sim import Engine
+from repro.sim import Engine, Process
+from repro.sim.engine import _CALL
 from repro.tasks import RunStats, TaskResult, TaskSpec
 
 
@@ -179,31 +183,8 @@ def run_pagoda(tasks: List[TaskSpec],
     )
     results = [TaskResult(i, t.name) for i, t in enumerate(tasks)]
     id_to_task = {}
-    # the watchdog's stale one-shot timers outlive the workload and
-    # inflate engine.now; the makespan is the instant the collector
-    # finished, not when the queue drained
-    finish_time = [0.0]
-
-    def spawner():
-        for i, task in enumerate(tasks):
-            if config.spawn_gap_ns and config.open_loop:
-                arrival = (i + 1) * config.spawn_gap_ns
-                if engine.now < arrival:
-                    yield arrival - engine.now
-                results[i].spawn_time = arrival
-            elif config.spawn_gap_ns:
-                yield config.spawn_gap_ns
-                results[i].spawn_time = engine.now
-            else:
-                results[i].spawn_time = engine.now
-            task_id = yield from host.post(
-                task, results[i],
-                f"incopy.{i}" if config.copy_inputs else None)
-            id_to_task[task_id] = task
-            if config.batch_size and (i + 1) % config.batch_size == 0:
-                yield from host.wait_all()
-
-    spawner_proc = engine.spawn(spawner(), "spawner0")
+    spawner = engine.spawn(_Spawner(host, tasks, results, id_to_task,
+                                    config), "spawner0")
 
     def output_bytes(task_id):
         task = id_to_task.get(task_id)
@@ -211,17 +192,22 @@ def run_pagoda(tasks: List[TaskSpec],
             return task.output_bytes
         return 0
 
-    def collector():
-        # stop on the spawner state sampled before the poll
-        yield from host.collect(
-            lambda: not spawner_proc.alive,
-            lambda idle: idle and len(table.finished) >= len(tasks),
-            output_bytes, "outcopy.")
+    # stop on the spawner state sampled before the poll
+    collector = engine.spawn(host.collect(
+        lambda: not spawner.alive,
+        lambda idle: idle and len(table.finished) >= len(tasks),
+        output_bytes, "outcopy."), "collector")
+    # the watchdog's stale one-shot timers outlive the workload and
+    # inflate engine.now; the makespan is the instant the collector
+    # finished, not when the queue drained
+    finish_time = [0.0]
+
+    def collector_finished(_value):
         finish_time[0] = engine.now
 
-    collector_proc = engine.spawn(collector(), "collector")
+    collector._on_done(collector_finished)
     engine.run(raise_on_deadlock=True)
-    if not collector_proc._done:
+    if not collector._done:
         raise RuntimeError("Pagoda run did not complete (deadlock?)")
     makespan = finish_time[0]
     session.shutdown()
@@ -260,3 +246,85 @@ def run_pagoda(tasks: List[TaskSpec],
         mean_occupancy=session.master.useful_occupancy(makespan),
         meta=meta,
     )
+
+
+class _Spawner(_Post):
+    """Fig. 1a's spawner thread for :func:`run_pagoda`, as a callback
+    object: each task arrives (open loop: at its own instant; closed
+    loop: ``spawn_gap_ns`` after the last post) and is posted with its
+    input copy by :meth:`PagodaHost.post`'s steps, run on this object;
+    every ``batch_size`` posts it waits for the batch to drain
+    (Pagoda-Batching)."""
+
+    __slots__ = ("tasks", "results", "id_to_task", "config", "index",
+                 "gap")
+
+    def __init__(self, host: PagodaHost, tasks: List[TaskSpec],
+                 results: List[TaskResult], id_to_task: dict,
+                 config: PagodaConfig) -> None:
+        Process.__init__(self, host.engine, None, "spawner")
+        self.host = host
+        # the TaskError diagnostics name this runner as the spawn site
+        self.spawn_site = _caller_site()
+        self.tasks = tasks
+        self.results = results
+        self.id_to_task = id_to_task
+        self.config = config
+        self.index = 0
+        self.gap = config.spawn_gap_ns
+
+    def _begin(self) -> None:
+        """The next task arrives."""
+        i = self.index
+        if i == len(self.tasks):
+            self._finish(None)
+            return
+        engine = self.engine
+        gap = self.gap
+        if gap:
+            if self.config.open_loop:
+                arrival = (i + 1) * gap
+                if engine.now >= arrival:
+                    self.results[i].spawn_time = arrival
+                    self._post_next()
+                    return
+                gap = arrival - engine.now
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._queue, (engine.now + gap, seq, _CALL,
+                                     _Spawner._arrived, self))
+        else:
+            self.results[i].spawn_time = engine.now
+            self._post_next()
+
+    def _arrived(self) -> None:
+        i = self.index
+        self.results[i].spawn_time = ((i + 1) * self.gap
+                                      if self.config.open_loop
+                                      else self.engine.now)
+        self._post_next()
+
+    def _post_next(self) -> None:
+        i = self.index
+        self.spec = self.tasks[i]
+        self.task_result = self.results[i]
+        self.copy_name = f"incopy.{i}" if self.config.copy_inputs else None
+        self._post()
+
+    def _posted(self, task_id: int) -> None:
+        i = self.index
+        self.id_to_task[task_id] = self.tasks[i]
+        self.index = i + 1
+        batch = self.config.batch_size
+        if batch and (i + 1) % batch == 0:
+            # Table 1's waitAll is a generator: run it as the spawner's
+            # subroutine, on a process started here and now
+            wait = Process(self.engine, self.host.wait_all(), self.name)
+            wait()
+            if not wait._done:
+                self.waiting_on = wait
+                wait._waiters.append(self._next)
+                return
+        self._begin()
+
+    def _next(self, _value=None) -> None:
+        self._begin()

@@ -32,6 +32,7 @@ that exist.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,8 +40,9 @@ from itertools import chain, zip_longest
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.errors import QuarantineEvent, TaskError
-from repro.pcie.bus import Direction, PcieBus
-from repro.sim import Engine, Signal
+from repro.pcie.bus import Direction, PcieBus, Transfer
+from repro.sim import Engine, Process, Signal
+from repro.sim.engine import _CALL, Op
 from repro.tasks import TaskResult, TaskSpec
 
 READY_FREE = 0
@@ -152,8 +154,10 @@ class TaskTable:
         #: the free list (None disables quarantine entirely).
         self.quarantine_threshold = quarantine_threshold
         self.timing = bus.timing
-        #: the posted-write landing, bound once (see post_entry_to_gpu).
+        #: the posted-write landing and the copy-back's mirror update,
+        #: bound once (see post_entry_to_gpu and copy_back).
         self._land_cb = self._land_entry
+        self._copied_back_cb = self._copied_back
         self.num_columns = num_columns
         self.rows = rows
         self.cpu: List[MirrorColumn] = [
@@ -424,25 +428,15 @@ class TaskTable:
         self.id_map[task_id] = (col, row)
         return task_id
 
-    def copy_entry_to_gpu(self, col: int, row: int) -> Generator:
+    def post_entry_to_gpu(self, col: int, row: int) -> None:
         """One posted H2D write carrying the entry (§4.2.1's
         steady-state "1 copy per task table entry").
 
         Entries ride the zero-copy mapped path: back-to-back writes
         serialize only at the posting rate plus payload wire time, and
-        become visible after the mapped-write latency.
-        """
-        yield self.timing.mapped_write_ns
-        self._land_entry((col, row))
-
-    def post_entry_to_gpu(self, col: int, row: int) -> None:
-        """Timed-callback twin of :meth:`copy_entry_to_gpu`: the posted
-        write lands after the mapped-write latency as a single engine
-        callback instead of a full process lifecycle (the spawn path
-        issues one of these per task, so the per-process overhead was
-        pure simulator tax).  The callback is a ``_CALL`` record of the
-        table's bound-once landing, carrying ``(col, row)`` as its
-        value."""
+        become visible after the mapped-write latency, as one engine
+        record: a ``_CALL`` of the table's bound-once landing carrying
+        ``(col, row)`` as its value."""
         delay = self.timing.mapped_write_ns
         faults = self.faults
         if faults is not None:
@@ -454,7 +448,9 @@ class TaskTable:
                 # pointer can land first
                 delay += spec.magnitude_ns
         engine = self.engine
-        engine.call_at_with(engine.now + delay, self._land_cb, (col, row))
+        engine._seq = seq = engine._seq + 1
+        heapq.heappush(engine._queue, (engine.now + delay, seq, _CALL,
+                                       self._land_cb, (col, row)))
 
     def _land_entry(self, cell: Tuple[int, int]) -> None:
         """The posted write of ``cell = (col, row)`` becomes visible
@@ -551,9 +547,10 @@ class TaskTable:
         self.entry_copies += 1
 
     def push_state_to_gpu(self, col: int, row: int,
-                          expect_task_id: Optional[int] = None) -> Generator:
+                          expect_task_id: Optional[int] = None) -> "_PushState":
         """Host update of just the protocol words of one entry (used by
-        the idle-host finalization of the last task).
+        the idle-host finalization of the last task): the host's own
+        posting store, then the mapped-write latency, then the landing.
 
         ``expect_task_id`` guards the landing: while this write crosses
         the bus, the GPU scheduler may promote the same entry itself (a
@@ -563,29 +560,25 @@ class TaskTable:
         re-arming a ``sched`` flag the device already consumed would
         schedule the task twice and corrupt its in-flight exec state.
         """
-        src = self.cpu[col][row]
-        yield self.timing.entry_post_ns  # the host's own posting store
-        yield self.timing.mapped_write_ns
-        dst = self.gpu[col][row]
-        if expect_task_id is not None and (
-                dst.task_id != expect_task_id
-                or dst.protocol_state() != (READY_COPIED, 0)):
-            return
-        dst.ready = src.ready
-        dst.sched = src.sched
-        self.mark_row_dirty(col, row)
-        self.column_signals[col].pulse()
+        return _PushState(self, col, row, expect_task_id)
 
     # -- CPU-side lazy aggregate copy-back (§4.2.2) -----------------------------
 
-    def copy_back(self) -> Generator:
+    def copy_back(self) -> Transfer:
         """Bulk D2H copy of every entry's protocol state.
 
-        Updates the CPU mirror, records finished tasks, and returns
-        freed entries to the free queue.
+        Returns the :class:`~repro.pcie.bus.Transfer`; when it lands,
+        its first joiner — enrolled here — updates the CPU mirror,
+        records finished tasks and returns freed entries to the free
+        queue, before anyone joining the copy-back resumes.
         """
         nbytes = self.capacity * READBACK_BYTES_PER_ENTRY
-        yield from self.bus.transfer(nbytes, Direction.D2H)
+        transfer = self.bus.transfer(nbytes, Direction.D2H)
+        transfer._waiters.append(self._copied_back_cb)
+        return transfer
+
+    def _copied_back(self, _value=None) -> None:
+        """The aggregate copy-back landed in the CPU mirror."""
         self.copy_backs += 1
         if self.obs is not None:
             self._obs_copy_backs.inc()
@@ -701,3 +694,44 @@ class TaskTable:
     def gpu_finished_count(self) -> int:
         """Tasks whose completion the GPU side has recorded."""
         return self.gpu_done_signal.pulse_count
+
+
+class _PushState(Op):
+    """:meth:`TaskTable.push_state_to_gpu` as a callback object: two
+    timer records (the posting store, the mapped-write latency), then
+    the guarded landing."""
+
+    __slots__ = ("table", "col", "row", "expect_task_id")
+
+    def __init__(self, table: TaskTable, col: int, row: int,
+                 expect_task_id: Optional[int]) -> None:
+        Process.__init__(self, table.engine, None, "push_state")
+        self.table = table
+        self.col = col
+        self.row = row
+        self.expect_task_id = expect_task_id
+
+    def _begin(self) -> None:
+        # the host's own posting store
+        self.engine.call_at_with(
+            self.engine.now + self.table.timing.entry_post_ns,
+            _PushState._posted, self)
+
+    def _posted(self) -> None:
+        self.engine.call_at_with(
+            self.engine.now + self.table.timing.mapped_write_ns,
+            _PushState._land, self)
+
+    def _land(self) -> None:
+        table = self.table
+        col, row = self.col, self.row
+        src = table.cpu[col][row]
+        dst = table.gpu[col][row]
+        expect = self.expect_task_id
+        if expect is None or (dst.task_id == expect and dst.protocol_state()
+                              == (READY_COPIED, 0)):
+            dst.ready = src.ready
+            dst.sched = src.sched
+            table.mark_row_dirty(col, row)
+            table.column_signals[col].pulse()
+        self._finish(None)

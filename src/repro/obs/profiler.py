@@ -23,6 +23,15 @@ would want to compare against.
 
 When no profiler is attached (the default), ``spawn`` pays one ``is
 None`` test and the run loop is byte-for-byte the uninstrumented one.
+
+Only generator processes get rows.  Warps are not processes (the SMM
+carries them), and neither is anything on the Pagoda path: the PCIe
+transfers, the TaskTable copy-backs, ``PagodaHost``'s spawn, post and
+collector, ``run_pagoda``'s spawner and the MTB scheduler warps are
+callback objects (:class:`repro.sim.engine.Op`) that ``spawn`` starts
+without a wrapper.  A ``run_pagoda`` run therefore reports no process
+at all; serve and the baselines still show their dispatcher, collector
+and worker processes.
 """
 
 from __future__ import annotations
@@ -48,8 +57,8 @@ class SimProfiler:
     Names are aggregated at full precision (``sched.mtb3`` stays
     distinct from ``sched.mtb4``); the report's top-N is sorted by
     events executed, ties broken by name so the ordering is total.
-    Only processes are counted: warps are not processes (the SMM
-    carries them), so their records show in no row.
+    Only processes are counted: warps and the callback objects of the
+    Pagoda path are not processes, so their records show in no row.
     """
 
     def __init__(self) -> None:

@@ -12,10 +12,11 @@ D2H result copies exactly as CUDA streams allow.
 from __future__ import annotations
 
 import enum
-from typing import Generator
+import heapq
 
 from repro.gpu.timing import TimingModel
-from repro.sim import Engine, FifoResource
+from repro.sim import Engine, FifoResource, Process
+from repro.sim.engine import _CALL, Op
 
 
 class Direction(enum.Enum):
@@ -78,47 +79,16 @@ class PcieBus:
             + nbytes / self.timing.pcie_bandwidth_bpns
         )
 
-    def transfer(self, nbytes: int, direction: Direction) -> Generator:
-        """Subroutine: perform one cudaMemcpy-style transaction.
+    def transfer(self, nbytes: int, direction: Direction) -> "Transfer":
+        """One cudaMemcpy-style transaction, as a :class:`Transfer`.
 
-        Use as ``yield from bus.transfer(n, Direction.H2D)``.  Returns
-        after the payload is fully delivered.
+        ``yield from bus.transfer(n, Direction.H2D)`` returns after the
+        payload is fully delivered; ``engine.spawn(bus.transfer(...),
+        name)`` runs it on its own, joinable with ``yield``.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        dma = self._engines[direction]
-        obs = self.obs
-        queued_at = self.engine.now if obs is not None else 0.0
-        yield dma.acquire()
-        if obs is not None:
-            self._obs_wait[direction].record(self.engine.now - queued_at)
-        duration = (nbytes / self.timing.pcie_bandwidth_bpns
-                    + self.timing.pcie_transaction_ns)
-        faults = self.faults
-        if faults is not None:
-            site = direction.value
-            delay = faults.draw("pcie.delay", site)
-            if delay is not None:
-                # congestion / link retraining: the payload is intact
-                # but arrives late
-                duration += delay.magnitude_ns
-            while faults.draw("pcie.drop", site) is not None:
-                # the transaction is lost and replayed: pay the full
-                # service time again (a replayed TLP after CRC error)
-                self.dropped[direction] += 1
-                yield duration
-            if faults.draw("pcie.dup", site) is not None:
-                # delivered twice: the second copy is harmless but
-                # occupies the engine for another service time
-                self.duplicated[direction] += 1
-                duration *= 2.0
-        yield duration
-        dma.release()
-        self.bytes_moved[direction] += nbytes
-        self.transactions[direction] += 1
-        if obs is not None:
-            self._obs_bytes[direction].inc(nbytes)
-            self._obs_txns[direction].inc()
+        return Transfer(self, nbytes, direction)
 
     def busy_time(self, direction: Direction) -> float:
         """Total service time charged so far in one direction.
@@ -132,3 +102,87 @@ class PcieBus:
     def total_busy_time(self) -> float:
         """Busy time summed over both bus directions."""
         return self.busy_time(Direction.H2D) + self.busy_time(Direction.D2H)
+
+
+class Transfer(Op):
+    """One DMA transaction on a :class:`PcieBus` (a callback object).
+
+    It queues for the direction's DMA engine, holds it for the service
+    time (again for each injected ``pcie.drop`` replay, twice for a
+    ``pcie.dup``), releases it and finishes, waking its joiners.
+    """
+
+    __slots__ = ("bus", "nbytes", "direction", "dma", "duration",
+                 "queued_at")
+
+    def __init__(self, bus: PcieBus, nbytes: int,
+                 direction: Direction) -> None:
+        Process.__init__(self, bus.engine, None, "transfer")
+        self.bus = bus
+        self.nbytes = nbytes
+        self.direction = direction
+        self.dma = bus._engines[direction]
+
+    def _begin(self) -> None:
+        engine = self.engine
+        self.queued_at = engine.now
+        if self.dma.request(self):
+            # granted at once: the bounce a wait on a fired event takes
+            engine._seq = seq = engine._seq + 1
+            engine._ready.append((seq, _CALL, Transfer.fire, self))
+
+    def fire(self, _value=None) -> None:
+        """The DMA engine is granted (a release fires the queued
+        transfer as it fires an acquire event)."""
+        bus = self.bus
+        engine = self.engine
+        timing = bus.timing
+        duration = (self.nbytes / timing.pcie_bandwidth_bpns
+                    + timing.pcie_transaction_ns)
+        if bus.obs is not None:
+            bus._obs_wait[self.direction].record(engine.now - self.queued_at)
+        if bus.faults is not None:
+            delay = bus.faults.draw("pcie.delay", self.direction.value)
+            if delay is not None:
+                # congestion / link retraining: the payload is intact
+                # but arrives late
+                duration += delay.magnitude_ns
+            self.duration = duration
+            self._replay()
+            return
+        engine._seq = seq = engine._seq + 1
+        heapq.heappush(engine._queue, (engine.now + duration, seq, _CALL,
+                                       Transfer._delivered, self))
+
+    def _replay(self) -> None:
+        """Fault draws after each service time: a ``pcie.drop`` loses
+        the transaction, which is replayed and pays the full service
+        time again (a replayed TLP after CRC error); a ``pcie.dup``
+        delivers it twice, the second copy occupying the engine for
+        another service time."""
+        bus = self.bus
+        direction = self.direction
+        faults = bus.faults
+        step = Transfer._delivered
+        if faults.draw("pcie.drop", direction.value) is not None:
+            bus.dropped[direction] += 1
+            step = Transfer._replay
+        elif faults.draw("pcie.dup", direction.value) is not None:
+            bus.duplicated[direction] += 1
+            self.duration *= 2.0
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heapq.heappush(engine._queue, (engine.now + self.duration, seq,
+                                       _CALL, step, self))
+
+    def _delivered(self) -> None:
+        self.dma.release()
+        bus = self.bus
+        direction = self.direction
+        nbytes = self.nbytes
+        bus.bytes_moved[direction] += nbytes
+        bus.transactions[direction] += 1
+        if bus.obs is not None:
+            bus._obs_bytes[direction].inc(nbytes)
+            bus._obs_txns[direction].inc()
+        self._finish(None)

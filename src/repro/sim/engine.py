@@ -15,6 +15,16 @@ Subroutines are plain generators invoked with ``yield from``; no extra
 machinery is needed, which keeps the per-event overhead low (the whole
 reproduction pushes millions of events through this loop).
 
+The per-task operations of the Pagoda path are not processes but
+*callback objects* (:class:`Op`): the PCIe transfers, the TaskTable
+copy-backs and state pushes, ``PagodaHost``'s spawn, post, tail
+finalization and collector, ``run_pagoda``'s spawner and the MTB
+scheduler warps (the executor warps are callbacks of their own).  An
+operation pushes the record a process would have pushed, at the same
+``(when, seq)`` slot, as a ``_CALL`` of its next step with itself as
+the value, and it is joinable and ``yield from``-able like a process,
+so every digest and event count is the one a process would give.
+
 Hot-path design (the fast paths that make paper-scale runs practical):
 
 - **Slotted timer records.**  Heap entries are plain 5-tuples
@@ -26,9 +36,10 @@ Hot-path design (the fast paths that make paper-scale runs practical):
   the only object — the seed implementation paid one closure plus
   one 3-tuple per event.  ``seq`` is unique, so heap comparisons
   never reach the non-comparable payload.
-- **Ready ring.**  Zero-delay wakeups — process spawns, joins on
-  already-finished processes, bounces through already-fired events
-  and :meth:`Engine.call_soon` callbacks — skip the heap entirely and
+- **Ready ring.**  Zero-delay wakeups — process and operation
+  spawns, joins on already-finished processes, bounces through
+  already-fired events and :meth:`Engine.call_soon` callbacks — skip
+  the heap entirely and
   go onto a FIFO deque of ``(seq, kind, payload, value)`` records at
   the *current* instant.
   The run loop merges ring and heap by the global ``(when, seq)``
@@ -117,10 +128,10 @@ class Process:
     """
 
     __slots__ = ("engine", "gen", "name", "alive", "result", "_done",
-                 "_waiters", "daemon", "waiting_on")
+                 "_waiters", "daemon", "waiting_on", "error")
 
-    def __init__(self, engine: "Engine", gen: Generator, name: str = "",
-                 daemon: bool = False) -> None:
+    def __init__(self, engine: "Engine", gen: Optional[Generator],
+                 name: str = "", daemon: bool = False) -> None:
         self.engine = engine
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
@@ -135,6 +146,9 @@ class Process:
         #: meaningful only while blocked — timer waits never deadlock
         #: because their resume record keeps the queue non-empty).
         self.waiting_on: Any = None
+        #: the exception an :class:`Op` finished with (a process's own
+        #: exception escapes the run loop instead).
+        self.error: Optional[BaseException] = None
 
     def _finish(self, result: Any) -> None:
         self.alive = False
@@ -159,7 +173,8 @@ class Process:
         self.alive = False
         self._done = True
         self.engine._live.discard(self)
-        self.gen.close()
+        if self.gen is not None:
+            self.gen.close()
         waiters, self._waiters = self._waiters, []
         for wake in waiters:
             wake(None)
@@ -195,6 +210,79 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "done"
         return f"<Process {self.name} {state}>"
+
+
+class Op(Process):
+    """A joinable operation run as engine records, not as a generator.
+
+    The host pipeline (PCIe transfers, copy-backs, ``taskSpawn``, the
+    spawner and collector) and the MTB scheduler warps are callback
+    objects of this kind: each wait pushes the record a process would
+    have pushed, at the same ``(when, seq)`` slot, but the record is a
+    ``_CALL`` of the operation's next step with the operation as its
+    value, so no generator is resumed and no closure is built.
+
+    An operation is a :class:`Process` to everything that joins one:
+
+    - ``yield op`` joins it (:meth:`Engine._dispatch_slow`), and
+      :meth:`Engine.spawn` starts it by a ready-ring ``_CALL`` record
+      at the slot a spawned process would start at;
+    - ``yield from op`` runs its first segment inline, as a
+      subgenerator would, then joins it; the operation's result is the
+      value of the ``yield from``, and an error it finished with is
+      raised there (:meth:`__iter__` is the one generator involved: a
+      joiner's, not the operation's);
+    - finishing wakes every joiner inline, as a process's return does.
+
+    A subclass calls ``Process.__init__(self, engine, None, name)``,
+    implements :meth:`_begin` (the first segment, run once: by
+    ``spawn``, by ``yield from`` or by a joining operation) and ends
+    with :meth:`_finish` or :meth:`_fail`.  Steps that a record or a
+    waiter calls check :attr:`alive` when the operation can be
+    interrupted.
+    """
+
+    __slots__ = ()
+
+    def _begin(self) -> None:
+        """Run the first segment (up to the first wait or the end)."""
+        raise NotImplementedError
+
+    def _join(self, child: "Op", wake: Callable[[Any], None]) -> bool:
+        """Start ``child`` inline, as ``yield from child`` does, and
+        call ``wake(result)`` when it finishes; returns True (and
+        enrols nothing) when it finished at once."""
+        self.waiting_on = child
+        child._begin()
+        if child._done:
+            return True
+        child._waiters.append(wake)
+        return False
+
+    def _fail(self, exc: BaseException) -> None:
+        """Finish with ``exc``: joiners see it raised at their ``yield
+        from``; with no joiner it propagates, as an exception escaping
+        a process does."""
+        self.error = exc
+        waiters = self._waiters
+        self._finish(None)
+        if not waiters:
+            raise exc
+
+    def __iter__(self) -> Generator:
+        # ``yield from op``: the first segment runs inline, then the
+        # joiner waits on the operation itself (a join) and gets its
+        # result, or its error raised
+        self._begin()
+        if not self._done:
+            yield self
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "alive" if self.alive else "done"
+        return f"<{type(self).__name__} {self.name} {state}>"
 
 
 class Engine:
@@ -270,7 +358,20 @@ class Engine:
         ``daemon`` marks forever-loops (scheduler warps, dispatchers)
         that are *expected* to still be blocked when the queue drains;
         the deadlock reporter ignores them.
+
+        An :class:`Op` is started instead, by a ready-ring ``_CALL``
+        record at the same slot; it is no process, so an attached
+        profiler gets no row for it.
         """
+        if isinstance(gen, Op):
+            if name:
+                gen.name = name
+            if daemon:
+                gen.daemon = True
+            self._live.add(gen)
+            self._seq = seq = self._seq + 1
+            self._ready.append((seq, _CALL, type(gen)._begin, gen))
+            return gen
         if self.profiler is not None:
             name = name or getattr(gen, "__name__", "process")
             gen = self.profiler.wrap(gen, name, self)
@@ -291,6 +392,13 @@ class Engine:
             else:
                 proc.waiting_on = command
                 command._add_waiter(proc)
+        elif isinstance(command, Process):  # also an Op
+            if command._done:
+                self._seq += 1
+                self._ready.append((self._seq, _RESUME, proc, command.result))
+            else:
+                proc.waiting_on = command
+                command._on_done(proc)
         elif isinstance(command, (int, float)):
             # int, bool, and float subclasses (e.g. numpy.float64)
             if not command >= 0:  # also rejects NaN
@@ -298,13 +406,6 @@ class Engine:
             self._push(self.now + float(command), _RESUME, proc, None)
         elif isinstance(command, Delay):
             self._push(self.now + command.duration, _RESUME, proc, None)
-        elif isinstance(command, Process):
-            if command._done:
-                self._seq += 1
-                self._ready.append((self._seq, _RESUME, proc, command.result))
-            else:
-                proc.waiting_on = command
-                command._on_done(proc)
         else:
             raise TypeError(
                 f"process {proc.name!r} yielded unsupported command: {command!r}"

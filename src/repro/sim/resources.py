@@ -68,12 +68,19 @@ class FifoResource:
     def acquire(self) -> Event:
         """Return an event that fires when a server is granted."""
         ev = Event()
+        if self.request(ev):
+            ev.fire(None)
+        return ev
+
+    def request(self, waiter) -> bool:
+        """Take a server now (True), or queue ``waiter`` — an
+        :class:`Event`, or any object with its ``fire(value)`` — to be
+        fired when a release hands it one (False)."""
         if self.in_use < self.capacity:
             self.in_use += 1
-            ev.fire(None)
-        else:
-            self._waiting.append(ev)
-        return ev
+            return True
+        self._waiting.append(waiter)
+        return False
 
     def release(self) -> None:
         """Release one server; hands it straight to the queue head."""

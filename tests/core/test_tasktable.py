@@ -88,11 +88,7 @@ def test_copy_entry_to_gpu_mirrors_fields_and_pulses():
     table.fill_cpu_entry(col, row, spec, TaskResult(0, "t"), None)
     pulses = []
     table.column_signals[col].wait()._add_waiter(lambda _v: pulses.append(col))
-
-    def proc():
-        yield from table.copy_entry_to_gpu(col, row)
-
-    eng.spawn(proc())
+    table.post_entry_to_gpu(col, row)
     eng.run()
     gpu = table.gpu[col][row]
     assert gpu.spec is spec
@@ -110,11 +106,8 @@ def test_mirrors_can_mismatch_mid_flight():
     table.fill_cpu_entry(col, row, make_task(), TaskResult(0, "t"), None)
     assert table.cpu[col][row].ready == READY_COPIED
     assert table.gpu[col][row].ready == READY_FREE  # not yet visible
-
-    def proc():
-        yield from table.copy_entry_to_gpu(col, row)
-
-    eng.spawn(proc())
+    table.post_entry_to_gpu(col, row)
+    assert table.gpu[col][row].ready == READY_FREE  # still crossing
     eng.run()
     assert table.gpu[col][row].ready == READY_COPIED
 
@@ -125,11 +118,7 @@ def test_entry_copy_is_posted_not_dma():
     eng, table = make_table()
     col, row = table.take_free_entry()
     table.fill_cpu_entry(col, row, make_task(), TaskResult(0, "t"), None)
-
-    def proc():
-        yield from table.copy_entry_to_gpu(col, row)
-
-    eng.spawn(proc())
+    table.post_entry_to_gpu(col, row)
     eng.run()
     from repro.pcie.bus import Direction
     assert table.bus.transactions[Direction.H2D] == 0
@@ -141,8 +130,10 @@ def test_gpu_complete_and_copy_back_flow():
     col, row = table.take_free_entry()
     tid = table.fill_cpu_entry(col, row, make_task(), TaskResult(0, "t"), None)
 
+    table.post_entry_to_gpu(col, row)
+    eng.run()
+
     def flow():
-        yield from table.copy_entry_to_gpu(col, row)
         # GPU runs and completes the task
         table.gpu_complete(col, row)
         assert table.gpu[col][row].ready == READY_FREE

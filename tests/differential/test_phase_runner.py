@@ -10,7 +10,14 @@ total engine event count:
   CUDA/GeMTC block runner, each passing barriers inside the SMM);
 - the 25-seed hostile chaos sweep under a fault plan, which includes
   watchdog kills of warps parked mid-phase;
-- the faulty serve report.
+- the faulty serve report;
+- ``narrow_open_loop``: open-loop ``run_pagoda`` with input and
+  output copies on, over 3des and dct (dct's shared memory and
+  ``sync`` flag take the scheduler's per-block barrier/arena path), two
+  seeds, once without faults and once under a plan of PCIe drops,
+  duplicates, delays, reordered entry writes and launch failures.  It
+  pins the host pipeline's incopy/outcopy transfers and copy-backs,
+  which ``chaos_faulty`` (copies off) never runs.
 
 Unit level: the runner's edge cases — empty kernels, barriers first,
 zero-cost phases, memory-only phases, zero overhead and stall knobs,
@@ -28,7 +35,8 @@ from repro.baselines import run_gemtc, run_hyperq
 from repro.bench.harness import make_tasks, run_tasks
 from repro.core import PagodaConfig
 from repro.core.errors import TaskError, TaskErrorGroup
-from repro.core.runtime import PagodaSession
+from repro.core.runtime import PagodaSession, run_pagoda
+from repro.faults import FaultPlan, FaultSpec
 from repro.gpu import Gpu, Phase, titan_x
 from repro.gpu.phases import BLOCK_SYNC
 from repro.gpu.timing import TimingModel
@@ -62,7 +70,28 @@ PINNED = {
     "serve_faulty": (
         "cc45a1d7c6ea4999c529da1b4a699dfb8debf5e31a8c233c9e695fcb1b8e967c",
         910),
+    "narrow_open_loop": (
+        "3d8d0c575c1695b5339af36240e911dc94005ed9aae976fbe570221eb5b6ad18",
+        23836),
 }
+
+#: PCIe and launch faults for ``narrow_open_loop``: untargeted specs
+#: hit whichever transfer or spawn comes first, the targeted ones the
+#: D2H copy-backs and output copies.
+NARROW_FAULTS = FaultPlan(specs=[
+    FaultSpec(kind="pcie.drop", at_ns=20_000.0, count=3),
+    FaultSpec(kind="pcie.reorder", at_ns=30_000.0, count=3,
+              magnitude_ns=9_000.0),
+    FaultSpec(kind="pcie.dup", at_ns=45_000.0, count=2),
+    FaultSpec(kind="cuda.launch_fail", at_ns=55_000.0, count=2),
+    FaultSpec(kind="pcie.delay", at_ns=70_000.0, count=2,
+              magnitude_ns=6_000.0),
+    FaultSpec(kind="pcie.drop", at_ns=150_000.0, count=2,
+              target="device_to_host"),
+    FaultSpec(kind="pcie.delay", at_ns=200_000.0, count=2,
+              target="device_to_host", magnitude_ns=4_000.0),
+    FaultSpec(kind="cuda.launch_fail", at_ns=250_000.0, count=1),
+])
 
 
 def _golden_cell(workload, runtime, seed):
@@ -76,7 +105,23 @@ ARTEFACTS = {
     "chaos_faulty": lambda: [chaos_fingerprint(seed, faulty=True)
                              for seed in DIFF_SEEDS],
     "serve_faulty": lambda: serve_report_json(faulty=True),
+    "narrow_open_loop": lambda: [
+        _narrow_open_loop_cell(kernel, seed, plan)
+        for kernel in ("3des", "dct") for seed in (0, 1)
+        for plan in (None, NARROW_FAULTS)],
 }
+
+
+def _narrow_open_loop_cell(kernel, seed, plan):
+    stats = run_pagoda(make_tasks(kernel, 96, 32, seed=seed),
+                       config=PagodaConfig(open_loop=True,
+                                           spawn_gap_ns=4300.0,
+                                           fault_plan=plan))
+    meta = stats.meta
+    extra = (meta["entry_copies"], meta["copy_backs"])
+    if plan is not None:
+        extra += (meta["faults_injected"], meta["tasks_failed"])
+    return fingerprint(stats) + extra
 
 
 def measure(name):
