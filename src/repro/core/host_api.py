@@ -255,13 +255,6 @@ class _Finished(Op):
 #: to promote.
 _NOTHING = _Finished()
 
-def _after(op: Op, delay: float, step) -> None:
-    """Call ``step(op)`` after ``delay``: the timer record a process's
-    ``yield delay`` pushes."""
-    engine = op.engine
-    engine._seq = seq = engine._seq + 1
-    heappush(engine._queue, (engine.now + delay, seq, _CALL, step, op))
-
 
 class _TaskSpawn(Op):
     """``taskSpawn`` as a callback object (its result is the taskID).
@@ -334,7 +327,7 @@ class _TaskSpawn(Op):
                 _CALL, _TaskSpawn._stored, self))
         else:
             copies = 2 if host.protocol == "two-copies" else 1
-            _after(self, host.table.post_cost(spec.param_bytes, copies),
+            self._after(host.table.post_cost(spec.param_bytes, copies),
                    _TaskSpawn._stored_copy)
 
     def _finalized(self, _value=None) -> None:
@@ -343,7 +336,7 @@ class _TaskSpawn(Op):
 
     def _copied(self, _value=None) -> None:
         if self.host.table.free_queue_len == 0:
-            _after(self, self.host.timing.host_retry_ns, _TaskSpawn._claim)
+            self._after(self.host.timing.host_retry_ns, _TaskSpawn._claim)
         else:
             self._claim()
 
@@ -472,7 +465,7 @@ class _Post(_TaskSpawn):
         if self.attempt >= _RETRY.max_attempts:
             self._fail(exc)
         else:
-            _after(self, _RETRY.backoff_ns(self.attempt - 1), _Post._spawn)
+            self._after(_RETRY.backoff_ns(self.attempt - 1), _Post._spawn)
 
     def _spawned(self, task_id: int) -> None:
         if self.host.dead:
@@ -521,7 +514,7 @@ class _Collect(Op):
             self._poll()
 
     def _poll(self, _value=None) -> None:
-        _after(self, self.host.timing.wait_timeout_ns, _Collect._polled)
+        self._after(self.host.timing.wait_timeout_ns, _Collect._polled)
 
     def _polled(self) -> None:
         host = self.host
@@ -566,6 +559,10 @@ class _Collect(Op):
         does: a finished one bounces through the ready ring."""
         transfers = self.transfers
         if not transfers:
+            # the caller's callbacks usually hold the caller, whose
+            # process may still point here (its ``waiting_on``): drop
+            # them so no cycle outlives the run
+            self.spawning_over = self.finished = self.on_complete = None
             self._finish(None)
             return
         transfer = transfers.popleft()

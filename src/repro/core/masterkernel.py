@@ -472,11 +472,6 @@ class _Scheduler(Op):
         # scheduler) point back here
         self.mtb = self.table = self.signal = None
 
-    def _after(self, delay: float, step) -> None:
-        engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        heappush(engine._queue, (engine.now + delay, seq, _CALL, step, self))
-
     def _retry(self, step) -> None:
         """Resume in ``step`` at the first free-signal pulse since
         :attr:`armed`: at once, through the ready ring, if there was

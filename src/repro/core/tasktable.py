@@ -713,14 +713,10 @@ class _PushState(Op):
 
     def _begin(self) -> None:
         # the host's own posting store
-        self.engine.call_at_with(
-            self.engine.now + self.table.timing.entry_post_ns,
-            _PushState._posted, self)
+        self._after(self.table.timing.entry_post_ns, _PushState._posted)
 
     def _posted(self) -> None:
-        self.engine.call_at_with(
-            self.engine.now + self.table.timing.mapped_write_ns,
-            _PushState._land, self)
+        self._after(self.table.timing.mapped_write_ns, _PushState._land)
 
     def _land(self) -> None:
         table = self.table

@@ -248,6 +248,14 @@ class Op(Process):
         """Run the first segment (up to the first wait or the end)."""
         raise NotImplementedError
 
+    def _after(self, delay: float, step: Callable[["Op"], None]) -> None:
+        """Call ``step(self)`` after ``delay``: the timer record a
+        process's ``yield delay`` pushes (hot steps push it inline)."""
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heapq.heappush(engine._queue, (engine.now + delay, seq, _CALL, step,
+                                       self))
+
     def _join(self, child: "Op", wake: Callable[[Any], None]) -> bool:
         """Start ``child`` inline, as ``yield from child`` does, and
         call ``wake(result)`` when it finishes; returns True (and

@@ -108,7 +108,9 @@ class Signal:
     ``wait()`` hands back a fresh one-shot :class:`Event` enrolled for
     the *next* :meth:`pulse`.  This is the building block for
     "wake me when the TaskTable changes" style polling loops without
-    simulating every idle poll iteration.
+    simulating every idle poll iteration.  A pulse calls ``fire(value)``
+    on whatever is enrolled, so a callback object with that method (an
+    MTB scheduler warp) can enrol itself instead of an event.
     """
 
     __slots__ = ("_pending", "pulse_count")
@@ -126,9 +128,11 @@ class Signal:
     def pulse(self, value: Any = None) -> None:
         """Wake everything currently waiting."""
         self.pulse_count += 1
-        pending, self._pending = self._pending, []
-        for ev in pending:
-            ev.fire(value)
+        pending = self._pending
+        if pending:
+            self._pending = []
+            for ev in pending:
+                ev.fire(value)
 
     @property
     def waiter_count(self) -> int:
