@@ -29,9 +29,7 @@ from repro.tasks import TaskSpec
 def test_narrow_stream_runs_no_process_per_task(kernel):
     """An open-loop stream of single-warp tasks with input and output
     copies (dct also places barriers and arena blocks): at most 3
-    process resumes per task and no process spawned per task.  Before
-    the pipeline became callback objects this read 15.7 resumes and 2.1
-    spawns per task."""
+    process resumes per task and no process spawned per task."""
     n = 64
     obs = Obs(top_n=10_000)
     stats = run_pagoda(make_tasks(kernel, n, 32, seed=0),
