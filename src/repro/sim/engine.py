@@ -155,9 +155,11 @@ class Process:
         self._done = True
         self.result = result
         self.engine._live.discard(self)
-        waiters, self._waiters = self._waiters, []
-        for wake in waiters:
-            wake(result)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for wake in waiters:
+                wake(result)
 
     def _on_done(self, wake: Callable[[Any], None]) -> None:
         if self._done:
@@ -261,7 +263,8 @@ class Op(Process):
         call ``wake(result)`` when it finishes; returns True (and
         enrols nothing) when it finished at once."""
         self.waiting_on = child
-        child._begin()
+        if not child._done:  # a finished one has nothing to run
+            child._begin()
         if child._done:
             return True
         child._waiters.append(wake)
