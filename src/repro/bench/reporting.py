@@ -49,12 +49,3 @@ def paper_vs_measured(title: str, rows: List[Dict], keys: Sequence[str],
         )
     return format_table(headers, table_rows, title)
 
-
-def ns_to_ms(ns: float) -> float:
-    """Nanoseconds to milliseconds."""
-    return ns / 1e6
-
-
-def ns_to_us(ns: float) -> float:
-    """Nanoseconds to microseconds."""
-    return ns / 1e3

@@ -37,10 +37,8 @@ from repro.cluster.report import SCHEMA_RELIABLE as FLEET_SCHEMA_RELIABLE
 from repro.cluster.router import (
     ConsistentHashRouter,
     FleetView,
-    LeastLoadedRouter,
     RouteRequest,
     RouterPolicy,
-    SloAwareRouter,
 )
 from repro.cluster.topology import ROUTER, NodeSpec, Topology
 from repro.cluster.worker import InProcessHost
@@ -68,7 +66,5 @@ __all__ = [
     "RouteRequest",
     "FleetView",
     "ConsistentHashRouter",
-    "LeastLoadedRouter",
-    "SloAwareRouter",
     "InProcessHost",
 ]

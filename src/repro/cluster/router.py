@@ -10,6 +10,10 @@ cluster tenant is assigned to exactly one node frontend by a
   the *previous* epoch boundary (the router learns about a node with
   one fabric latency of staleness, like any physical load balancer).
 
+The one policy shipped is :class:`ConsistentHashRouter`; the
+statuses also carry per-node queue figures for custom policies
+(docs/EXTENDING.md).
+
 Hashes use ``zlib.crc32`` on stable strings, never Python's salted
 ``hash()``, so placements replay across interpreter restarts — the
 cluster's byte-identity contract depends on it.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.cluster.topology import Topology
 
@@ -45,15 +49,6 @@ class FleetView:
 
     def __init__(self, statuses: Dict[str, Dict[str, int]]) -> None:
         self.statuses = statuses
-
-    def alive(self) -> List[str]:
-        """Names of live nodes, in sorted order (tie-break basis)."""
-        return sorted(n for n, s in self.statuses.items() if s["alive"])
-
-    def load(self, name: str) -> int:
-        """Requests somewhere in a node's pipeline."""
-        s = self.statuses[name]
-        return s["queued"] + s["inflight"] + s["pending"]
 
 
 class RouterPolicy:
@@ -122,43 +117,3 @@ class ConsistentHashRouter(RouterPolicy):
         return (f"consistent_hash(replicas={self.replicas}, "
                 f"key={self.key})")
 
-
-class LeastLoadedRouter(RouterPolicy):
-    """Send every request to the emptiest pipeline (name-ordered
-    tie-break), using the boundary-stale load figures."""
-
-    def route(self, req: RouteRequest, view: FleetView) -> str:
-        alive = view.alive()
-        if not alive:
-            raise RuntimeError("no live node to route to")
-        return min(alive, key=lambda n: (view.load(n), n))
-
-    def describe(self) -> str:
-        return "least_loaded"
-
-
-class SloAwareRouter(RouterPolicy):
-    """Deadline-urgency placement: tight-deadline requests go to the
-    emptiest node (minimize queueing), relaxed ones keep consistent-
-    hash affinity (maximize batching/locality).  Respawned requests
-    are always treated as urgent — they already lost a node's worth
-    of time."""
-
-    def __init__(self, topology: Topology, urgent_ns: float = 500_000.0,
-                 replicas: int = 64) -> None:
-        if urgent_ns <= 0:
-            raise ValueError("urgent_ns must be > 0")
-        self.urgent_ns = urgent_ns
-        self._hash = ConsistentHashRouter(topology, replicas=replicas)
-        self._least = LeastLoadedRouter()
-
-    def route(self, req: RouteRequest, view: FleetView) -> str:
-        urgent = req.respawn or (
-            req.deadline_ns is not None and req.deadline_ns <= self.urgent_ns
-        )
-        policy = self._least if urgent else self._hash
-        return policy.route(req, view)
-
-    def describe(self) -> str:
-        return (f"slo_aware(urgent_ns={self.urgent_ns:g}, "
-                f"affinity={self._hash.describe()})")

@@ -350,15 +350,21 @@ class _TaskSpawn(Op):
         self._spawned(result.task_id)
 
     def _stored_copy(self) -> None:
-        table = self.host.table
         result = self.task_result
         result.post_time = self.engine.now
-        if self.host.protocol == "two-copies":
-            copy = table.copy_entry_two_transactions(*self.col_row)
-        else:  # unsafe-single: the §4.2.1 hazard demonstration
-            copy = table.copy_entry_unsafe_single(*self.col_row)
-        self.engine.spawn(copy, f"spawncopy.{result.task_id}")
+        # the copy starts from a ready-ring record, at the slot a
+        # spawned copy process would start at
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        engine._ready.append((seq, _CALL, _TaskSpawn._copy, self))
         self._spawned(result.task_id)
+
+    def _copy(self) -> None:
+        table = self.host.table
+        if self.host.protocol == "two-copies":
+            table.copy_entry_two_transactions(*self.col_row)
+        else:  # unsafe-single: the §4.2.1 hazard demonstration
+            table.copy_entry_unsafe_single(*self.col_row)
 
     def _spawned(self, task_id: int) -> None:
         """The entry is posted under ``task_id``."""

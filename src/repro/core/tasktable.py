@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, zip_longest
-from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import QuarantineEvent, TaskError
 from repro.pcie.bus import Direction, PcieBus, Transfer
@@ -480,18 +480,24 @@ class TaskTable:
         self._obs_slots.add(now, 1)
         self._obs_slots_tl.add(now, 1)
 
-    def copy_entry_two_transactions(self, col: int, row: int) -> Generator:
+    def copy_entry_two_transactions(self, col: int, row: int) -> None:
         """The §4.2.1 strawman the pipelined protocol replaces: params
         in one transaction, the ready flag in a second.
 
         Safe (posted writes stay ordered) but "doubles the parameter
         copying overhead" — the ablation benchmark quantifies it.  In
         this protocol the task needs no promotion: the second write
-        delivers (1, 1) directly.
+        delivers (1, 1) directly.  Each transaction is one timed
+        landing after the mapped-write latency, the second pushed when
+        the first lands.
         """
+        self.engine.call_at_with(self.engine.now + self.timing.mapped_write_ns,
+                                 self._land_params_copy, (col, row))
+
+    def _land_params_copy(self, cell: Tuple[int, int]) -> None:
+        """Transaction 1 of two: the parameters."""
+        col, row = cell
         src = self.cpu[col][row]
-        # transaction 1: the parameters
-        yield self.timing.mapped_write_ns
         dst = self.gpu[col][row]
         dst.spec = src.spec
         dst.result = src.result
@@ -499,10 +505,16 @@ class TaskTable:
         dst.ready = READY_COPIED
         dst.sched = 0
         # transaction 2: the ready flag (ordered behind the first)
-        yield self.timing.mapped_write_ns
+        self.engine.call_at_with(self.engine.now + self.timing.mapped_write_ns,
+                                 self._land_flag_copy, cell)
+
+    def _land_flag_copy(self, cell: Tuple[int, int]) -> None:
+        """Transaction 2 of two: the ready flag."""
+        col, row = cell
+        dst = self.gpu[col][row]
         dst.ready = READY_SCHEDULING
         dst.sched = 1
-        src.inflight = False
+        self.cpu[col][row].inflight = False
         self.entry_copies += 1
         if self.obs is not None:
             self._obs_entry_landed()
@@ -510,7 +522,7 @@ class TaskTable:
         self.column_signals[col].pulse()
 
     def copy_entry_unsafe_single(self, col: int, row: int,
-                                 hazard: bool = True) -> Generator:
+                                 hazard: bool = True) -> None:
         """The broken §4.2.1 variant: parameters and ready flag in ONE
         transaction.  "The PCIe bus does not guarantee that the
         parameters will arrive in the GPU memory before the ready
@@ -518,32 +530,43 @@ class TaskTable:
         warp observes a schedulable entry whose kernel pointer and
         arguments are still stale.  Exists to demonstrate the failure
         mode; never used by the real protocol.
+
+        The flag and the parameters are two timed landings half the
+        mapped-write latency apart; a third record at the end of the
+        transaction counts the copy.
         """
-        src = self.cpu[col][row]
-        dst = self.gpu[col][row]
-
-        def land_params() -> None:
-            dst.spec = src.spec
-            dst.result = src.result
-            dst.task_id = src.task_id
-            src.inflight = False
-            self.column_signals[col].pulse()
-
-        def land_flag() -> None:
-            dst.ready = READY_SCHEDULING
-            dst.sched = 1
-            self.mark_row_dirty(col, row)
-            self.column_signals[col].pulse()
-
+        cell = (col, row)
+        engine = self.engine
         half = self.timing.mapped_write_ns / 2
         if hazard:
             # flag first: the scheduler can race ahead of the params
-            self.engine.call_after(half, land_flag)
-            self.engine.call_after(2 * half, land_params)
+            first, second = self._land_unsafe_flag, self._land_unsafe_params
         else:
-            self.engine.call_after(half, land_params)
-            self.engine.call_after(2 * half, land_flag)
-        yield 2 * half
+            first, second = self._land_unsafe_params, self._land_unsafe_flag
+        engine.call_at_with(engine.now + half, first, cell)
+        engine.call_at_with(engine.now + 2 * half, second, cell)
+        engine.call_at_with(engine.now + 2 * half, self._count_unsafe_copy,
+                            cell)
+
+    def _land_unsafe_params(self, cell: Tuple[int, int]) -> None:
+        col, row = cell
+        src = self.cpu[col][row]
+        dst = self.gpu[col][row]
+        dst.spec = src.spec
+        dst.result = src.result
+        dst.task_id = src.task_id
+        src.inflight = False
+        self.column_signals[col].pulse()
+
+    def _land_unsafe_flag(self, cell: Tuple[int, int]) -> None:
+        col, row = cell
+        dst = self.gpu[col][row]
+        dst.ready = READY_SCHEDULING
+        dst.sched = 1
+        self.mark_row_dirty(col, row)
+        self.column_signals[col].pulse()
+
+    def _count_unsafe_copy(self, _cell: Tuple[int, int]) -> None:
         self.entry_copies += 1
 
     def push_state_to_gpu(self, col: int, row: int,

@@ -12,23 +12,18 @@ scheduler (in :mod:`repro.core`) exists to beat exactly this.
   streams, memcpy, synchronize.
 - :class:`~repro.cuda.stream.Stream` — in-order operation queue;
   HyperQ allows ``spec.hyperq_connections`` kernels in flight at once.
-- :class:`~repro.cuda.memory.DeviceAllocator` — cudaMalloc/cudaFree.
 - :class:`~repro.cuda.barrier.WarpBarrier` — reusable block barrier
   (``__syncthreads``).
 """
 
 from repro.cuda.barrier import WarpBarrier
-from repro.cuda.events import CudaEvent, stream_wait_event
-from repro.cuda.memory import DeviceAllocator, OutOfMemory
+from repro.cuda.events import CudaEvent
 from repro.cuda.runtime import CudaRuntime
 from repro.cuda.stream import Stream
 
 __all__ = [
     "CudaRuntime",
     "Stream",
-    "DeviceAllocator",
-    "OutOfMemory",
     "WarpBarrier",
     "CudaEvent",
-    "stream_wait_event",
 ]

@@ -1,10 +1,8 @@
 """CUDA events: timing markers and cross-stream dependencies.
 
 Models ``cudaEventCreate`` / ``cudaEventRecord`` /
-``cudaEventSynchronize`` / ``cudaEventElapsedTime`` and
-``cudaStreamWaitEvent`` — the primitives Table 1 maps Pagoda's
-``wait``/``check`` onto for the CUDA baseline, and the way real HyperQ
-applications build cross-stream pipelines.
+``cudaEventSynchronize`` / ``cudaEventElapsedTime`` — the primitives
+Table 1 maps Pagoda's ``wait``/``check`` onto for the CUDA baseline.
 """
 
 from __future__ import annotations
@@ -62,16 +60,3 @@ class CudaEvent:
             raise RuntimeError("both events must have completed")
         return (later.complete_time - self.complete_time) / 1e6
 
-
-def stream_wait_event(stream: Stream, event: CudaEvent) -> None:
-    """cudaStreamWaitEvent: block the stream until the event fires."""
-    if not event.recorded:
-        raise RuntimeError(
-            f"cannot wait on unrecorded event {event.name!r}"
-        )
-
-    def barrier_op() -> Generator:
-        if not event.completed:
-            yield event._completed
-
-    stream.enqueue(barrier_op)

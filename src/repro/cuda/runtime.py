@@ -18,7 +18,6 @@ from collections import deque
 from typing import Generator, Optional
 
 from repro.cuda.barrier import WarpBarrier
-from repro.cuda.memory import DeviceAllocator
 from repro.cuda.stream import Stream
 from repro.device_api import run_functional
 from repro.gpu.device import Gpu
@@ -26,9 +25,6 @@ from repro.gpu.occupancy import registers_per_block
 from repro.pcie.bus import Direction, PcieBus
 from repro.sim import Engine, Event, Signal
 from repro.tasks import TaskResult, TaskSpec
-
-#: Titan X device memory (12 GB), for the cudaMalloc heap.
-DEVICE_MEM_BYTES = 12 * 1024 ** 3
 
 
 class CudaRuntime:
@@ -48,7 +44,6 @@ class CudaRuntime:
         #: optional set of SMM indices this runtime may dispatch onto
         #: (a compute partition); ``None`` means the whole device.
         self.smm_mask = None if smm_mask is None else frozenset(smm_mask)
-        self.allocator = DeviceAllocator(DEVICE_MEM_BYTES)
         self._inflight_kernels = 0
         self._launch_queue: deque = deque()
         self._pending_blocks: deque = deque()

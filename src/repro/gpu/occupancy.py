@@ -96,80 +96,6 @@ def occupancy(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized variants (one-array-pass occupancy kernel)
-# ---------------------------------------------------------------------------
-
-try:  # degrade gracefully on bare installs; the scalar path always works
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-
-def blocks_per_smm_array(spec: GpuSpec, threads, regs, smem):
-    """:func:`blocks_per_smm` for many launch shapes in one array pass.
-
-    ``threads``/``regs``/``smem`` are equal-length sequences; returns a
-    list of ints bit-identical to mapping the scalar function.  All
-    arithmetic is exact int64 (floor divisions and mins), so there is
-    no float drift to worry about — the differential suite still pins
-    the equality.  Falls back to the memoized scalar calculator when
-    numpy is unavailable.
-    """
-    if _np is None:
-        return [blocks_per_smm(spec, int(t), int(r), int(s))
-                for t, r, s in zip(threads, regs, smem)]
-    t = _np.asarray(threads, dtype=_np.int64)
-    r = _np.asarray(regs, dtype=_np.int64)
-    s = _np.asarray(smem, dtype=_np.int64)
-    if _np.any(t < 1) or _np.any(r < 0):
-        raise ValueError("threads must be >= 1 and regs >= 0")
-    wpb = -(-t // WARP_SIZE)
-    unit = spec.register_alloc_unit
-    rpb = (-(-(r * WARP_SIZE) // unit) * unit) * wpb
-    limit_slots = _np.full_like(t, spec.max_blocks_per_smm)
-    limit_warps = spec.max_warps_per_smm // wpb
-    limit_regs = _np.where(rpb > 0, spec.registers_per_smm // _np.maximum(rpb, 1),
-                           limit_slots)
-    limit_smem = _np.where(s > 0, spec.shared_mem_per_smm // _np.maximum(s, 1),
-                           limit_slots)
-    blocks = _np.minimum(_np.minimum(limit_slots, limit_warps),
-                         _np.minimum(limit_regs, limit_smem))
-    blocks = _np.maximum(blocks, 0)
-    blocks = _np.where(t > spec.max_threads_per_block, 0, blocks)
-    blocks = _np.where(s > spec.max_shared_mem_per_block, 0, blocks)
-    return blocks.tolist()
-
-
-def occupancy_array(spec: GpuSpec, threads, regs, smem, concurrent=None):
-    """:func:`occupancy` for many launch shapes in one array pass.
-
-    ``concurrent`` is an optional sequence of per-shape block-supply
-    caps (``None`` entries mean unlimited).  The final division is one
-    IEEE-754 float64 op per shape — the same single rounding the scalar
-    path performs — so results are bit-identical.
-    """
-    blocks = blocks_per_smm_array(spec, threads, regs, smem)
-    if _np is None:
-        out = []
-        for i, (t, b) in enumerate(zip(threads, blocks)):
-            resident = b * spec.num_smms
-            if concurrent is not None and concurrent[i] is not None:
-                resident = min(resident, concurrent[i])
-            out.append((resident * warps_per_block(int(t)))
-                       / spec.total_warp_slots)
-        return out
-    t = _np.asarray(threads, dtype=_np.int64)
-    resident = _np.asarray(blocks, dtype=_np.int64) * spec.num_smms
-    if concurrent is not None:
-        caps = _np.asarray(
-            [resident[i] if c is None else c
-             for i, c in enumerate(concurrent)], dtype=_np.int64)
-        resident = _np.minimum(resident, caps)
-    wpb = -(-t // WARP_SIZE)
-    return ((resident * wpb) / float(spec.total_warp_slots)).tolist()
-
-
-# ---------------------------------------------------------------------------
 # Memo observability (repro.obs: gpu.occupancy.memo_hits / .misses)
 # ---------------------------------------------------------------------------
 

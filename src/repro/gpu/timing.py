@@ -11,28 +11,17 @@ fractions imply the copy-vs-compute balance), then frozen.  Experiments
 vary *workloads and runtimes*, never these constants.
 
 This module also hosts :func:`ps_completion_times`, the closed-form
-completion times of a processor-sharing pool's resident jobs: one numpy
-array pass, bit-identical to the scalar recurrence it replaces (the
-differential suite, ``tests/differential/``, pins that down).  It is an
-oracle for the event loop, not on its hot path: there the lockstep
-warps of a block already travel as one weight-``k`` pool entry
-(:meth:`repro.gpu.smm.Smm.run_phases`), so no arrival batch is large
-enough for array passes to pay.
+completion times of a processor-sharing pool's resident jobs, as a
+plain running-sum recurrence.  It is an oracle for the event loop
+(``tests/differential/`` compares the two), not on its hot path: there
+the lockstep warps of a block already travel as one weight-``k`` pool
+entry (:meth:`repro.gpu.smm.Smm.run_phases`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-
-try:  # numpy ships with the repo's toolchain; degrade gracefully without
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on bare installs
-    _np = None
-
-#: Below this many elements the numpy call overhead exceeds the scalar
-#: loop; the kernels fall back to plain Python.
-_VECTOR_MIN = 16
 
 
 def ps_completion_times(
@@ -48,45 +37,12 @@ def ps_completion_times(
     Jobs are described by their virtual-time finish tags (ascending);
     job ``k`` completes when the pool's virtual clock reaches its tag.
     While ``n`` jobs remain the clock advances at ``min(cap, rate/n)``,
-    so completions are computed tag-by-tag with a vectorized prefix
-    pass over the per-interval service increments.
+    so completions follow tag by tag from one running sum.
 
-    This is the *oracle* for per-SMM warp completion: one array pass
-    instead of stepping the event loop per warp.  The differential
-    suite bit-compares it against the scalar recurrence
-    (`_ps_completion_times_scalar`) and against event-loop timings.
+    This is the *oracle* for per-SMM warp completion: the differential
+    suite compares it against event-loop timings.
     """
     tags = sorted(finish_tags)
-    n = len(tags)
-    if n == 0:
-        return []
-    if _np is None or n < _VECTOR_MIN:
-        return _ps_completion_times_scalar(now, v, tags, rate, per_job_cap)
-    arr = _np.asarray(tags, dtype=_np.float64)
-    # per-interval virtual-service gap while k jobs have completed:
-    # tags[k] - tags[k-1] (tags[0] - v for the first interval)
-    gaps = _np.empty(n, dtype=_np.float64)
-    gaps[0] = arr[0] - v
-    gaps[1:] = arr[1:] - arr[:-1]
-    remaining = _np.arange(n, 0, -1, dtype=_np.float64)
-    rates = _np.minimum(per_job_cap, rate / remaining)
-    vals = gaps / rates
-    # seed the running sum with ``now`` so every partial sum associates
-    # exactly like the scalar recurrence ``t = t + gap/r`` (cumsum is a
-    # sequential accumulation; a trailing ``now + cumsum`` would round
-    # in a different order)
-    vals[0] += now
-    return _np.cumsum(vals).tolist()
-
-
-def _ps_completion_times_scalar(
-    now: float,
-    v: float,
-    tags: Sequence[float],
-    rate: float,
-    per_job_cap: float,
-) -> List[float]:
-    """Reference recurrence for :func:`ps_completion_times`."""
     out = []
     t = now
     prev = v

@@ -26,7 +26,6 @@ from repro.scenarios.registry import (
     get,
     names,
     register,
-    run_catalog,
     run_scenario,
 )
 from repro.scenarios.spec import (
@@ -76,5 +75,4 @@ __all__ = [
     "get",
     "names",
     "run_scenario",
-    "run_catalog",
 ]

@@ -70,8 +70,3 @@ def run_scenario(name: str, seed: Optional[int] = None) -> ScenarioResult:
     verdicts = [d.evaluate(ctx) for d in scenario.detectors]
     return ScenarioResult(scenario=scenario, params=params,
                           outcome=outcome, verdicts=verdicts)
-
-
-def run_catalog(seed: Optional[int] = None) -> List[ScenarioResult]:
-    """Run every registered scenario, in name order."""
-    return [run_scenario(n, seed=seed) for n in names()]

@@ -1,7 +1,7 @@
 """Tables 3 and 4 of the paper, as queryable metadata.
 
 Table 1 (the API) lives in :mod:`repro.core.api`, Table 2 (WarpTable
-fields) in :mod:`repro.core.warptable`; this module renders the
+fields) in :mod:`repro.core.warptable`; this module holds the
 benchmark-facing tables so the whole paper's tabular content is
 embodied in code and cross-checked against the registry by tests.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.bench.reporting import format_table
 from repro.workloads import REGISTRY
 
 
@@ -89,34 +88,6 @@ TABLE34: Dict[str, BenchmarkFacts] = {
         "(shared memory).",
     ),
 }
-
-
-def print_table3() -> str:
-    """Render Table 3 (benchmark characteristics)."""
-    rows = []
-    for name, facts in TABLE34.items():
-        rows.append([
-            name, facts.source, facts.task_type, facts.input_set,
-            facts.paper_num_tasks,
-            facts.paper_copy_pct if facts.paper_copy_pct >= 0 else "-",
-            facts.paper_compute_pct if facts.paper_compute_pct >= 0 else "-",
-            "yes" if facts.benefits_shared_mem else "no",
-            "yes" if facts.requires_sync else "no",
-            facts.default_regs,
-        ])
-    return format_table(
-        ["bench", "source", "type", "input/task", "#tasks",
-         "copy%", "compute%", "smem", "sync", "regs"],
-        rows, title="Table 3: Benchmark Characteristics (paper values)",
-    )
-
-
-def print_table4() -> str:
-    """Render Table 4 (benchmark descriptions)."""
-    lines = ["Table 4: Benchmark Description", ""]
-    for name, facts in TABLE34.items():
-        lines.append(f"{name.upper():5s} {facts.description}")
-    return "\n".join(lines)
 
 
 def check_consistency() -> None:

@@ -1,11 +1,6 @@
 """Reporting helpers."""
 
-from repro.bench.reporting import (
-    format_table,
-    ns_to_ms,
-    ns_to_us,
-    paper_vs_measured,
-)
+from repro.bench.reporting import format_table, paper_vs_measured
 
 
 def test_format_table_alignment():
@@ -38,7 +33,3 @@ def test_paper_vs_measured_handles_missing():
     )
     assert "-" in text
 
-
-def test_unit_helpers():
-    assert ns_to_ms(2_000_000.0) == 2.0
-    assert ns_to_us(2_000.0) == 2.0

@@ -18,7 +18,6 @@ from repro.cluster import (
     Message,
     NodeSpec,
     RouteRequest,
-    SloAwareRouter,
     Topology,
 )
 from repro.cluster.topology import ROUTER
@@ -93,13 +92,7 @@ def _requests(n=5_000):
                            respawn=rid % 13 == 0)
 
 
-def _router(policy, topo):
-    if policy == "slo_aware":
-        return SloAwareRouter(topo)
-    return ConsistentHashRouter(topo, key=policy)
-
-
-#: sha256 of 5,000 placements on a 16-node ring, by (policy, dead).
+#: sha256 of 5,000 placements on a 16-node ring, by (hash key, dead).
 ROUTE_PINS = {
     ("request", 0):
         "6d02252b3f9cfbe4d3d3fee59db05c30e3d9d565e1e2955c76de00bb18da42ac",
@@ -119,30 +112,23 @@ ROUTE_PINS = {
         "7976da8c0c0da059fedceca69e61e45c78091ef490b1062fc73add7c2d02b385",
     ("tenant", 15):
         "d9d9e04fb4e4cdb18373f73c956e6f64ae616ea15073804cd23b6a6ab1278426",
-    ("slo_aware", 0):
-        "04bd4f08a4befab43b8d9333ab4993f1f915a5d6a7823637919ead96e8921280",
-    ("slo_aware", 3):
-        "d65e16b2e4086be17260cc95eae2f93f5705b1edf81ed117606378ed13ba73ba",
-    ("slo_aware", 15):
-        "d9d9e04fb4e4cdb18373f73c956e6f64ae616ea15073804cd23b6a6ab1278426",
 }
 
 
 @pytest.mark.parametrize("policy,dead", sorted(ROUTE_PINS))
 def test_ring_placements_are_pinned(policy, dead):
     topo = Topology(nodes=[NodeSpec(n) for n in NODES])
-    router = _router(policy, topo)
+    router = ConsistentHashRouter(topo, key=policy)
     view = _ring_view(DEAD[dead])
     placed = [router.route(req, view) for req in _requests()]
     assert not set(placed) & set(DEAD[dead])
     assert _sha(placed) == ROUTE_PINS[(policy, dead)]
 
 
-@pytest.mark.parametrize("policy", ["request", "kernel", "tenant",
-                                    "slo_aware"])
+@pytest.mark.parametrize("policy", ["request", "kernel", "tenant"])
 def test_all_dead_ring_raises(policy):
     topo = Topology(nodes=[NodeSpec(n) for n in NODES])
-    router = _router(policy, topo)
+    router = ConsistentHashRouter(topo, key=policy)
     view = _ring_view(NODES)
     for req in list(_requests(20)):
         with pytest.raises(RuntimeError, match="no live node"):

@@ -1,14 +1,12 @@
-"""Router policies: determinism, dead-node behavior, SLO split."""
+"""The consistent-hash router: determinism and dead-node behavior."""
 
 import pytest
 
 from repro.cluster import (
     ConsistentHashRouter,
     FleetView,
-    LeastLoadedRouter,
     NodeSpec,
     RouteRequest,
-    SloAwareRouter,
     Topology,
 )
 
@@ -17,11 +15,10 @@ def _topo(n=4):
     return Topology(nodes=[NodeSpec(f"n{i}") for i in range(n)])
 
 
-def _view(topo, dead=(), loads=None):
-    loads = loads or {}
+def _view(topo, dead=()):
     return FleetView({
         name: {"alive": 0 if name in dead else 1,
-               "queued": loads.get(name, 0), "inflight": 0, "pending": 0}
+               "queued": 0, "inflight": 0, "pending": 0}
         for name in topo.node_names
     })
 
@@ -81,37 +78,8 @@ def test_no_live_node_raises():
     view = _view(topo, dead=("n0", "n1"))
     with pytest.raises(RuntimeError, match="no live node"):
         ConsistentHashRouter(topo).route(_req(), view)
-    with pytest.raises(RuntimeError, match="no live node"):
-        LeastLoadedRouter().route(_req(), view)
-
-
-def test_least_loaded_picks_emptiest_with_name_tiebreak():
-    topo = _topo(3)
-    router = LeastLoadedRouter()
-    assert router.route(_req(), _view(topo, loads={"n0": 5, "n1": 2,
-                                                   "n2": 9})) == "n1"
-    # all equal: lexicographically first name wins
-    assert router.route(_req(), _view(topo)) == "n0"
-
-
-def test_slo_aware_splits_on_urgency():
-    topo = _topo(3)
-    router = SloAwareRouter(topo, urgent_ns=500_000.0)
-    view = _view(topo, loads={"n0": 9, "n1": 0, "n2": 9})
-    hash_pick = router._hash.route(_req(deadline=None), view)
-    # relaxed deadline keeps hash affinity even on a loaded node
-    assert router.route(_req(deadline=None), view) == hash_pick
-    assert router.route(_req(deadline=9e9), view) == hash_pick
-    # tight deadline goes to the emptiest node
-    assert router.route(_req(deadline=100_000.0), view) == "n1"
-    # respawns already lost a node's worth of time: always urgent
-    assert router.route(_req(deadline=None, respawn=True), view) == "n1"
-    with pytest.raises(ValueError, match="urgent_ns"):
-        SloAwareRouter(topo, urgent_ns=0.0)
 
 
 def test_describe_strings():
     topo = _topo()
     assert "consistent_hash" in ConsistentHashRouter(topo).describe()
-    assert LeastLoadedRouter().describe() == "least_loaded"
-    assert "slo_aware" in SloAwareRouter(topo).describe()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import PagodaConfig, PagodaHost, PagodaSession, run_pagoda
 from repro.gpu.phases import Phase
+from repro.obs import Obs
 from repro.tasks import TaskResult, TaskSpec
 
 
@@ -30,6 +31,22 @@ def test_two_copies_protocol_completes():
     stats = run_pagoda(make_tasks(60),
                        config=PagodaConfig(protocol="two-copies"))
     assert all(r.end_time > 0 for r in stats.results)
+
+
+@pytest.mark.parametrize("protocol", ["two-copies", "unsafe-single"])
+def test_ablation_protocols_run_no_process_per_task(protocol):
+    """The ablation copies are timed landings, as the pipelined post
+    is: a run spawns no copy process per task."""
+    n = 64
+    obs = Obs(top_n=10_000)
+    config = PagodaConfig(protocol=protocol, obs=obs)
+    if protocol == "two-copies":
+        stats = run_pagoda(make_tasks(n), config=config)
+        assert stats.meta["entry_copies"] == n
+    else:  # the hazard still corrupts the table, with no process
+        with pytest.raises(RuntimeError, match="§4.2.1"):
+            run_pagoda(make_tasks(n), config=config)
+    assert obs.profiler.report(n=10_000)["processes"] == 0
 
 
 def test_two_copies_needs_no_pipelining_tail():
@@ -76,13 +93,12 @@ def test_unsafe_single_benign_ordering_masks_the_bug():
     task = make_tasks(1)[0]
     result = TaskResult(0, "t")
 
-    def driver():
-        yield host.timing.spawn_cpu_ns
+    def post() -> None:
         loc = table.take_free_entry()
         table.fill_cpu_entry(loc[0], loc[1], task, result, None)
-        yield from table.copy_entry_unsafe_single(*loc, hazard=False)
+        table.copy_entry_unsafe_single(*loc, hazard=False)
 
-    eng.spawn(driver())
+    eng.call_at(host.timing.spawn_cpu_ns, post)
     eng.run(until=5_000_000)
     assert result.end_time > 0
     session.shutdown()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cuda import Stream
-from repro.cuda.events import CudaEvent, stream_wait_event
+from repro.cuda.events import CudaEvent
 from repro.sim import Engine
 
 
@@ -77,46 +77,3 @@ def test_elapsed_requires_completion():
     with pytest.raises(RuntimeError):
         a.elapsed_ms(b)
 
-
-def test_stream_wait_event_cross_stream_dependency():
-    eng = Engine()
-    producer, consumer = Stream(eng, "p"), Stream(eng, "c")
-    ev = CudaEvent(eng, "handoff")
-    log = []
-
-    producer.enqueue(delay_op(100.0))
-    ev.record(producer)
-    stream_wait_event(consumer, ev)
-
-    def consume():
-        log.append(eng.now)
-        yield 10.0
-
-    consumer.enqueue(consume)
-    eng.run()
-    assert log == [pytest.approx(100.0)]
-
-
-def test_stream_wait_event_already_completed_passes_through():
-    eng = Engine()
-    producer, consumer = Stream(eng, "p"), Stream(eng, "c")
-    ev = CudaEvent(eng, "handoff")
-    ev.record(producer)
-    eng.run()
-    stream_wait_event(consumer, ev)
-    log = []
-
-    def consume():
-        log.append(eng.now)
-        yield 1.0
-
-    consumer.enqueue(consume)
-    eng.run()
-    assert len(log) == 1
-
-
-def test_wait_on_unrecorded_event_raises():
-    eng = Engine()
-    s = Stream(eng, "s")
-    with pytest.raises(RuntimeError):
-        stream_wait_event(s, CudaEvent(eng, "x"))

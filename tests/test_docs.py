@@ -1,5 +1,6 @@
 """Documentation consistency: the deliverables reference real things."""
 
+import importlib
 import json
 import pathlib
 import re
@@ -38,14 +39,42 @@ def test_design_experiment_index_points_at_real_files():
         assert target in names(), target
 
 
+#: a dotted ``repro.*`` name quoted in a document.
+MODULE_REFERENCE = re.compile(r"`(repro\.[\w.]+)`")
+
+
+def _resolves(name):
+    """Whether ``name`` is a module, or an attribute path under one:
+    the longest importable prefix is imported and every remaining part
+    must be an attribute of what came before."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _unresolved(doc):
+    names = MODULE_REFERENCE.findall(read(doc))
+    assert names, doc
+    return sorted({n for n in names if not _resolves(n)})
+
+
 def test_design_module_references_exist():
-    design = read("DESIGN.md")
-    for module in re.findall(r"`(repro\.[\w.]+)`", design):
-        path = ROOT / "src" / module.replace(".", "/")
-        candidates = [path, path.parent]  # module or module.Attribute
-        assert any(c.with_suffix(".py").is_file()
-                   or (c / "__init__.py").is_file()
-                   for c in candidates), module
+    assert _unresolved("DESIGN.md") == []
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/INTERNALS.md",
+                                 "docs/EXTENDING.md", "EXPERIMENTS.md"])
+def test_doc_module_references_exist(doc):
+    assert _unresolved(doc) == []
 
 
 def test_experiments_covers_every_paper_artefact():

@@ -4,12 +4,7 @@ import pytest
 
 from repro.bench.tab3 import PAPER_COPY_PCT
 from repro.workloads import REGISTRY
-from repro.workloads.tables import (
-    TABLE34,
-    check_consistency,
-    print_table3,
-    print_table4,
-)
+from repro.workloads.tables import TABLE34, check_consistency
 
 
 def test_every_registered_workload_has_a_row():
@@ -38,11 +33,3 @@ def test_task_counts_match_paper():
     others = [f.paper_num_tasks for n, f in TABLE34.items() if n != "slud"]
     assert set(others) == {32 * 1024}
 
-
-def test_renders():
-    t3 = print_table3()
-    assert "Table 3" in t3 and str(273 * 1024) in t3
-    assert "NetBench" not in t3
-    t4 = print_table4()
-    assert "Table 4" in t4 and "NetBench" in t4
-    assert all(name.upper() in t4 for name in TABLE34)
