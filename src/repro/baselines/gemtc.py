@@ -48,7 +48,6 @@ class GemtcConfig:
     batch_size: Optional[int] = None
     copy_inputs: bool = True
     copy_outputs: bool = True
-    spawn_gap_ns: float = 0.0
     functional: bool = False
 
 
@@ -133,8 +132,6 @@ def run_gemtc(tasks: List[TaskSpec],
         yield timing.kernel_launch_ns
         for start in range(0, len(tasks), batch_size):
             batch = list(range(start, min(start + batch_size, len(tasks))))
-            if config.spawn_gap_ns:
-                yield config.spawn_gap_ns * len(batch)
             batch_done = Event()
             pending = [sum(tasks[i].num_blocks for i in batch)]
             in_copies = []

@@ -27,9 +27,8 @@ custom-router and fabric-fault recipes.
 
 from repro.cluster.driver import run_cluster
 from repro.cluster.fabric import (ACK, ANSWER, FORWARD, RESPAWN, Fabric,
-                                  FabricPolicy, Message)
-from repro.cluster.health import (DegradationEvent, HealthPolicy,
-                                  HealthTracker)
+                                  Message)
+from repro.cluster.health import DegradationEvent, HealthTracker
 from repro.cluster.node import NodeShard
 from repro.cluster.report import FleetReport
 from repro.cluster.report import SCHEMA as FLEET_SCHEMA
@@ -52,14 +51,12 @@ __all__ = [
     "NodeSpec",
     "ROUTER",
     "Fabric",
-    "FabricPolicy",
     "Message",
     "FORWARD",
     "RESPAWN",
     "ANSWER",
     "ACK",
     "NodeShard",
-    "HealthPolicy",
     "HealthTracker",
     "DegradationEvent",
     "RouterPolicy",

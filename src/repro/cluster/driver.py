@@ -55,10 +55,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.fabric import (ACK, ANSWER, FORWARD, RESPAWN, Fabric,
-                                  FabricPolicy)
-from repro.cluster.health import (QUARANTINED, DegradationEvent,
-                                  HealthPolicy, HealthTracker)
+from repro.cluster.fabric import ACK, ANSWER, FORWARD, POLICY_DESC, Fabric
+from repro.cluster.health import (HEALTH_DESC, QUARANTINED,
+                                  DegradationEvent, HealthTracker)
 from repro.cluster.report import FleetReport
 from repro.cluster.router import (ConsistentHashRouter, FleetView,
                                   RouteRequest, RouterPolicy)
@@ -66,7 +65,7 @@ from repro.cluster.topology import ROUTER, Topology
 from repro.cluster.worker import InProcessHost
 from repro.faults.injector import FabricInjector
 from repro.faults.plan import FaultPlan
-from repro.serve.server import ServeConfig, TenantSpec
+from repro.serve.server import TenantSpec
 
 #: blank per-node digest for epoch 0 (before any status exchange).
 _FRESH_STATUS = {
@@ -104,13 +103,9 @@ def run_cluster(
     topology: Topology,
     router: Optional[RouterPolicy] = None,
     workers: int = 0,
-    serve: Optional[ServeConfig] = None,
     obs: bool = False,
     label: str = "cluster",
-    max_epochs: Optional[int] = None,
     fabric_plan: Optional[FaultPlan] = None,
-    fabric_policy: Optional[FabricPolicy] = None,
-    health: Optional[HealthPolicy] = None,
 ) -> FleetReport:
     """Run one fleet experiment; returns the :class:`FleetReport`.
 
@@ -131,11 +126,6 @@ def run_cluster(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate tenant names in {names}")
     for t in tenants:
-        if t.closed_loop:
-            raise ValueError(
-                f"tenant {t.name!r} is closed-loop: cluster load is "
-                "open-loop (the router cannot block on a node's reply)"
-            )
         if not t.tasks:
             raise ValueError(f"tenant {t.name!r} has no tasks")
     router = router if router is not None else ConsistentHashRouter(topology)
@@ -152,15 +142,12 @@ def run_cluster(
     if fabric_plan is not None and not fabric_plan.is_zero:
         injector = FabricInjector(fabric_plan)
     reliable = injector is not None
-    fabric = Fabric(topology, injector=injector, policy=fabric_policy)
+    fabric = Fabric(topology, injector=injector)
     epoch_len = topology.epoch_length_ns
     tenant_slos = [(t.name, t.slo) for t in tenants]
-    host = InProcessHost(topology, tenant_slos, serve, obs,
-                         reliable=reliable)
+    host = InProcessHost(topology, tenant_slos, obs, reliable=reliable)
 
-    health = health or HealthPolicy()
-    tracker = HealthTracker(topology.node_names, health) \
-        if reliable else None
+    tracker = HealthTracker(topology.node_names) if reliable else None
     #: rid -> terminal outcome, first answer wins (the fleet frontier).
     ledger: Dict[int, str] = {}
     #: rid -> nodes it was placed on, in placement order.
@@ -178,9 +165,9 @@ def run_cluster(
         from repro.obs import Obs
         cobs = Obs(profile=False)
 
-    if max_epochs is None:
-        last_at = arrivals[-1][0]
-        max_epochs = int(last_at // epoch_len) + 10_000
+    # runaway bound: a fleet that has not quiesced this long after
+    # its last arrival never will
+    max_epochs = int(arrivals[-1][0] // epoch_len) + 10_000
 
     view = FleetView({name: dict(_FRESH_STATUS)
                       for name in topology.node_names})
@@ -417,8 +404,6 @@ def run_cluster(
     health_final: Dict[str, str] = {}
     fired: Dict[str, int] = {}
     plan_desc = ""
-    policy_desc = ""
-    health_desc = ""
     if reliable:
         frontier = {"offered": len(arrivals)}
         for outcome in ("completed", "failed", "dropped"):
@@ -429,8 +414,6 @@ def run_cluster(
         fired = injector.by_kind()
         plan_desc = (f"fabric_plan(seed={fabric_plan.seed}, "
                      f"specs={len(fabric_plan)})")
-        policy_desc = fabric.policy.describe()
-        health_desc = health.describe()
     return FleetReport(
         label=label,
         router=router.describe(),
@@ -455,13 +438,13 @@ def run_cluster(
         fabric_wire_held=fabric.wire_held,
         fabric_faults=fired,
         fabric_plan_desc=plan_desc,
-        fabric_policy_desc=policy_desc,
+        fabric_policy_desc=POLICY_DESC if reliable else "",
         hedges=hedges,
         hedge_dups=hedge_dups,
         rerouted=rerouted,
         deferred=deferred_total,
         frontier=frontier,
-        health_policy_desc=health_desc,
+        health_policy_desc=HEALTH_DESC if reliable else "",
         health_final=health_final,
         degradations=events,
     )

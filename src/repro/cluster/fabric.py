@@ -29,7 +29,6 @@ allocation where a frozen dataclass paid a ``__setattr__`` per field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -73,41 +72,21 @@ class Message(NamedTuple):
 _ARRIVAL_ORDER = attrgetter("arrive_ns", "seq")
 
 
-@dataclass(frozen=True)
-class FabricPolicy:
-    """Reliability knobs of the fabric's at-least-once lane.
-
-    ``rto_factor``
-        Retransmit timeout = ``rto_factor`` × round-trip estimate
-        (2 × link latency), floored at one epoch so a message is
-        retried at most once per barrier epoch.
-    ``backoff_cap_factor``
-        Exponential backoff multiplier cap: attempt *n* waits
-        ``rto × min(2^(n-1), cap)``.
-    ``max_attempts``
-        Router→node :data:`FORWARD`s dead-letter after this many
-        transmissions (the driver re-routes); node→router kinds
-        retry indefinitely (abandoned only by quarantine / ledger
-        rules in the driver).
-    """
-
-    rto_factor: float = 2.0
-    backoff_cap_factor: float = 8.0
-    max_attempts: int = 5
-
-    def __post_init__(self) -> None:
-        if self.rto_factor <= 0:
-            raise ValueError("rto_factor must be > 0")
-        if self.backoff_cap_factor < 1:
-            raise ValueError("backoff_cap_factor must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-    def describe(self) -> str:
-        """Stable one-line description (goes into the fleet report)."""
-        return (f"at-least-once(rto={self.rto_factor:g}x, "
-                f"cap={self.backoff_cap_factor:g}x, "
-                f"max_attempts={self.max_attempts})")
+#: retransmit timeout = ``RTO_FACTOR`` x round-trip estimate (2 x
+#: link latency), floored at one epoch so a message is retried at
+#: most once per barrier epoch.
+RTO_FACTOR = 2.0
+#: exponential backoff multiplier cap: attempt *n* waits
+#: ``rto x min(2^(n-1), BACKOFF_CAP)``.
+BACKOFF_CAP = 8.0
+#: router->node :data:`FORWARD`s dead-letter after this many
+#: transmissions (the driver re-routes); node->router kinds retry
+#: indefinitely (abandoned only by quarantine / ledger rules in the
+#: driver).
+MAX_ATTEMPTS = 5
+#: the reliable lane's settings as the fleet report prints them.
+POLICY_DESC = (f"at-least-once(rto={RTO_FACTOR:g}x, cap={BACKOFF_CAP:g}x, "
+               f"max_attempts={MAX_ATTEMPTS})")
 
 
 class _Pending(NamedTuple):
@@ -127,12 +106,10 @@ class Fabric:
     """Latency-stamping, epoch-bucketing message switch."""
 
     def __init__(self, topology: Topology,
-                 injector: Optional[FabricInjector] = None,
-                 policy: Optional[FabricPolicy] = None) -> None:
+                 injector: Optional[FabricInjector] = None) -> None:
         self.topology = topology
         self.epoch_ns = topology.epoch_length_ns
         self.injector = injector
-        self.policy = policy or FabricPolicy()
         #: reliable lane on? (fault plans only; legacy lane otherwise)
         self.reliable = injector is not None
         self._seq = 0
@@ -238,8 +215,8 @@ class Fabric:
                   latency: float) -> None:
         """(Re)arm the unacked record: due = rto × capped backoff,
         rto floored at one epoch so dues land at most one sweep out."""
-        rto = max(self.policy.rto_factor * 2.0 * latency, self.epoch_ns)
-        backoff = min(2.0 ** (attempt - 1), self.policy.backoff_cap_factor)
+        rto = max(RTO_FACTOR * 2.0 * latency, self.epoch_ns)
+        backoff = min(2.0 ** (attempt - 1), BACKOFF_CAP)
         self._unacked[mid] = _Pending(
             mid, kind, src, dst, payload, attempt,
             round(send_ns + rto * backoff, 3))
@@ -283,7 +260,7 @@ class Fabric:
               boundary_ns: float) -> Tuple[List[_Pending], List[_Pending]]:
         """Retransmit every unacked message due before ``boundary_ns``
         (the epoch boundary just stepped to).  :data:`FORWARD`s that
-        exhausted :attr:`FabricPolicy.max_attempts` are dead-lettered
+        exhausted :data:`MAX_ATTEMPTS` are dead-lettered
         instead.  Returns ``(retransmitted, dead_letters)`` — the
         records as they were *before* the action, for event logging
         and (dead letters) driver-side re-routing."""
@@ -293,8 +270,7 @@ class Fabric:
             rec = self._unacked[mid]
             if rec.due_ns >= boundary_ns:
                 continue
-            if rec.kind == FORWARD and \
-                    rec.attempt >= self.policy.max_attempts:
+            if rec.kind == FORWARD and rec.attempt >= MAX_ATTEMPTS:
                 del self._unacked[mid]
                 self.dead_lettered += 1
                 dead.append(rec)
@@ -304,17 +280,6 @@ class Fabric:
             self.post(rec.kind, rec.src, rec.dst, rec.due_ns,
                       rec.payload, mid=mid, attempt=rec.attempt + 1)
         return retried, dead
-
-    def abandon_rid(self, rid: int,
-                    kinds: Tuple[str, ...] = (RESPAWN, ANSWER)) -> int:
-        """Stop retrying node-originated messages about ``rid`` (its
-        outcome is settled some other way).  Returns how many."""
-        gone = sorted(m for m, r in self._unacked.items()
-                      if r.kind in kinds and r.payload[0] == rid)
-        for mid in gone:
-            del self._unacked[mid]
-        self.abandoned += len(gone)
-        return len(gone)
 
     def abandon_from(self, node: str) -> int:
         """Stop retrying everything originated by ``node`` (it was

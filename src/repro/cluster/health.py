@@ -9,15 +9,15 @@ machine per node:
 
 ========== ============================================================
 healthy    digests flowing; fully routable.
-suspect    ``suspect_after`` consecutive misses; pulled out of the
+suspect    :data:`SUSPECT_AFTER` consecutive misses; pulled out of the
            routing view (``alive=0`` overlay) and its unanswered
            requests become hedging candidates.
-quarantined ``quarantine_after`` consecutive misses; additionally the
+quarantined :data:`QUARANTINE_AFTER` consecutive misses; additionally the
            fabric abandons its unacked node→router messages (their
            rids are hedged instead).
 probation  a quarantined node heard again; routable, but one more
            miss relapses straight back to quarantined.  After
-           ``probation_epochs`` clean epochs it is healthy again.
+           :data:`PROBATION_EPOCHS` clean epochs it is healthy again.
 ========== ============================================================
 
 All of this runs on the coordinator from boundary-instant data only,
@@ -41,31 +41,17 @@ PROBATION = "probation"
 ROUTABLE_STATES = (HEALTHY, PROBATION)
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Knobs of the digest-visibility suspicion state machine."""
-
-    #: consecutive missed digests before a node is suspected.
-    suspect_after: int = 2
-    #: consecutive missed digests before a suspect is quarantined.
-    quarantine_after: int = 4
-    #: clean epochs a re-heard quarantined node serves on probation
-    #: before it counts as healthy again.
-    probation_epochs: int = 3
-
-    def __post_init__(self) -> None:
-        if self.suspect_after < 1:
-            raise ValueError("suspect_after must be >= 1")
-        if self.quarantine_after < self.suspect_after:
-            raise ValueError("quarantine_after must be >= suspect_after")
-        if self.probation_epochs < 1:
-            raise ValueError("probation_epochs must be >= 1")
-
-    def describe(self) -> str:
-        """Stable one-line description (goes into the fleet report)."""
-        return (f"digest-suspicion(suspect={self.suspect_after}, "
-                f"quarantine={self.quarantine_after}, "
-                f"probation={self.probation_epochs})")
+#: consecutive missed digests before a node is suspected.
+SUSPECT_AFTER = 2
+#: consecutive missed digests before a suspect is quarantined.
+QUARANTINE_AFTER = 4
+#: clean epochs a re-heard quarantined node serves on probation
+#: before it counts as healthy again.
+PROBATION_EPOCHS = 3
+#: the state machine's settings as the fleet report prints them.
+HEALTH_DESC = (f"digest-suspicion(suspect={SUSPECT_AFTER}, "
+               f"quarantine={QUARANTINE_AFTER}, "
+               f"probation={PROBATION_EPOCHS})")
 
 
 @dataclass(frozen=True)
@@ -100,9 +86,7 @@ class DegradationEvent:
 class HealthTracker:
     """Per-node suspicion state machine over digest visibility."""
 
-    def __init__(self, nodes: List[str],
-                 policy: HealthPolicy = HealthPolicy()) -> None:
-        self.policy = policy
+    def __init__(self, nodes: List[str]) -> None:
         self.state: Dict[str, str] = {n: HEALTHY for n in nodes}
         self._misses: Dict[str, int] = {n: 0 for n in nodes}
         self._probation_left: Dict[str, int] = {n: 0 for n in nodes}
@@ -120,8 +104,7 @@ class HealthTracker:
             if heard[node]:
                 if old == QUARANTINED:
                     new = PROBATION
-                    self._probation_left[node] = \
-                        self.policy.probation_epochs
+                    self._probation_left[node] = PROBATION_EPOCHS
                 elif old == PROBATION:
                     self._probation_left[node] -= 1
                     if self._probation_left[node] <= 0:
@@ -133,9 +116,9 @@ class HealthTracker:
                 self._misses[node] += 1
                 if old == PROBATION:
                     new = QUARANTINED  # relapse: no second chances
-                elif self._misses[node] >= self.policy.quarantine_after:
+                elif self._misses[node] >= QUARANTINE_AFTER:
                     new = QUARANTINED
-                elif self._misses[node] >= self.policy.suspect_after:
+                elif self._misses[node] >= SUSPECT_AFTER:
                     new = SUSPECT
             if new != old:
                 self.state[node] = new

@@ -1,14 +1,14 @@
 """One fleet shard: a self-contained GPU node behind a frontend.
 
 A :class:`NodeShard` owns everything a simulated box owns — its own
-:class:`~repro.sim.Engine`, Pagoda runtime stack(s), and a
+:class:`~repro.sim.Engine`, one-GPU Pagoda runtime stack, and a
 :class:`~repro.serve.remote.NodeFrontend` — and exposes exactly the
 epoch protocol the coordinator speaks: *deliver, step, report*.
 Shards are constructed **from plain data** (a
-:class:`~repro.cluster.topology.NodeSpec`, the tenant contracts, and a
-template :class:`~repro.serve.ServeConfig`), never shared, so a
-shard's evolution depends only on its own deliveries — the root of
-the fleet report's byte-replayability.
+:class:`~repro.cluster.topology.NodeSpec` and the tenant contracts;
+each builds its own default :class:`~repro.serve.ServeConfig`), never
+shared, so a shard's evolution depends only on its own deliveries —
+the root of the fleet report's byte-replayability.
 
 Node-scoped faults: the spec's :class:`~repro.faults.FaultPlan` rides
 into the node's own runtime minus its ``gpu.die`` specs, which the
@@ -16,7 +16,7 @@ shard owns as *node death* (one box, one failure domain): at the
 spec's ``at_ns`` the shard freezes its engine, reports every
 unanswered request back over the fabric for cross-shard failover, and
 answers all later deliveries with a bounce.  The serve node never sees
-them: in a cluster a multi-GPU box dies whole.
+them: in a cluster the box dies whole.
 """
 
 from __future__ import annotations
@@ -57,18 +57,9 @@ class NodeShard:
     """The epoch-stepped wrapper around one node's serve frontend."""
 
     def __init__(self, spec: NodeSpec, tenant_slos: Sequence[tuple],
-                 template: Optional[ServeConfig] = None,
                  obs: bool = False, reliable: bool = False) -> None:
         self.name = spec.name
-        base = spec.serve if spec.serve is not None else template
-        config = copy.deepcopy(base) if base is not None else ServeConfig()
-        if config.pagoda.obs is not None:
-            raise ValueError(
-                "cluster shards manage their own Obs; leave "
-                "ServeConfig.pagoda.obs unset"
-            )
-        config.label = spec.name
-        config.num_gpus = spec.num_gpus
+        config = ServeConfig(label=spec.name)
         config.pagoda.fault_plan = _without_deaths(spec.fault_plan)
         self.obs = None
         if obs:

@@ -28,24 +28,17 @@ class NodeSpec:
     """One GPU box of the fleet."""
 
     name: str
-    #: Pagoda stacks behind the node's ingress queue.
-    num_gpus: int = 1
     #: node-scoped fault schedule.  ``gpu.die`` specs are interpreted
     #: by the *cluster* layer as node death at ``at_ns`` (the box is
     #: one failure domain; unanswered requests fail over across
     #: shards); every other kind is injected inside the node's own
     #: runtime exactly as in single-box serving.
     fault_plan: Optional[object] = None
-    #: per-node serve knobs (admission policy, batcher, pagoda
-    #: config...).  ``None`` uses the cluster-level default.
-    serve: Optional[object] = None
 
     def __post_init__(self) -> None:
         if not self.name or self.name.startswith("@"):
             raise ValueError(f"bad node name {self.name!r} "
                              "(non-empty, '@' prefix is reserved)")
-        if self.num_gpus < 1:
-            raise ValueError("num_gpus must be >= 1")
 
 
 @dataclass

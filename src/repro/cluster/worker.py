@@ -25,10 +25,9 @@ class InProcessHost:
     """Sequential shard stepping inside the coordinator process."""
 
     def __init__(self, topology: Topology, tenant_slos: Sequence[tuple],
-                 template, obs: bool, reliable: bool = False) -> None:
+                 obs: bool, reliable: bool = False) -> None:
         self.shards = {
-            spec.name: NodeShard(spec, tenant_slos, template, obs,
-                                 reliable=reliable)
+            spec.name: NodeShard(spec, tenant_slos, obs, reliable=reliable)
             for spec in topology.nodes
         }
         self._order = topology.node_names

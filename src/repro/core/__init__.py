@@ -22,7 +22,6 @@ from repro.core.errors import (
     DegradationEvent,
     GpuDeadError,
     QuarantineEvent,
-    RetryPolicy,
     TaskError,
     TaskErrorGroup,
     WatchdogKill,
@@ -52,7 +51,6 @@ __all__ = [
     "DegradationEvent",
     "GpuDeadError",
     "QuarantineEvent",
-    "RetryPolicy",
     "TaskError",
     "TaskErrorGroup",
     "WatchdogKill",

@@ -5,11 +5,11 @@ this module is the vocabulary for everything else.  A task that dies —
 kernel exception, wedged warp reclaimed by the watchdog, SMM brown-out,
 GPU death — must surface as a :class:`TaskError` carried in its
 TaskTable row and re-raised from ``wait()``; it must never hang
-``wait``/``waitAll``.  The host can wrap spawns in a
-:class:`RetryPolicy` (capped exponential backoff), the TaskTable
-retires repeatedly-lethal slots (:class:`QuarantineEvent`), and a
-multi-GPU node records :class:`DegradationEvent`\\ s when it fails
-tasks over from a dead device.
+``wait``/``waitAll``.  The host re-issues failed spawns with capped
+exponential backoff (:func:`retry_backoff_ns`), the TaskTable retires
+repeatedly-lethal slots (:class:`QuarantineEvent`), and a multi-GPU
+node records :class:`DegradationEvent`\\ s when it fails tasks over
+from a dead device.
 """
 
 from __future__ import annotations
@@ -71,33 +71,20 @@ class CudaLaunchError(RuntimeError):
     """A simulated kernel launch failed (cudaErrorLaunchFailure)."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff for re-issued spawns.
+#: Capped exponential backoff for re-issued spawns.
+#: ``PagodaHost.post`` re-issues a spawn whose launch failed
+#: (:class:`CudaLaunchError`); ``task_spawn_with_retry`` also re-issues
+#: a task that failed (:class:`TaskError`).  After ``RETRY_ATTEMPTS``
+#: total attempts the last error propagates to the caller.
+RETRY_ATTEMPTS = 3
+RETRY_BACKOFF_NS = 2_000.0
+RETRY_BACKOFF_CAP_NS = 64_000.0
 
-    ``PagodaHost.post`` re-issues a spawn whose launch failed
-    (:class:`CudaLaunchError`); ``task_spawn_with_retry`` also
-    re-issues a task that failed (:class:`TaskError`).  Attempt ``k``
-    (0-based) that fails sleeps
-    ``min(backoff_base_ns * 2**k, backoff_cap_ns)`` before re-spawning;
-    after ``max_attempts`` total attempts the last error propagates to
-    the caller.
-    """
 
-    max_attempts: int = 3
-    backoff_base_ns: float = 2_000.0
-    backoff_cap_ns: float = 64_000.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_ns < 0 or self.backoff_cap_ns < 0:
-            raise ValueError("backoff durations must be >= 0")
-
-    def backoff_ns(self, attempt: int) -> float:
-        """Sleep before retry number ``attempt + 1`` (capped)."""
-        return min(self.backoff_base_ns * (2.0 ** attempt),
-                   self.backoff_cap_ns)
+def retry_backoff_ns(attempt: int) -> float:
+    """Sleep after failed attempt ``attempt`` (0-based): doubling from
+    ``RETRY_BACKOFF_NS``, capped at ``RETRY_BACKOFF_CAP_NS``."""
+    return min(RETRY_BACKOFF_NS * (2.0 ** attempt), RETRY_BACKOFF_CAP_NS)
 
 
 @dataclass(frozen=True)

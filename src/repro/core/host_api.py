@@ -24,11 +24,12 @@ from heapq import heappush
 from typing import Callable, Deque, Generator, List, Optional
 
 from repro.core.errors import (
+    RETRY_ATTEMPTS,
     CudaLaunchError,
     GpuDeadError,
-    RetryPolicy,
     TaskError,
     TaskErrorGroup,
+    retry_backoff_ns,
 )
 from repro.core.tasktable import READY_COPIED, READY_SCHEDULING, TaskTable
 from repro.gpu.timing import TimingModel
@@ -45,11 +46,6 @@ def _caller_site() -> str:
     while frame.f_globals.get("__name__") == __name__:
         frame = frame.f_back
     return f"{frame.f_code.co_filename}:{frame.f_lineno}"
-
-
-#: launch-failure retry schedule of :meth:`PagodaHost.post` and the
-#: default of :meth:`PagodaHost.task_spawn_with_retry`.
-_RETRY = RetryPolicy()
 
 
 _DEAD = "the GPU behind this host died mid-run"
@@ -182,8 +178,8 @@ class PagodaHost:
         Issues the input copy (a ``cudaMemcpyAsync`` call, then an H2D
         transfer started under ``name``; ``None`` skips the copy),
         then ``taskSpawn``.  An injected launch failure is re-issued
-        after :class:`RetryPolicy`'s capped backoff; the last one
-        propagates, as does :class:`GpuDeadError` — also when the
+        after a capped backoff (:func:`~repro.core.errors.retry_backoff_ns`);
+        the last one propagates, as does :class:`GpuDeadError` — also when the
         device died while the entry was being posted.
         """
         return _Post(self, spec, result, name, _caller_site())
@@ -209,20 +205,16 @@ class PagodaHost:
     # -- hardened spawn (retry with capped exponential backoff) ----------------
 
     def task_spawn_with_retry(self, spec: TaskSpec,
-                              result: Optional[TaskResult] = None,
-                              policy: Optional[RetryPolicy] = None):
+                              result: Optional[TaskResult] = None):
         """Spawn, wait, and re-spawn on failure (capped exponential
         backoff); subroutine returns the taskID of the attempt that
-        completed.  After ``policy.max_attempts`` failures the last
-        error propagates."""
-        return self._task_spawn_with_retry(spec, result, policy,
-                                           _caller_site())
+        completed.  After ``RETRY_ATTEMPTS`` failures the last error
+        propagates."""
+        return self._task_spawn_with_retry(spec, result, _caller_site())
 
     def _task_spawn_with_retry(self, spec: TaskSpec,
                                result: Optional[TaskResult],
-                               policy: Optional[RetryPolicy],
                                spawn_site: str) -> Generator:
-        policy = policy or _RETRY
         attempt = 0
         while True:
             try:
@@ -232,9 +224,9 @@ class PagodaHost:
                 return task_id
             except (TaskError, CudaLaunchError):
                 attempt += 1
-                if attempt >= policy.max_attempts:
+                if attempt >= RETRY_ATTEMPTS:
                     raise
-                yield policy.backoff_ns(attempt - 1)
+                yield retry_backoff_ns(attempt - 1)
 
 
 class _Finished(Op):
@@ -468,10 +460,10 @@ class _Post(_TaskSpawn):
 
     def _retry(self, exc: CudaLaunchError) -> None:
         self.attempt += 1
-        if self.attempt >= _RETRY.max_attempts:
+        if self.attempt >= RETRY_ATTEMPTS:
             self._fail(exc)
         else:
-            self._after(_RETRY.backoff_ns(self.attempt - 1), _Post._spawn)
+            self._after(retry_backoff_ns(self.attempt - 1), _Post._spawn)
 
     def _spawned(self, task_id: int) -> None:
         if self.host.dead:

@@ -73,9 +73,6 @@ class PagodaConfig:
     #: kill-and-reclaim tasks still on the GPU this long after their
     #: scheduling started (None disables the MasterKernel watchdog).
     watchdog_deadline_ns: Optional[float] = None
-    #: consecutive lethal failures before a TaskTable slot is retired
-    #: from the free list (None disables quarantine).
-    quarantine_threshold: Optional[int] = 3
     #: optional :class:`repro.obs.Obs`; attaching one instruments every
     #: layer of the stack (engine profiler, PCIe counters, TaskTable
     #: occupancy, scheduler decisions as ``sched.mtb<N>`` instants,
@@ -135,7 +132,6 @@ class PagodaSession:
         self.table = TaskTable(
             self.engine, self.bus, num_columns, rows=self.config.rows,
             faults=self.faults,
-            quarantine_threshold=self.config.quarantine_threshold,
             obs=self.obs,
         )
         self.master = MasterKernel(

@@ -54,6 +54,10 @@ FIRST_TASK_ID = 2  # taskIDs are integers > 1 (§4.2.2)
 #: update (ready + sched words).
 READBACK_BYTES_PER_ENTRY = 8
 
+#: consecutive lethal failures at which a slot is retired from the
+#: free list.
+QUARANTINE_THRESHOLD = 3
+
 
 @dataclass(slots=True)
 class TaskEntry:
@@ -125,9 +129,7 @@ class TaskTable:
     """
 
     def __init__(self, engine: Engine, bus: PcieBus, num_columns: int,
-                 rows: int = 32, faults=None,
-                 quarantine_threshold: Optional[int] = 3,
-                 obs=None, open_columns=None,
+                 rows: int = 32, faults=None, obs=None, open_columns=None,
                  free_order: str = "lifo") -> None:
         if num_columns < 1 or rows < 1:
             raise ValueError("table must have at least one column and row")
@@ -150,9 +152,6 @@ class TaskTable:
         #: order w.r.t. later writes) and ``pcie.stale_read`` (a lazy
         #: copy-back observes a completion one aggregate update late).
         self.faults = faults
-        #: consecutive-failure count at which a slot is retired from
-        #: the free list (None disables quarantine entirely).
-        self.quarantine_threshold = quarantine_threshold
         self.timing = bus.timing
         #: the posted-write landing and the copy-back's mirror update,
         #: bound once (see post_entry_to_gpu and copy_back).
@@ -275,12 +274,6 @@ class TaskTable:
         self._next_id += 1
         return tid
 
-    def entry_for(self, task_id: int, side: str = "gpu") -> TaskEntry:
-        """Look an entry up by taskID on either mirror."""
-        col, row = self.id_map[task_id]
-        mirror = self.gpu if side == "gpu" else self.cpu
-        return mirror[col][row]
-
     # -- GPU-side dirty-row queue ----------------------------------------------
 
     def mark_row_dirty(self, col: int, row: int) -> None:
@@ -320,7 +313,7 @@ class TaskTable:
         """Pop a CPU-side entry known to be free (ready == 0).
 
         Quarantined slots are skipped: once a slot has killed
-        ``quarantine_threshold`` tasks in a row it is presumed bad
+        :data:`QUARANTINE_THRESHOLD` tasks in a row it is presumed bad
         (stuck hardware warp, corrupted shared-memory line) and retired
         rather than handed to yet another victim.
         """
@@ -675,7 +668,7 @@ class TaskTable:
         With ``error`` the task *failed*: the slot is still freed (the
         protocol words must not wedge the column), but the failure is
         recorded for the next copy-back, the slot's lethal-failure
-        streak advances, and a streak past ``quarantine_threshold``
+        streak advances, and a streak past :data:`QUARANTINE_THRESHOLD`
         retires the slot from the free list for good.
         """
         entry = self.gpu[col][row]
@@ -701,14 +694,12 @@ class TaskTable:
         self.gpu_done_signal.pulse((col, row))
 
     def record_slot_failure(self, col: int, row: int) -> None:
-        """Advance a slot's lethal-failure streak; quarantine on the
-        configured threshold."""
+        """Advance a slot's lethal-failure streak; quarantine at
+        :data:`QUARANTINE_THRESHOLD`."""
         key = (col, row)
         count = self._slot_failures.get(key, 0) + 1
         self._slot_failures[key] = count
-        threshold = self.quarantine_threshold
-        if (threshold is not None and count >= threshold
-                and key not in self.quarantined):
+        if count >= QUARANTINE_THRESHOLD and key not in self.quarantined:
             self.quarantined.add(key)
             self.quarantine_events.append(
                 QuarantineEvent(self.engine.now, col, row, count)

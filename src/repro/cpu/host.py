@@ -33,11 +33,3 @@ class HostCpu:
         # Compute and streaming loads overlap on an OoO core; the longer
         # component dominates.
         return max(compute, memory)
-
-    def run_task(self, cost: Phase, dispatch_overhead: float = 0.0):
-        """Subroutine: occupy one core for one task."""
-        yield self.cores.acquire()
-        if dispatch_overhead:
-            yield dispatch_overhead
-        yield self.service_time(cost)
-        self.cores.release()

@@ -17,7 +17,6 @@ scheduler (in :mod:`repro.core`) exists to beat exactly this.
 """
 
 from repro.cuda.barrier import WarpBarrier
-from repro.cuda.events import CudaEvent
 from repro.cuda.runtime import CudaRuntime
 from repro.cuda.stream import Stream
 
@@ -25,5 +24,4 @@ __all__ = [
     "CudaRuntime",
     "Stream",
     "WarpBarrier",
-    "CudaEvent",
 ]

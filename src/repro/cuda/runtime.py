@@ -31,19 +31,12 @@ class CudaRuntime:
     """Simulated CUDA context on one GPU."""
 
     def __init__(self, engine: Engine, gpu: Gpu, bus: PcieBus,
-                 functional: bool = False, faults=None,
-                 smm_mask=None) -> None:
+                 functional: bool = False) -> None:
         self.engine = engine
         self.gpu = gpu
         self.bus = bus
         self.timing = gpu.timing
         self.functional = functional
-        #: optional :class:`repro.faults.FaultInjector`; launches draw
-        #: ``cuda.launch_fail``, streams draw ``cuda.stream_stall``.
-        self.faults = faults
-        #: optional set of SMM indices this runtime may dispatch onto
-        #: (a compute partition); ``None`` means the whole device.
-        self.smm_mask = None if smm_mask is None else frozenset(smm_mask)
         self._inflight_kernels = 0
         self._launch_queue: deque = deque()
         self._pending_blocks: deque = deque()
@@ -58,8 +51,7 @@ class CudaRuntime:
     def create_stream(self, name: str = "") -> Stream:
         """Create a new in-order CUDA stream."""
         self._streams += 1
-        return Stream(self.engine, name or f"s{self._streams}",
-                      faults=self.faults)
+        return Stream(self.engine, name or f"s{self._streams}")
 
     def host_launch(self, task: TaskSpec, stream: Stream,
                     result: Optional[TaskResult] = None) -> Generator:
@@ -71,20 +63,8 @@ class CudaRuntime:
 
     def launch_async(self, task: TaskSpec, stream: Stream,
                      result: Optional[TaskResult] = None) -> Event:
-        """Enqueue a kernel without host-side cost accounting.
-
-        Raises :class:`~repro.core.errors.CudaLaunchError` when the
-        fault plan injects ``cuda.launch_fail`` for this kernel
-        (cudaErrorLaunchFailure at enqueue time, the retryable kind).
-        """
+        """Enqueue a kernel without host-side cost accounting."""
         self._validate_launch(task)
-        if self.faults is not None:
-            if self.faults.draw("cuda.launch_fail", task.name) is not None:
-                from repro.core.errors import CudaLaunchError
-                raise CudaLaunchError(
-                    f"launch of kernel {task.name!r} failed "
-                    "(injected cuda.launch_fail)"
-                )
         return stream.enqueue(lambda: self._kernel_op(task, result))
 
     def _validate_launch(self, task: TaskSpec) -> None:
@@ -179,7 +159,7 @@ class CudaRuntime:
             freed_retry = self._freed.wait()
             task, block_id, on_start, on_done = self._pending_blocks[0]
             warps, regs, smem = self._block_requirements(task)
-            smm = self.gpu.find_smm(warps, regs, smem, mask=self.smm_mask)
+            smm = self.gpu.find_smm(warps, regs, smem)
             if smm is None:
                 yield freed_retry
                 continue

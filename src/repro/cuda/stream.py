@@ -17,15 +17,9 @@ from repro.sim import Engine, Event, Store
 class Stream:
     """One in-order queue of device operations."""
 
-    def __init__(self, engine: Engine, name: str = "",
-                 faults=None) -> None:
+    def __init__(self, engine: Engine, name: str = "") -> None:
         self.engine = engine
         self.name = name
-        #: optional :class:`repro.faults.FaultInjector`; the driver
-        #: draws ``cuda.stream_stall`` before each dequeued operation.
-        self.faults = faults
-        #: total injected stall time absorbed by this stream.
-        self.stalled_ns = 0.0
         self._ops: Store = Store(engine, f"stream.{name}")
         self._pending = 0
         self._drain_waiters: List[Event] = []
@@ -47,13 +41,6 @@ class Stream:
     def _driver(self) -> Generator:
         while True:
             op, done = yield self._ops.get()
-            if self.faults is not None:
-                stall = self.faults.draw("cuda.stream_stall", self.name)
-                if stall is not None:
-                    # the stream wedges for a while (a blocked hardware
-                    # connection); everything queued behind waits it out
-                    self.stalled_ns += stall.magnitude_ns
-                    yield stall.magnitude_ns
             yield from op()
             self._pending -= 1
             self.completed_ops += 1

@@ -12,9 +12,11 @@ TaskTable entry post    ``pcie.reorder``
 TaskTable copy-back     ``pcie.stale_read``
 MTB executor warp       ``gpu.slow_warp`` / ``gpu.stuck_warp`` /
                         ``task.raise`` / ``task.poison`` / ``task.no_yield``
-``CudaRuntime`` launch  ``cuda.launch_fail``
-``Stream`` driver       ``cuda.stream_stall``
+``PagodaHost`` spawn    ``cuda.launch_fail``
 ======================  ====================================================
+
+``cuda.stream_stall`` is a plan kind that no hook draws: the CUDA
+runtime of the HyperQ and fusion baselines runs without an injector.
 
 ``gpu.brownout`` and ``gpu.die`` are *time-triggered*: the session
 wiring schedules them as engine callbacks at their ``at_ns`` (see
@@ -104,10 +106,6 @@ class FaultInjector:
     def injected_count(self) -> int:
         """Faults fired so far (hook draws + time-triggered)."""
         return len(self.injected)
-
-    def pending_count(self) -> int:
-        """Armed-or-future hook faults not yet consumed."""
-        return sum(rec[1] for queue in self._armed.values() for rec in queue)
 
     def fingerprint(self) -> tuple:
         """Replay-comparable summary of what fired (time, kind, site)."""

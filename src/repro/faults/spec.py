@@ -54,11 +54,13 @@ GPU_FAULTS = (
     "gpu.die",
 )
 
-#: CUDA runtime faults (hooks in :mod:`repro.cuda`).
+#: CUDA runtime faults.
 CUDA_FAULTS = (
-    # cudaLaunchKernel returns an error instead of enqueueing.
+    # a taskSpawn's launch returns an error instead of enqueueing
+    # (drawn by :class:`repro.core.host_api.PagodaHost`).
     "cuda.launch_fail",
     # a stream's driver thread stalls ``magnitude_ns`` before an op.
+    # No hook draws it: the baselines' CUDA runtime takes no injector.
     "cuda.stream_stall",
 )
 

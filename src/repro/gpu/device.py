@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.gpu.smm import Smm
 from repro.gpu.spec import GpuSpec, titan_x
@@ -103,27 +103,15 @@ class Gpu:
             ready.append((engine._seq, _CALL, start, warp_id))
         return done
 
-    def find_smm(
-        self,
-        warps: int,
-        registers: int,
-        shared_mem: int,
-        mask: Optional[Iterable[int]] = None,
-    ) -> Optional[Smm]:
+    def find_smm(self, warps: int, registers: int,
+                 shared_mem: int) -> Optional[Smm]:
         """Least-loaded SMM that can host the block, or ``None``.
 
         Mirrors the GigaThread engine's load balancing: prefer the SMM
-        with the most free warp slots.  ``mask`` restricts the scan to a
-        subset of SMM indices (a compute partition); ``None`` scans the
-        whole device.  Both the legacy shared dispatcher and the
-        partition path go through this single placement loop.
+        with the most free warp slots.
         """
-        if mask is None:
-            candidates = self.smms
-        else:
-            candidates = [self.smms[i] for i in sorted(mask)]
         best: Optional[Smm] = None
-        for smm in candidates:
+        for smm in self.smms:
             if smm.can_host(warps, registers, shared_mem):
                 if best is None or smm.free_warps > best.free_warps:
                     best = smm

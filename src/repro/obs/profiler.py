@@ -123,21 +123,3 @@ class SimProfiler:
                 for s in self.top(n)
             ],
         }
-
-    def format_report(self, n: int = 10) -> str:
-        """Human-readable top-N table (the ``repro.bench`` obs report)."""
-        rows = self.top(n)
-        width = max([len(s.name) for s in rows], default=4)
-        lines = [
-            f"sim profile: {len(self.stats)} process names, "
-            f"{sum(s.events for s in self.stats.values())} events, "
-            f"heap peak {self.heap_peak}",
-            f"{'process':<{width}}  {'spawns':>7}  {'events':>9}  "
-            f"{'vtime_ms':>10}",
-        ]
-        for s in rows:
-            lines.append(
-                f"{s.name:<{width}}  {s.spawns:>7}  {s.events:>9}  "
-                f"{s.vtime_ns / 1e6:>10.3f}"
-            )
-        return "\n".join(lines)

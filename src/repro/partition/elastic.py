@@ -46,8 +46,6 @@ class ElasticConfig:
     #: quota borrowed per hungry epoch, as a fraction of the
     #: borrower's physical base (per resource).
     quota_step: float = 0.25
-    #: enable whole-SMM moves (quota borrowing alone otherwise).
-    move_smms: bool = True
     #: SMM hand-overs the controller may start per epoch.  Distinct
     #: SMMs drain independently, so raising this shortens the grow
     #: ramp at the cost of closing more donor columns at once.
@@ -104,7 +102,7 @@ def elastic_controller(stack, cfg: ElasticConfig) -> Generator:
                 stack.partitions[name].quota_signal.pulse()
         # 4. whole-SMM rebalance: widest spread first, up to
         #    moves_per_epoch hand-overs started per tick
-        if cfg.move_smms and hungry:
+        if hungry:
             for _ in range(max(1, cfg.moves_per_epoch)):
                 donors = sorted(
                     (n for n in names

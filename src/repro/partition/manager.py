@@ -61,13 +61,8 @@ class PartitionSpec:
     name: str
     #: SMM indices this partition owns at boot.
     smms: List[int]
-    #: virtual shared-memory quota in bytes (None -> physical base,
-    #: i.e. no oversubscription).
-    smem_quota: Optional[int] = None
-    #: virtual register quota (None -> physical base).
-    reg_quota: Optional[int] = None
-    #: quota = oversubscribe x physical base, applied when the
-    #: corresponding explicit quota is None.  1.0 = no oversubscription.
+    #: virtual shared-memory and register quotas = oversubscribe x
+    #: physical base.  1.0 = no oversubscription.
     oversubscribe: float = 1.0
     #: optional seeded :class:`repro.faults.FaultPlan` scoped to this
     #: partition only — its brown-outs and warp faults can, by
@@ -87,12 +82,12 @@ class PartitionPlan:
     elastic: Optional[object] = None
 
     @classmethod
-    def from_mode(cls, mode: str, num_smms: int = 24,
-                  oversubscribe: float = 1.0,
+    def from_mode(cls, mode: str, oversubscribe: float = 1.0,
                   elastic: Optional[object] = None,
                   names: Optional[List[str]] = None) -> "PartitionPlan":
-        """Build the symmetric plan of one hardware mode."""
-        masks = mode_masks(mode, num_smms)
+        """Build the symmetric plan of one hardware mode over the
+        Titan X's SMM array."""
+        masks = mode_masks(mode, titan_x().num_smms)
         if names is None:
             names = [f"p{i}" for i in range(len(masks))]
         if len(names) != len(masks):
@@ -114,12 +109,6 @@ class PartitionPlan:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate partition names in {names}")
         validate_masks([p.smms for p in self.partitions], num_smms)
-
-    def by_name(self, name: str) -> PartitionSpec:
-        for p in self.partitions:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
 
 class Partition:
@@ -156,7 +145,6 @@ class Partition:
         self.table = TaskTable(
             self.engine, self.bus, num_columns, rows=config.rows,
             faults=self.faults,
-            quarantine_threshold=config.quarantine_threshold,
             obs=self.obs, open_columns=columns, free_order="fifo",
         )
         #: the partition's DRAM bandwidth slice, rated by its boot-time
@@ -190,10 +178,8 @@ class Partition:
         stack.ledger.register(
             self.name,
             smem_base=smem_base, regs_base=regs_base,
-            smem_quota=(pspec.smem_quota if pspec.smem_quota is not None
-                        else int(smem_base * pspec.oversubscribe)),
-            regs_quota=(pspec.reg_quota if pspec.reg_quota is not None
-                        else int(regs_base * pspec.oversubscribe)),
+            smem_quota=int(smem_base * pspec.oversubscribe),
+            regs_quota=int(regs_base * pspec.oversubscribe),
         )
         if self.obs is not None:
             self.obs.timeline(f"gpu.partition.{self.name}.smms").set(

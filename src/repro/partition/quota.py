@@ -256,12 +256,6 @@ class QuotaLedger:
         self._note_grant(donor, resource, now_ns)
         self._note_grant(recipient, resource, now_ns)
 
-    def resize_quota(self, partition: str, resource: str, quota: int,
-                     now_ns: float = 0.0) -> None:
-        """Adjust the virtual promise itself (repartition events)."""
-        self.accounts[partition][resource].quota = quota
-        self._note_grant(partition, resource, now_ns)
-
     # -- invariants --------------------------------------------------------
 
     def physical_total(self, resource: str) -> int:

@@ -69,16 +69,6 @@ class PcieBus:
         self.dropped = {Direction.H2D: 0, Direction.D2H: 0}
         self.duplicated = {Direction.H2D: 0, Direction.D2H: 0}
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Service time of one transaction of ``nbytes`` (excl.
-        queueing)."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        return (
-            self.timing.pcie_transaction_ns
-            + nbytes / self.timing.pcie_bandwidth_bpns
-        )
-
     def transfer(self, nbytes: int, direction: Direction) -> "Transfer":
         """One cudaMemcpy-style transaction, as a :class:`Transfer`.
 

@@ -10,7 +10,7 @@ experiments (:mod:`repro.bench`), and composes with
 
 Pieces, in pipeline order:
 
-- :mod:`~repro.serve.arrivals` — seeded open/closed-loop load
+- :mod:`~repro.serve.arrivals` — seeded open-loop load
   generators (Poisson, deterministic, bursty);
 - :mod:`~repro.serve.policies` — admission control at a bounded
   ingress queue (drop-tail, backpressure, token bucket, per-tenant

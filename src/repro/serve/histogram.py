@@ -4,10 +4,10 @@ The latency accountant records hundreds of thousands of per-request,
 per-stage samples; keeping them all and sorting at report time would
 dominate the serve layer's memory.  Instead samples land in an
 HdrHistogram-style *log-linear* bucket array: values below
-``2**precision_bits`` are recorded exactly, larger values share one
-bucket per ``2**-precision_bits`` of relative width, so any percentile
-read back is within ``2**-precision_bits`` (~0.1% at the default 10
-bits) of the true sample — bounded relative error at O(1) memory per
+``2**PRECISION_BITS`` are recorded exactly, larger values share one
+bucket per ``2**-PRECISION_BITS`` of relative width, so any percentile
+read back is within ``2**-PRECISION_BITS`` (~0.1% at 10 bits) of the
+true sample — bounded relative error at O(1) memory per
 decade of dynamic range.
 
 Percentile reads return the *upper edge* of the rank's bucket (the
@@ -22,18 +22,18 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
+#: histogram resolution: percentiles are exact to ``2**-PRECISION_BITS``.
+PRECISION_BITS = 10
+#: values below this land in unit (exact) buckets.
+_EXACT_LIMIT = 1 << PRECISION_BITS
+
 
 class LatencyHistogram:
     """Sparse log-linear histogram of non-negative ns values."""
 
-    __slots__ = ("precision_bits", "_exact_limit", "counts", "total",
-                 "sum", "min_value", "max_value")
+    __slots__ = ("counts", "total", "sum", "min_value", "max_value")
 
-    def __init__(self, precision_bits: int = 10) -> None:
-        if not 1 <= precision_bits <= 20:
-            raise ValueError("precision_bits must be in [1, 20]")
-        self.precision_bits = precision_bits
-        self._exact_limit = 1 << precision_bits
+    def __init__(self) -> None:
         #: bucket index -> sample count (sparse; most stages cluster).
         self.counts: Dict[int, int] = {}
         self.total = 0
@@ -44,17 +44,17 @@ class LatencyHistogram:
     # -- recording -----------------------------------------------------------
 
     def _index(self, value: int) -> int:
-        if value < self._exact_limit:
+        if value < _EXACT_LIMIT:
             return value
-        shift = value.bit_length() - 1 - self.precision_bits
-        return (shift << self.precision_bits) + (value >> shift)
+        shift = value.bit_length() - 1 - PRECISION_BITS
+        return (shift << PRECISION_BITS) + (value >> shift)
 
     def _bucket_high(self, index: int) -> int:
         """Largest value mapping to ``index`` (what percentiles report)."""
-        if index < self._exact_limit:
+        if index < _EXACT_LIMIT:
             return index
-        shift = (index >> self.precision_bits) - 1
-        mantissa = index - (shift << self.precision_bits)
+        shift = (index >> PRECISION_BITS) - 1
+        mantissa = index - (shift << PRECISION_BITS)
         return ((mantissa + 1) << shift) - 1
 
     def record(self, value_ns: float, count: int = 1) -> None:
@@ -74,9 +74,7 @@ class LatencyHistogram:
             self.max_value = value
 
     def merge(self, other: "LatencyHistogram") -> None:
-        """Fold ``other``'s samples into this histogram (same precision)."""
-        if other.precision_bits != self.precision_bits:
-            raise ValueError("cannot merge histograms of differing precision")
+        """Fold ``other``'s samples into this histogram."""
         for idx, count in other.counts.items():
             self.counts[idx] = self.counts.get(idx, 0) + count
         self.total += other.total
@@ -116,7 +114,7 @@ class LatencyHistogram:
 
     def percentile(self, pct: float) -> int:
         """Value (ns) at the given percentile, upper-bucket-edge
-        convention; max relative error ``2**-precision_bits``."""
+        convention; max relative error ``2**-PRECISION_BITS``."""
         if self.total == 0:
             raise ValueError("empty histogram")
         target = self._rank(pct)

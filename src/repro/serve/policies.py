@@ -7,8 +7,8 @@ ingress queue and answers one of:
 - ``ADMIT`` — enqueue it;
 - ``DROP``  — reject it now (counted, never spawned);
 - ``WAIT``  — backpressure: the *source* blocks until the queue drains
-  (only meaningful for closed-loop tenants; an open-loop source that
-  waits simply shifts its whole schedule).
+  (the open-loop source's later offers queue up behind it; each keeps
+  its scheduled arrival instant).
 
 The stock policies cover the classic overload envelope:
 

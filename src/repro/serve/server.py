@@ -6,9 +6,8 @@ single-GPU case) into a request server wired from four kinds of sim
 processes:
 
 - one **load generator** per tenant, replaying that tenant's seeded
-  :class:`~repro.serve.arrivals.ArrivalProcess` (open-loop: arrivals
-  track the schedule regardless of progress; closed-loop: each arrival
-  waits for the previous response);
+  :class:`~repro.serve.arrivals.ArrivalProcess` open-loop (arrivals
+  track the schedule regardless of progress);
 - the **admission gate** (:mod:`repro.serve.policies`), consulted at
   every arrival against the bounded ingress queue — drops are counted
   and answered immediately, backpressure blocks the source;
@@ -66,10 +65,6 @@ class TenantSpec:
     tasks: List[TaskSpec]
     arrivals: ArrivalProcess
     slo: SloClass = field(default_factory=SloClass)
-    #: closed-loop tenants wait for each response (or drop) before
-    #: clocking the next inter-arrival gap; open-loop tenants track
-    #: their absolute schedule no matter how the server is doing.
-    closed_loop: bool = False
     #: name of the compute partition serving this tenant, when the
     #: pagoda config carries a :class:`repro.partition.PartitionPlan`.
     #: Required whenever the plan has more than one partition; ignored
@@ -219,8 +214,6 @@ class ServeConfig:
     #: ``target % num_gpus`` and fails its work over to the survivors;
     #: one GPU has none, so there it raises ``ValueError``.
     num_gpus: int = 1
-    #: histogram resolution: percentiles are exact to 2**-bits.
-    precision_bits: int = 10
     #: report label.
     label: str = "serve"
 
@@ -287,13 +280,12 @@ class TaskServer:
         self.max_inflight = 0
 
         #: latency accountant: total + per-stage + per-tenant.
-        bits = self.config.precision_bits
-        self.hist_total = LatencyHistogram(bits)
-        self.stage_hists = {s: LatencyHistogram(bits) for s in STAGES}
+        self.hist_total = LatencyHistogram()
+        self.stage_hists = {s: LatencyHistogram() for s in STAGES}
         self.tenant_stats: Dict[str, Dict] = {
             t.name: {"offered": 0, "dropped": 0, "completed": 0,
                      "failed": 0, "good": 0,
-                     "hist": LatencyHistogram(bits)}
+                     "hist": LatencyHistogram()}
             for t in self.tenants
         }
         #: counter timeline: (t_ns, queue_depth, inflight, dropped,
@@ -408,21 +400,13 @@ class TaskServer:
     def _generate(self, tenant: TenantSpec) -> Generator:
         engine = self.engine
         n = len(tenant.tasks)
-        if tenant.closed_loop:
-            for spec, gap in zip(tenant.tasks, tenant.arrivals.gaps(n)):
-                if gap:
-                    yield gap
-                req = self._new_request(tenant, spec, engine.now)
-                yield from self._offer(req)
-                yield req.done
-        else:
-            for spec, at in zip(tenant.tasks, tenant.arrivals.schedule(n)):
-                if engine.now < at:
-                    yield at - engine.now
-                # the arrival instant is the *offered-load* schedule
-                # point even if backpressure delayed the previous offer
-                req = self._new_request(tenant, spec, at)
-                yield from self._offer(req)
+        for spec, at in zip(tenant.tasks, tenant.arrivals.schedule(n)):
+            if engine.now < at:
+                yield at - engine.now
+            # the arrival instant is the *offered-load* schedule point
+            # even if backpressure delayed the previous offer
+            req = self._new_request(tenant, spec, at)
+            yield from self._offer(req)
         # wake the dispatcher so "generators done" is re-evaluated —
         # deferred one engine step, because a pulse fired from inside
         # this generator's final send() would wake the dispatcher

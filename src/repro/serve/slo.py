@@ -6,9 +6,9 @@ The serve layer's deadlines and tenant tiers have to be *mapped onto*
 that single knob at spawn time — this module is that mapping.
 
 A :class:`SloClass` names a tenant's contract (deadline + base
-priority).  At dispatch, :func:`slo_priority` adds an urgency boost
-when a request has already burned more than ``urgency_fraction`` of
-its deadline waiting in the ingress queue — a coarse, deterministic
+priority).  At dispatch, :func:`slo_priority` adds
+:data:`URGENCY_BOOST` when a request has already burned
+:data:`URGENCY_FRACTION` of its deadline waiting in the ingress queue — a coarse, deterministic
 EDF approximation that needs no new scheduler machinery.  The boost
 only matters when the underlying :class:`~repro.core.PagodaConfig`
 enables ``deferred_scheduling``; under plain FIFO the priorities ride
@@ -22,6 +22,11 @@ from typing import Optional
 
 from repro.tasks import TaskSpec
 
+#: extra priority once a request has waited past
+#: :data:`URGENCY_FRACTION` of its deadline.
+URGENCY_BOOST = 1
+URGENCY_FRACTION = 0.5
+
 
 @dataclasses.dataclass(frozen=True)
 class SloClass:
@@ -34,10 +39,6 @@ class SloClass:
     #: base scheduling priority (higher = scheduled first when the
     #: runtime runs with deferred scheduling).
     priority: int = 0
-    #: extra priority once a request has waited past
-    #: ``urgency_fraction`` of its deadline.
-    urgency_boost: int = 1
-    urgency_fraction: float = 0.5
 
     def describe(self) -> str:
         """Stable one-line description (goes into the report JSON)."""
@@ -52,8 +53,8 @@ def slo_priority(slo: SloClass, arrival_ns: float, now: float) -> int:
     priority = slo.priority
     if slo.deadline_ns:
         waited = now - arrival_ns
-        if waited >= slo.urgency_fraction * slo.deadline_ns:
-            priority += slo.urgency_boost
+        if waited >= URGENCY_FRACTION * slo.deadline_ns:
+            priority += URGENCY_BOOST
     return priority
 
 

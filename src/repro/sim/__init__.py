@@ -22,7 +22,7 @@ Public surface:
 """
 
 from repro.sim.engine import DeadlockError, Engine, Process, Delay
-from repro.sim.events import Event, Signal, all_of, any_of
+from repro.sim.events import Event, Signal
 from repro.sim.resources import FifoResource, ProcessorSharing, Store
 from repro.sim.trace import TimeWeighted
 
@@ -33,8 +33,6 @@ __all__ = [
     "Delay",
     "Event",
     "Signal",
-    "any_of",
-    "all_of",
     "FifoResource",
     "ProcessorSharing",
     "Store",

@@ -55,53 +55,6 @@ class Event:
         return f"<Event pending waiters={n} at {id(self):#x}>"
 
 
-def any_of(events) -> Event:
-    """One-shot event firing when the *first* of ``events`` fires.
-
-    Value is ``(index, value)`` of the winner.  If several inputs are
-    already fired, the lowest index wins.
-    """
-    events = list(events)
-    if not events:
-        raise ValueError("any_of needs at least one event")
-    combined = Event()
-
-    def make_waiter(index):
-        def wake(value):
-            if not combined.fired:
-                combined.fire((index, value))
-        return wake
-
-    for i, ev in enumerate(events):
-        ev._add_waiter(make_waiter(i))
-    return combined
-
-
-def all_of(events) -> Event:
-    """One-shot event firing when *every* input has fired.
-
-    Value is the list of input values, in input order.
-    """
-    events = list(events)
-    if not events:
-        raise ValueError("all_of needs at least one event")
-    combined = Event()
-    remaining = [len(events)]
-    values = [None] * len(events)
-
-    def make_waiter(index):
-        def wake(value):
-            values[index] = value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                combined.fire(list(values))
-        return wake
-
-    for i, ev in enumerate(events):
-        ev._add_waiter(make_waiter(i))
-    return combined
-
-
 class Signal:
     """Reusable broadcast condition.
 

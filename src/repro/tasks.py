@@ -173,12 +173,6 @@ class RunStats:
         index = min(len(lats) - 1, int(round(pct / 100 * (len(lats) - 1))))
         return lats[index]
 
-    def throughput_tasks_per_ms(self) -> float:
-        """Completed tasks per simulated millisecond."""
-        if self.makespan <= 0:
-            raise ValueError("non-positive makespan")
-        return len(self.results) / (self.makespan / 1e6)
-
     def speedup_over(self, other: "RunStats") -> float:
         """This runtime's speedup relative to ``other`` (same workload)."""
         if self.makespan <= 0:

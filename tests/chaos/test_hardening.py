@@ -9,7 +9,7 @@ SMM brown-out — with hand-built single-purpose plans.
 import pytest
 
 from repro.core import PagodaConfig, PagodaSession
-from repro.core.errors import RetryPolicy, TaskError, TaskErrorGroup
+from repro.core.errors import TaskError, TaskErrorGroup, retry_backoff_ns
 from repro.core.validation import check_quiescent
 from repro.faults import FaultPlan, FaultSpec
 from repro.tasks import TaskResult, TaskSpec
@@ -115,7 +115,6 @@ def test_spawn_retry_rides_out_transient_faults():
     (capped exponential backoff) and returns the surviving attempt."""
     session = make_session(
         FaultSpec(kind="task.raise", at_ns=0.0, count=2),
-        quarantine_threshold=None,
     )
     host = session.host
     done = []
@@ -124,7 +123,6 @@ def test_spawn_retry_rides_out_transient_faults():
         tid = yield from host.task_spawn_with_retry(
             TaskSpec("flaky", 32, 1, const_kernel(900)),
             TaskResult(0, "flaky"),
-            policy=RetryPolicy(max_attempts=4, backoff_base_ns=1_000.0),
         )
         done.append(tid)
 
@@ -140,7 +138,6 @@ def test_spawn_retry_rides_out_transient_faults():
 def test_spawn_retry_gives_up_after_max_attempts():
     session = make_session(
         FaultSpec(kind="task.raise", at_ns=0.0, count=10),
-        quarantine_threshold=None,
     )
     host = session.host
     caught = []
@@ -150,7 +147,6 @@ def test_spawn_retry_gives_up_after_max_attempts():
             yield from host.task_spawn_with_retry(
                 TaskSpec("doomed", 32, 1, const_kernel(900)),
                 TaskResult(0, "doomed"),
-                policy=RetryPolicy(max_attempts=3),
             )
         except TaskError as exc:
             caught.append(exc)
@@ -165,10 +161,8 @@ def test_spawn_retry_gives_up_after_max_attempts():
 
 
 def test_backoff_is_capped_exponential():
-    policy = RetryPolicy(max_attempts=8, backoff_base_ns=1_000.0,
-                         backoff_cap_ns=16_000.0)
-    assert [policy.backoff_ns(k) for k in range(6)] == [
-        1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0, 16_000.0,
+    assert [retry_backoff_ns(k) for k in range(7)] == [
+        2_000.0, 4_000.0, 8_000.0, 16_000.0, 32_000.0, 64_000.0, 64_000.0,
     ]
 
 

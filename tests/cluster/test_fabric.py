@@ -3,8 +3,8 @@ and the reliable lane (faulted wire + ack/retransmit)."""
 
 import pytest
 
-from repro.cluster import Fabric, FabricPolicy, NodeSpec, Topology
-from repro.cluster.fabric import ANSWER, FORWARD
+from repro.cluster import Fabric, NodeSpec, Topology
+from repro.cluster.fabric import ANSWER, FORWARD, MAX_ATTEMPTS, POLICY_DESC
 from repro.cluster.topology import ROUTER
 from repro.faults import FabricInjector, FaultPlan, FaultSpec
 
@@ -15,11 +15,11 @@ def _fabric(link_ns=25_000.0, **kw):
     return Fabric(topo)
 
 
-def _reliable(specs, link_ns=25_000.0, policy=None):
+def _reliable(specs, link_ns=25_000.0):
     topo = Topology(nodes=[NodeSpec("n0"), NodeSpec("n1")],
                     link_ns=link_ns)
     plan = FaultPlan(specs=list(specs), seed=1)
-    return Fabric(topo, injector=FabricInjector(plan), policy=policy)
+    return Fabric(topo, injector=FabricInjector(plan))
 
 
 def test_message_never_arrives_in_its_send_epoch():
@@ -159,33 +159,38 @@ def test_retransmit_then_ack_retires_the_record():
 
 
 def test_forward_dead_letters_after_max_attempts():
-    fab = _reliable([FaultSpec(kind="fabric.link.drop", at_ns=0.0)],
-                    policy=FabricPolicy(max_attempts=1))
+    fab = _reliable([FaultSpec(kind="fabric.link.drop", at_ns=0.0)])
     fab.post(FORWARD, ROUTER, "n0", 0.0, payload=(7, "t", None))
-    retried, dead = fab.sweep(200_000.0)
+    # never acked: every sweep past the due instant resends it ...
+    for attempt in range(1, MAX_ATTEMPTS):
+        retried, dead = fab.sweep(1e9)
+        assert len(retried) == 1 and retried[0].attempt == attempt
+        assert dead == []
+    # ... until the last transmission's timeout dead-letters it
+    retried, dead = fab.sweep(1e9)
     assert retried == []
     assert len(dead) == 1 and dead[0].payload[0] == 7
+    assert dead[0].attempt == MAX_ATTEMPTS
     assert fab.dead_lettered == 1
     assert fab.unacked_count() == 0
 
 
 def test_answers_never_dead_letter():
-    fab = _reliable([FaultSpec(kind="fabric.link.drop", at_ns=0.0)],
-                    policy=FabricPolicy(max_attempts=1))
+    fab = _reliable([FaultSpec(kind="fabric.link.drop", at_ns=0.0)])
     fab.post(ANSWER, "n0", ROUTER, 0.0, payload=(7, "completed"))
-    retried, dead = fab.sweep(10_000_000.0)
-    assert len(retried) == 1 and dead == []
+    for _ in range(2 * MAX_ATTEMPTS):
+        retried, dead = fab.sweep(1e9)
+        assert len(retried) == 1 and dead == []
 
 
-def test_abandon_rid_and_abandon_from():
+def test_abandon_from_keeps_other_sources():
     fab = _reliable([FaultSpec(kind="fabric.link.drop", at_ns=0.0,
                                count=3)])
     fab.post(ANSWER, "n0", ROUTER, 0.0, payload=(7, "completed"))
     fab.post(ANSWER, "n0", ROUTER, 0.0, payload=(8, "completed"))
     fab.post(ANSWER, "n1", ROUTER, 0.0, payload=(9, "completed"))
     assert fab.unacked_count() == 3
-    assert fab.abandon_rid(7) == 1
-    assert fab.abandon_from("n0") == 1   # rid 8's answer
+    assert fab.abandon_from("n0") == 2   # rids 7 and 8's answers
     assert fab.unacked_count() == 1      # n1's answer survives
     assert fab.abandoned == 2
 
@@ -196,9 +201,4 @@ def test_injector_rejects_non_fabric_plans():
 
 
 def test_policy_validation_and_description():
-    with pytest.raises(ValueError, match="rto_factor"):
-        FabricPolicy(rto_factor=0.0)
-    with pytest.raises(ValueError, match="max_attempts"):
-        FabricPolicy(max_attempts=0)
-    assert FabricPolicy().describe() == \
-        "at-least-once(rto=2x, cap=8x, max_attempts=5)"
+    assert POLICY_DESC == "at-least-once(rto=2x, cap=8x, max_attempts=5)"

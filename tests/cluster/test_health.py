@@ -1,23 +1,22 @@
 """HealthTracker unit semantics: the suspect → quarantine →
 probation state machine over digest visibility."""
 
-import pytest
-
 from repro.cluster.health import (
+    HEALTH_DESC,
     HEALTHY,
     PROBATION,
+    PROBATION_EPOCHS,
     QUARANTINED,
     SUSPECT,
     DegradationEvent,
-    HealthPolicy,
     HealthTracker,
 )
 
 NODES = ["a", "b"]
 
 
-def _tracker(**kw):
-    return HealthTracker(NODES, HealthPolicy(**kw))
+def _tracker():
+    return HealthTracker(NODES)
 
 
 def _miss(tracker, node, times=1):
@@ -29,13 +28,7 @@ def _miss(tracker, node, times=1):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError, match="suspect_after"):
-        HealthPolicy(suspect_after=0)
-    with pytest.raises(ValueError, match="quarantine_after"):
-        HealthPolicy(suspect_after=3, quarantine_after=2)
-    with pytest.raises(ValueError, match="probation_epochs"):
-        HealthPolicy(probation_epochs=0)
-    assert HealthPolicy().describe() == \
+    assert HEALTH_DESC == \
         "digest-suspicion(suspect=2, quarantine=4, probation=3)"
 
 
@@ -59,13 +52,14 @@ def test_suspect_readmits_directly_on_hearing():
 
 
 def test_quarantined_serves_probation_before_healthy():
-    t = _tracker(probation_epochs=2)
+    t = _tracker()
     _miss(t, "a", times=4)
     assert t.state["a"] == QUARANTINED
     assert t.observe({n: True for n in NODES}) == \
         [("a", QUARANTINED, PROBATION)]
     assert not t.bad_nodes()                 # probation is routable
-    assert t.observe({n: True for n in NODES}) == []  # 1 clean epoch
+    for _ in range(PROBATION_EPOCHS - 1):    # clean epochs
+        assert t.observe({n: True for n in NODES}) == []
     assert t.observe({n: True for n in NODES}) == \
         [("a", PROBATION, HEALTHY)]
 

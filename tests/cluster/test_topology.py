@@ -45,8 +45,6 @@ def test_validation_errors():
         Topology(nodes=_nodes(1), link_ns=0.0)
     with pytest.raises(ValueError, match="reserved"):
         NodeSpec("@router")
-    with pytest.raises(ValueError, match="num_gpus"):
-        NodeSpec("a", num_gpus=0)
     with pytest.raises(KeyError):
         Topology(nodes=_nodes(2)).node("missing")
 

@@ -32,7 +32,8 @@ def _tasks(prefix, n):
 
 def _plan(fault_plan=None):
     plan = PartitionPlan.from_mode("DPX", names=["noisy", "quiet"])
-    plan.by_name("noisy").fault_plan = fault_plan
+    noisy, _quiet = plan.partitions
+    noisy.fault_plan = fault_plan
     return plan
 
 

@@ -14,16 +14,29 @@ def make_bus():
     return eng, PcieBus(eng, TIMING)
 
 
+def time_transfers(*sizes):
+    """Simulated time to move ``sizes`` bytes one transfer after
+    another on a fresh bus."""
+    eng, bus = make_bus()
+
+    def proc():
+        for nbytes in sizes:
+            yield from bus.transfer(nbytes, Direction.H2D)
+
+    eng.spawn(proc())
+    eng.run()
+    return eng.now
+
+
 def test_transfer_time_formula():
-    _eng, bus = make_bus()
-    assert bus.transfer_time(0) == 1000.0
-    assert bus.transfer_time(10_000) == pytest.approx(2000.0)
+    assert time_transfers(0) == 1000.0
+    assert time_transfers(10_000) == pytest.approx(2000.0)
 
 
 def test_transfer_time_rejects_negative():
     _eng, bus = make_bus()
     with pytest.raises(ValueError):
-        bus.transfer_time(-1)
+        bus.transfer(-1, Direction.H2D)
 
 
 def test_single_transfer_completes():
@@ -73,9 +86,8 @@ def test_opposite_directions_overlap():
 
 def test_batching_beats_many_small_copies():
     """The economics behind lazy aggregate TaskTable updates (§4.2.2)."""
-    _eng, bus = make_bus()
-    many_small = 32 * bus.transfer_time(256)
-    one_big = bus.transfer_time(32 * 256)
+    many_small = time_transfers(*[256] * 32)
+    one_big = time_transfers(32 * 256)
     assert one_big < many_small / 10
 
 

@@ -26,10 +26,10 @@ def oracle_percentile(values, pct):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_percentiles_match_sorted_oracle(pct, seed):
     """Bucketing error is bounded by the precision: the histogram's
-    answer must be within 2^-precision_bits (relative) of the oracle."""
+    answer must be within 2^-PRECISION_BITS (relative) of the oracle."""
     rng = random.Random(seed)
     values = [rng.randrange(1, 10_000_000) for _ in range(5_000)]
-    hist = LatencyHistogram(precision_bits=10)
+    hist = LatencyHistogram()
     for v in values:
         hist.record(v)
     expect = oracle_percentile(values, pct)
@@ -37,8 +37,8 @@ def test_percentiles_match_sorted_oracle(pct, seed):
 
 
 def test_exact_below_precision_threshold():
-    """Values below 2^precision_bits land in unit buckets: exact."""
-    hist = LatencyHistogram(precision_bits=10)
+    """Values below 2^PRECISION_BITS land in unit buckets: exact."""
+    hist = LatencyHistogram()
     for v in (3, 500, 1023):
         hist.record(v)
     assert hist.percentile(0) == 3
@@ -99,7 +99,7 @@ def test_boundary_rank_not_truncated():
     ceil-divide, so p99.9 of 995 samples returned rank 994 (value 994)
     instead of rank 995 (value 995).  995 * 99.9 = 99400.5: the
     fractional half-rank is exactly what the ceil must round up."""
-    hist = LatencyHistogram(precision_bits=10)
+    hist = LatencyHistogram()
     values = list(range(1, 996))  # 995 samples, all in exact buckets
     for v in values:
         hist.record(v)
@@ -113,7 +113,7 @@ def test_exact_ranks_sweep_small_populations(total):
     when all samples sit in unit buckets (no bucketing error, so any
     difference is rank math)."""
     values = list(range(1, total + 1))
-    hist = LatencyHistogram(precision_bits=10)
+    hist = LatencyHistogram()
     for v in values:
         hist.record(v)
     pcts = [0, 0.1, 25, 50, 75, 90, 99, 99.9, 99.99, 100]
@@ -138,7 +138,7 @@ def test_batch_percentiles_match_per_call_path():
     entry — unsorted input order, duplicates, and endpoints included —
     while walking the buckets once."""
     rng = random.Random(7)
-    hist = LatencyHistogram(precision_bits=10)
+    hist = LatencyHistogram()
     for _ in range(4_000):
         hist.record(rng.randrange(1, 50_000_000))
     pcts = [99.9, 0, 50, 99, 50, 100, 12.5, 99.99, 0.1]
@@ -178,9 +178,9 @@ def test_batch_percentiles_walk_buckets_once():
 
 def test_relative_error_bound_holds_across_magnitudes():
     """Spot-check the documented bound at widely spread magnitudes."""
-    hist = LatencyHistogram(precision_bits=10)
+    hist = LatencyHistogram()
     for magnitude in (10, 10_000, 10_000_000, 10_000_000_000):
-        hist2 = LatencyHistogram(precision_bits=10)
+        hist2 = LatencyHistogram()
         hist2.record(magnitude)
         assert hist2.percentile(100) == pytest.approx(
             magnitude, rel=2 ** -10 + 1e-9)

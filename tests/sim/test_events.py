@@ -79,79 +79,3 @@ def test_pulse_with_no_waiters_is_noop():
     got = []
     sig.wait()._add_waiter(got.append)
     assert got == []  # the earlier pulse is not replayed
-
-
-def test_any_of_first_wins():
-    from repro.sim import Engine, any_of
-
-    eng = Engine()
-    a, b = Event(), Event()
-    got = []
-
-    def waiter():
-        winner = yield any_of([a, b])
-        got.append((eng.now, winner))
-
-    eng.spawn(waiter())
-    eng.call_after(3.0, lambda: b.fire("bee"))
-    eng.call_after(5.0, lambda: a.fire("aye"))
-    eng.run()
-    assert got == [(3.0, (1, "bee"))]
-
-
-def test_any_of_with_already_fired_event():
-    from repro.sim import any_of
-
-    a, b = Event(), Event()
-    b.fire("done")
-    combined = any_of([a, b])
-    assert combined.fired
-    assert combined.value == (1, "done")
-
-
-def test_any_of_fires_once():
-    from repro.sim import any_of
-
-    a, b = Event(), Event()
-    combined = any_of([a, b])
-    a.fire(1)
-    b.fire(2)  # must not re-fire the combined event
-    assert combined.value == (0, 1)
-
-
-def test_all_of_collects_values_in_order():
-    from repro.sim import Engine, all_of
-
-    eng = Engine()
-    a, b, c = Event(), Event(), Event()
-    got = []
-
-    def waiter():
-        values = yield all_of([a, b, c])
-        got.append((eng.now, values))
-
-    eng.spawn(waiter())
-    eng.call_after(1.0, lambda: c.fire("c"))
-    eng.call_after(2.0, lambda: a.fire("a"))
-    eng.call_after(3.0, lambda: b.fire("b"))
-    eng.run()
-    assert got == [(3.0, ["a", "b", "c"])]
-
-
-def test_all_of_with_prefired_inputs():
-    from repro.sim import all_of
-
-    a, b = Event(), Event()
-    a.fire(1)
-    b.fire(2)
-    combined = all_of([a, b])
-    assert combined.fired and combined.value == [1, 2]
-
-
-def test_combinators_reject_empty():
-    from repro.sim import all_of, any_of
-
-    with pytest.raises(ValueError):
-        any_of([])
-    with pytest.raises(ValueError):
-        all_of([])

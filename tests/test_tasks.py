@@ -107,15 +107,6 @@ def test_latency_percentile_validation():
         full.latency_percentile(101)
 
 
-def test_throughput():
-    stats = RunStats(runtime="x", makespan=2e6, results=[
-        TaskResult(i, "t") for i in range(10)
-    ])
-    assert stats.throughput_tasks_per_ms() == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        RunStats(runtime="x", makespan=0.0).throughput_tasks_per_ms()
-
-
 def test_cpu_inst_factor_scales_cpu_cost():
     base = make_task()
     scaled = make_task(cpu_inst_factor=4.0)
