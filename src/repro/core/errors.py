@@ -73,9 +73,8 @@ class CudaLaunchError(RuntimeError):
 
 #: Capped exponential backoff for re-issued spawns.
 #: ``PagodaHost.post`` re-issues a spawn whose launch failed
-#: (:class:`CudaLaunchError`); ``task_spawn_with_retry`` also re-issues
-#: a task that failed (:class:`TaskError`).  After ``RETRY_ATTEMPTS``
-#: total attempts the last error propagates to the caller.
+#: (:class:`CudaLaunchError`).  After ``RETRY_ATTEMPTS`` total attempts
+#: the last error propagates to the caller.
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_NS = 2_000.0
 RETRY_BACKOFF_CAP_NS = 64_000.0

@@ -202,32 +202,6 @@ class PagodaHost:
         return _Collect(self, spawning_over, finished, on_complete,
                         outcopy_prefix)
 
-    # -- hardened spawn (retry with capped exponential backoff) ----------------
-
-    def task_spawn_with_retry(self, spec: TaskSpec,
-                              result: Optional[TaskResult] = None):
-        """Spawn, wait, and re-spawn on failure (capped exponential
-        backoff); subroutine returns the taskID of the attempt that
-        completed.  After ``RETRY_ATTEMPTS`` failures the last error
-        propagates."""
-        return self._task_spawn_with_retry(spec, result, _caller_site())
-
-    def _task_spawn_with_retry(self, spec: TaskSpec,
-                               result: Optional[TaskResult],
-                               spawn_site: str) -> Generator:
-        attempt = 0
-        while True:
-            try:
-                res = result if result is not None else TaskResult(0, spec.name)
-                task_id = yield from self.task_spawn(spec, res, spawn_site)
-                yield from self.wait(task_id)
-                return task_id
-            except (TaskError, CudaLaunchError):
-                attempt += 1
-                if attempt >= RETRY_ATTEMPTS:
-                    raise
-                yield retry_backoff_ns(attempt - 1)
-
 
 class _Finished(Op):
     """An operation that has already finished (nothing to do)."""

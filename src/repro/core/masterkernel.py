@@ -211,6 +211,7 @@ class Mtb:
         for executor in self._executors:
             if executor is not None:
                 executor.alive = False
+        self.engine.kill_epoch += 1
 
     # -- scheduler warp (Algorithm 1, lines 2-28: see _Scheduler) -----------
 
@@ -346,6 +347,7 @@ class Mtb:
             executor = self._executors[idx]
             if executor is not None:
                 executor.alive = False
+                self.engine.kill_epoch += 1
                 self._executors[idx] = None
             self._retire(idx)
         if state is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.gpu.smm import Smm
 from repro.gpu.spec import GpuSpec, titan_x
@@ -44,14 +44,16 @@ class Gpu:
         #: kernels (:func:`repro.gpu.phases.phase_table`)
         self._tables: Dict[tuple, tuple] = {}
 
-    def warp_items(self, task, block_id: int, warp_id: int) -> Iterator:
-        """The kernel items of one warp of ``task``.
+    def warp_items(self, task, block_id: int, warp_id: int):
+        """The kernel items of one warp of ``task``: a phase table or
+        an iterator, for :meth:`repro.gpu.smm.Smm.run_phases`.
 
         A keyed kernel's items are built once per distinct key as a
-        tuple that every warp with that key walks; an unkeyed one runs
-        its generator.  A kernel that raises while its table is built
-        stores nothing and gets a fresh generator, which raises again
-        when the warp reaches the fault.
+        tuple, and every warp with that key gets that same tuple (the
+        SMM walks it by position, which lets a block's like warps move
+        in lockstep); an unkeyed one runs its generator.  A kernel that
+        raises while its table is built stores nothing and gets a fresh
+        generator, which raises again when the warp reaches the fault.
         """
         kernel = task.kernel
         phase_key = getattr(kernel, "phase_key", None)
@@ -68,7 +70,7 @@ class Gpu:
                         # warp's own clock, where the runtime handles it
                         return kernel(task, block_id, warp_id)
                     self._tables[key] = table
-                return iter(table)
+                return table
         return iter(kernel(task, block_id, warp_id))
 
     def run_block(self, task, block_id: int, smm: Smm, barrier,

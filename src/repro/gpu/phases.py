@@ -9,8 +9,9 @@ resources.
 
 A kernel that is a pure function of a few task fields declares them
 with :func:`phase_table`; a run then builds its item sequence once per
-distinct key and every warp with that key walks the same tuple
-(:meth:`repro.gpu.device.Gpu.warp_items`).
+distinct key and every warp with that key walks the same tuple by
+position (:meth:`repro.gpu.device.Gpu.warp_items`), so a block's like
+warps can move through it in lockstep (:mod:`repro.gpu.smm`).
 
 SIMT semantics live in the *cost models* that produce phases: a
 divergent warp's phase carries the sum of both branch paths' costs, a

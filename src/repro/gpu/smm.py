@@ -7,6 +7,11 @@ at most one per cycle for any single warp.  With four schedulers, 1–4
 resident warps each run at full speed; beyond four they share —
 exactly the contention profile occupancy arguments rely on.
 
+Warps are not processes: a slotted ``_Warp`` is the pools' completion
+target and pulls its own kernel items.  A block's like warps share one
+pool entry (a cohort), and a cohort walking one phase table in
+lockstep moves past each phase and barrier as one gang.
+
 Registers, shared memory, block slots, and warp slots are counted
 (not timed) resources claimed when a block is placed and returned when
 it retires.
@@ -15,7 +20,6 @@ it retires.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
 
 from repro.gpu.phases import BarrierMismatch, BlockSync, Phase
 from repro.gpu.spec import GpuSpec
@@ -106,18 +110,20 @@ class Smm:
 
     # -- warp execution ----------------------------------------------------
 
-    def run_phases(self, phases: Iterator, dram: ProcessorSharing,
+    def run_phases(self, phases, dram: ProcessorSharing,
                    barrier=None, sync_ns: float = 0.0):
         """Run a warp's kernel items on this SMM.
 
-        Pulls items from the ``phases`` iterator and turns each
-        :class:`Phase` into time: instruction issue contends on this
+        ``phases`` is a keyed kernel's phase table (the tuple
+        :meth:`repro.gpu.device.Gpu.warp_items` shares among every warp
+        with its key) or an item iterator (a generator kernel).  Each
+        :class:`Phase` becomes time: instruction issue contends on this
         SMM's schedulers; memory traffic first exposes the DRAM access
         latency (a stall private to this warp — other warps keep
         issuing, so occupancy hides it) and then contends on the
         GPU-wide bandwidth pool ``dram``.
 
-        No process carries the warp: a cohort of lockstep warps
+        No process carries the warp: a cohort of like warps
         (:class:`_Warp`), the pools' completion target, pulls the next
         item itself, and passes each :class:`BlockSync` on the block's
         ``barrier`` (a :class:`repro.cuda.WarpBarrier`) after
@@ -148,37 +154,60 @@ class _Warp:
     """One warp on its way through its kernel (without a barrier, one
     segment of it); the first warp of a cohort also leads it.
 
-    A phase is up to two stages, each a private latency followed by a
-    pooled demand: issue (``phase_overhead_ns``, then ``inst`` on the
-    SMM's issue pool) and memory (the dependency stall plus
-    ``mem_latency_ns``, then ``mem_bytes`` on the DRAM pool).  The
-    warps of a block start their phases at the same instant, one after
-    another, with the same demands.  A warp that lands right behind a
-    like warp in one arrival batch of the issue pool joins that warp's
-    **cohort** (``ProcessorSharing._grow``): the first warp leads it, is
-    the completion target of the one weight-``k`` job in each pool, and
-    lists the cohort in ``cohort`` (``None`` while it runs alone).  Each
-    warp keeps its own kernel iterator and ``done`` event: when the
-    phase ends the warps go on one at a time in arrival order, and
-    those that continue regroup by the same rule.  A stage with only a
-    latency pushes one timer record per warp.  Either way the engine
-    sees the same records, in the same ``(when, seq)`` slots, as when
-    every warp was its own job, and when each warp's process slept,
-    consumed and synced stage by stage itself (the last arriver at a
-    barrier goes on from a ready-ring record).
+    A keyed kernel's warp walks its phase table as ``(table, pos)``; a
+    generator kernel's pulls from ``phases``.  A phase is up to two
+    stages, each a private latency followed by a pooled demand: issue
+    (``phase_overhead_ns``, then ``inst`` on the SMM's issue pool) and
+    memory (the dependency stall plus ``mem_latency_ns``, then
+    ``mem_bytes`` on the DRAM pool).  The warps of a block start their
+    phases at the same instant, one after another, with the same
+    demands.  A warp that lands right behind a like warp in one arrival
+    batch of the issue pool joins that warp's **cohort**
+    (``ProcessorSharing._grow``): the first warp leads it, is the
+    completion target of the one weight-``k`` job in each pool, and
+    lists the cohort in ``cohort`` (``None`` while it runs alone).  A
+    stage with only a latency pushes one timer record per warp.
+
+    A cohort is in **lockstep** (``lockstep``) while all its warps walk
+    the same table at the same position with the same barrier, sync
+    latency and DRAM pool: the lead then holds the position for all of
+    them, and at the end of each stage moves the whole cohort on as one
+    gang (:meth:`_step`) — one issue arrival (or one grow of the
+    pending entry it would join) for a :class:`Phase`, one sync record
+    and one bulk barrier arrival for a :class:`BlockSync`.  Any other
+    case falls back to the per-warp path, where each warp keeps its own
+    position: the warps go on one at a time in arrival order, and those
+    that continue regroup by the same rule.  Kills are caught through
+    the engine's ``kill_epoch``: a gang re-checks its warps (``epoch``
+    is when it last did) only once the epoch has moved.
+
+    Either way the engine sees the same records, in the same ``(when,
+    seq)`` slots, as when every warp was its own job, and when each
+    warp's process slept, consumed and synced stage by stage itself
+    (the last arriver at a barrier goes on from a ready-ring record) —
+    except that a lockstep cohort's ``k`` back-to-back sync timers are
+    one record.
     """
 
     #: ``done`` (the event fired with the stop item, set once the warp
-    #: parks) and the phase's ``inst``, ``mem_bytes`` and ``issued``
-    #: (whether its issue stage is over) are assigned before their
-    #: first read; ``cohort`` is set while the warp leads followers.
-    __slots__ = ("smm", "phases", "dram", "barrier", "sync_ns", "done",
-                 "inst", "mem_bytes", "issued", "cohort")
+    #: parks), the phase's ``inst``, ``mem_bytes`` and ``issued``
+    #: (whether its issue stage is over), ``lockstep`` and ``epoch``
+    #: are assigned before their first read; ``table`` and ``pos``, or
+    #: ``phases``, hold the kernel's items; ``cohort`` is set while the
+    #: warp leads followers.
+    __slots__ = ("smm", "table", "pos", "phases", "dram", "barrier",
+                 "sync_ns", "done", "inst", "mem_bytes", "issued",
+                 "cohort", "lockstep", "epoch")
 
-    def __init__(self, smm: Smm, phases: Iterator, dram: ProcessorSharing,
+    def __init__(self, smm: Smm, phases, dram: ProcessorSharing,
                  barrier, sync_ns: float) -> None:
         self.smm = smm
-        self.phases = phases
+        if type(phases) is tuple:
+            self.table = phases
+            self.pos = 0
+        else:
+            self.table = None
+            self.phases = phases
         self.dram = dram
         self.barrier = barrier
         self.sync_ns = sync_ns
@@ -187,19 +216,21 @@ class _Warp:
     def start(self):
         """Start the next phase; return the stop item if the warp
         stops before anything parks, else :data:`_PARKED`."""
-        phases = self.phases
+        table = self.table
         while True:
-            try:
-                item = next(phases)
-            except StopIteration:
-                if self.barrier is not None:
-                    try:
-                        self.barrier.leave()
-                    except BarrierMismatch as exc:
-                        return exc
-                return None
-            except Exception as exc:
-                return exc
+            if table is None:
+                try:
+                    item = next(self.phases)
+                except StopIteration:
+                    return self._exit()
+                except Exception as exc:
+                    return exc
+            else:
+                pos = self.pos
+                if pos == len(table):
+                    return self._exit()
+                item = table[pos]
+                self.pos = pos + 1
             if isinstance(item, Phase):
                 inst = item.inst
                 mem_bytes = item.mem_bytes
@@ -216,10 +247,7 @@ class _Warp:
                             and tail.dram is self.dram
                             and smm.issue._grow(timing.phase_overhead_ns,
                                                 tail)):
-                        if tail.cohort is None:
-                            tail.cohort = [tail, self]
-                        else:
-                            tail.cohort.append(self)
+                        tail._enlist(self)
                         return _PARKED
                     smm._tail = self
                 self.inst = inst
@@ -244,6 +272,160 @@ class _Warp:
                 return _PARKED
             else:
                 raise TypeError(f"kernel yielded {item!r}")
+
+    def _exit(self):
+        """The kernel ended: leave the barrier; the stop item."""
+        if self.barrier is not None:
+            try:
+                self.barrier.leave()
+            except BarrierMismatch as exc:
+                return exc
+        return None
+
+    def _enlist(self, joiner, gang=None) -> None:
+        """Count ``joiner`` — with ``gang``, the lockstep cohort it
+        leads — into the cohort of this lead's pending issue entry,
+        which the caller just grew.  The cohort is in lockstep while
+        every warp stands where the lead does, on the same table with
+        the same barrier and sync latency (the DRAM pool matched
+        already)."""
+        table = self.table
+        like = (table is not None and joiner.table is table
+                and joiner.pos == self.pos
+                and joiner.barrier is self.barrier
+                and joiner.sync_ns == self.sync_ns)
+        cohort = self.cohort
+        if cohort is None:
+            # the lead may have been killed since it joined the pool
+            self.lockstep = like = like and _alive(self)
+            if like:
+                self.epoch = self.smm.engine.kill_epoch
+            self.cohort = cohort = [self]
+        elif self.lockstep and not like:
+            # each follower takes its position before the joiner lands
+            self._unlock()
+        if gang is None:
+            cohort.append(joiner)
+            return
+        if not self.lockstep:
+            joiner._unlock()
+        cohort += gang
+
+    def _unlock(self) -> None:
+        """Give each warp of this lead's lockstep cohort its own
+        position: the cohort goes on warp by warp."""
+        pos = self.pos
+        for warp in self.cohort:
+            warp.pos = pos
+        self.lockstep = False
+
+    def _in_step(self, cohort) -> bool:
+        """Whether every warp of this lead's lockstep cohort is alive:
+        known without a look unless a kill happened since the last
+        (hot callers test the epoch themselves first)."""
+        epoch = self.smm.engine.kill_epoch
+        if epoch != self.epoch:
+            for warp in cohort:
+                if not _alive(warp):
+                    return False
+            self.epoch = epoch
+        return True
+
+    def _step(self, cohort) -> bool:
+        """Move this lead's lockstep cohort past its next item as one
+        gang, as each warp's :meth:`start` in turn would; return False,
+        having changed nothing, to leave it to the per-warp path (a
+        kill, the end of the table, a phase without an issue arrival or
+        a :class:`BlockSync` without a barrier)."""
+        smm = self.smm
+        if (smm.engine.kill_epoch != self.epoch
+                and not self._in_step(cohort)):
+            return False
+        table = self.table
+        pos = self.pos
+        if pos == len(table):
+            return False  # each warp exits on its own
+        item = table[pos]
+        if isinstance(item, Phase):
+            inst = item.inst
+            overhead = smm.timing.phase_overhead_ns
+            if not (inst and overhead):
+                return False  # per-warp sleeps or immediate jobs
+            mem_bytes = item.mem_bytes
+            self.pos = pos + 1
+            tail = smm._tail
+            if (tail is not None and not tail.issued
+                    and tail.inst == inst
+                    and tail.mem_bytes == mem_bytes
+                    and tail.dram is self.dram
+                    and smm.issue._grow(overhead, tail, len(cohort))):
+                tail._enlist(self, cohort)
+                self.cohort = None
+                return True
+            smm._tail = self
+            self.inst = inst
+            self.mem_bytes = mem_bytes
+            self.issued = False
+            smm.issue._arrive(overhead, inst, self, len(cohort))
+            return True
+        if isinstance(item, BlockSync) and self.barrier is not None:
+            self.pos = pos + 1
+            _sleep(smm.engine, self.sync_ns, self._sync)
+            return True
+        return False
+
+    def _sync(self) -> None:
+        """The lockstep cohort's sync latency is over: its warps arrive
+        at the barrier together and wait at the gate as one waiter.  If
+        they complete the generation, the first ``k - 1`` wait as one
+        and the last goes on from the ready ring.  After a kill, at a
+        barrier a warp has left, or across a generation, each warp
+        arrives on its own."""
+        cohort = self.cohort
+        barrier = self.barrier
+        arrived = barrier._arrived + len(cohort)
+        if (barrier._left or arrived > barrier.parties
+                or not self._in_step(cohort)):
+            self._unlock()
+            self.cohort = None
+            for warp in cohort:
+                warp.arrive()
+            return
+        if arrived < barrier.parties:
+            barrier._arrived = arrived
+            barrier._gate._add_waiter(self._wake)
+            return
+        last = cohort.pop()
+        last.pos = self.pos
+        barrier._arrived = arrived - 1
+        if len(cohort) == 1:
+            self.cohort = None
+            barrier._gate._add_waiter(self)
+        else:
+            barrier._gate._add_waiter(self._wake)
+        barrier.arrive()  # the last arrival opens the gate
+        self.smm.engine.call_soon(last)
+
+    def _wake(self, _value=None) -> None:
+        """The gate opened for the waiting lockstep cohort."""
+        cohort = self.cohort
+        if not self._step(cohort):
+            self._scatter(cohort)
+
+    def _scatter(self, cohort) -> None:
+        """Let each warp of the cohort go on by itself, in arrival
+        order."""
+        if self.lockstep:
+            self._unlock()
+        self.cohort = None  # the lead's next phase may open another
+        for warp in cohort:  # each warp(), inlined
+            waiters = warp.done._waiters
+            if (waiters is not None
+                    and not getattr(waiters[0], "alive", True)):
+                continue
+            item = warp.start()
+            if item is not _PARKED:
+                warp.done.fire(item)
 
     def arrive(self) -> None:
         """The sync latency is over: arrive at the barrier and wait at
@@ -275,7 +457,7 @@ class _Warp:
 
     def fire(self, _value=None) -> None:
         """The cohort's stage in flight is over: start the memory stage
-        after the issue stage, else let each warp go on."""
+        after the issue stage, else let the cohort go on."""
         cohort = self.cohort
         if not self.issued:
             self.issued = True
@@ -284,7 +466,11 @@ class _Warp:
                 if (waiters is not None
                         and not getattr(waiters[0], "alive", True)):
                     return  # killed: see __call__
-            else:
+            elif not (self.lockstep
+                      and (self.smm.engine.kill_epoch == self.epoch
+                           or self._in_step(cohort))):
+                if self.lockstep:
+                    self._unlock()
                 # a warp killed mid-phase drops out, even the lead,
                 # which stays the target of the survivors' job
                 cohort = self.cohort = [
@@ -315,22 +501,22 @@ class _Warp:
                 if cohort is None:
                     _sleep(smm.engine, stall, self)
                     return
+                if self.lockstep:
+                    self._unlock()
                 self.cohort = None
                 for warp in cohort:
                     _sleep(smm.engine, stall, warp)
                 return
         if cohort is None:
             self()
-            return
-        self.cohort = None  # the lead's next phase may open another
-        for warp in cohort:  # each warp(), inlined
-            waiters = warp.done._waiters
-            if (waiters is not None
-                    and not getattr(waiters[0], "alive", True)):
-                continue
-            item = warp.start()
-            if item is not _PARKED:
-                warp.done.fire(item)
+        elif not (self.lockstep and self._step(cohort)):
+            self._scatter(cohort)
+
+
+def _alive(warp) -> bool:
+    """Whether the owner waiting on ``warp`` has not been killed."""
+    waiters = warp.done._waiters
+    return waiters is None or getattr(waiters[0], "alive", True)
 
 
 def _sleep(engine: Engine, delay: float, fn) -> None:

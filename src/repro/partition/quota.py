@@ -43,7 +43,7 @@ the backing moved with the SMM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 #: the two virtualized resources, in canonical order.
 RESOURCES = ("smem", "regs")
@@ -110,21 +110,14 @@ class QuotaLedger:
     # -- registration ------------------------------------------------------
 
     def register(self, partition: str, *, smem_base: int, regs_base: int,
-                 smem_quota: Optional[int] = None,
-                 regs_quota: Optional[int] = None) -> None:
-        """Open the accounts of one partition.  ``None`` quotas default
-        to the physical base (no oversubscription)."""
+                 smem_quota: int, regs_quota: int) -> None:
+        """Open the accounts of one partition: its physical bases and
+        its (possibly oversubscribed) quotas."""
         if partition in self.accounts:
             raise ValueError(f"partition {partition!r} already registered")
         self.accounts[partition] = {
-            "smem": QuotaAccount(
-                base=smem_base,
-                quota=smem_base if smem_quota is None else smem_quota,
-            ),
-            "regs": QuotaAccount(
-                base=regs_base,
-                quota=regs_base if regs_quota is None else regs_quota,
-            ),
+            "smem": QuotaAccount(base=smem_base, quota=smem_quota),
+            "regs": QuotaAccount(base=regs_base, quota=regs_quota),
         }
         if self.obs is not None:
             for res in RESOURCES:

@@ -174,7 +174,9 @@ class Process:
             return
         self.alive = False
         self._done = True
-        self.engine._live.discard(self)
+        engine = self.engine
+        engine.kill_epoch += 1
+        engine._live.discard(self)
         if self.gen is not None:
             self.gen.close()
         waiters, self._waiters = self._waiters, []
@@ -312,6 +314,12 @@ class Engine:
         #: every live process (for the deadlock reporter).
         self._live: set = set()
         self.event_count = 0
+        #: bumped by every kill (:meth:`Process.interrupt`, and an
+        #: executor warp's ``alive`` cleared by ``Mtb.shutdown`` or
+        #: ``Mtb.fail_entry``): a lockstep warp cohort
+        #: (:mod:`repro.gpu.smm`) looks for killed warps only once it
+        #: has moved
+        self.kill_epoch = 0
         #: optional :class:`repro.obs.SimProfiler`.  When attached,
         #: :meth:`spawn` wraps each process in the profiler's
         #: pass-through generator (per-process event and virtual-time

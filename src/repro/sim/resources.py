@@ -146,8 +146,10 @@ class ProcessorSharing:
     arrival ids ``seq .. seq + k - 1``, completed by one
     ``target.fire(None)``.  The job count ``_n`` (not the heap length)
     sets the per-job rate, so a weight-``k`` entry is served exactly
-    like ``k`` singleton entries — the lockstep warps of one block
-    (:meth:`repro.gpu.smm.Smm.run_phases`) travel as one entry.
+    like ``k`` singleton entries — the like warps of one block
+    (:meth:`repro.gpu.smm.Smm.run_phases`) travel as one entry, grown
+    by :meth:`_grow` one warp at a time or, for a gang in lockstep,
+    arrived (or grown) as ``k`` at once.
     """
 
     def __init__(
@@ -334,21 +336,21 @@ class ProcessorSharing:
         heapq.heappush(engine._queue,
                        (when, engine._seq, _CALL, self._join_cb, when))
 
-    def _grow(self, delay: float, target) -> bool:
-        """Count one more job into ``target``'s pending arrival.
+    def _grow(self, delay: float, target, k: int = 1) -> bool:
+        """Count ``k`` more jobs into ``target``'s pending arrival.
 
         Succeeds only if the deferred arrival batch landing after
-        ``delay`` ends with ``target``: the new job then takes the next
-        arrival id, exactly as a separate ``_arrive`` of the same
-        amount would.  Returns whether it did.
+        ``delay`` ends with ``target``: the new jobs then take the next
+        arrival ids, exactly as ``k`` separate ``_arrive`` calls of the
+        same amount would.  Returns whether it did.
         """
         batch = self._arrivals.get(self.engine.now + delay)
         if batch is None or not delay:
             return False
-        amount, last, k = batch[-1]
+        amount, last, joined = batch[-1]
         if last is not target:
             return False
-        batch[-1] = (amount, target, k + 1)
+        batch[-1] = (amount, target, joined + k)
         return True
 
     def _join(self, when: float) -> None:

@@ -85,8 +85,9 @@ class TaskSpec:
         """A fresh phase stream for one warp of one block.
 
         The GPU runtimes go through
-        :meth:`repro.gpu.device.Gpu.warp_items` instead, which shares
-        one table per phase key; this is the kernel's own view.
+        :meth:`repro.gpu.device.Gpu.warp_items` instead, which hands
+        every warp with one phase key the same table, walked by
+        position; this is the kernel's own view.
         """
         return self.kernel(self, block_id, warp_id)
 

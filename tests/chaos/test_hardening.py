@@ -2,7 +2,7 @@
 
 The sweep (:mod:`tests.chaos.test_chaos_sweep`) proves nothing breaks
 under arbitrary plans; these tests pin each mechanism's *specific*
-contract — watchdog reclamation, slot quarantine, spawn retry, and
+contract — watchdog reclamation, slot quarantine, spawn backoff, and
 SMM brown-out — with hand-built single-purpose plans.
 """
 
@@ -106,56 +106,6 @@ def test_quarantine_retires_repeatedly_lethal_slot():
     # the fourth spawn avoided the bad slot and completed cleanly
     assert slots[3] != slots[0]
     assert session.master.tasks_executed() == 1
-    check_quiescent(session, deep=True)
-    session.shutdown()
-
-
-def test_spawn_retry_rides_out_transient_faults():
-    """``task_spawn_with_retry`` re-spawns through transient failures
-    (capped exponential backoff) and returns the surviving attempt."""
-    session = make_session(
-        FaultSpec(kind="task.raise", at_ns=0.0, count=2),
-    )
-    host = session.host
-    done = []
-
-    def driver():
-        tid = yield from host.task_spawn_with_retry(
-            TaskSpec("flaky", 32, 1, const_kernel(900)),
-            TaskResult(0, "flaky"),
-        )
-        done.append(tid)
-
-    proc = drive(session, driver())
-    assert proc._done and done, "retry loop never converged"
-    # two attempts died, the third succeeded
-    assert session.master.tasks_failed() == 2
-    assert session.master.tasks_executed() == 1
-    check_quiescent(session, deep=True)
-    session.shutdown()
-
-
-def test_spawn_retry_gives_up_after_max_attempts():
-    session = make_session(
-        FaultSpec(kind="task.raise", at_ns=0.0, count=10),
-    )
-    host = session.host
-    caught = []
-
-    def driver():
-        try:
-            yield from host.task_spawn_with_retry(
-                TaskSpec("doomed", 32, 1, const_kernel(900)),
-                TaskResult(0, "doomed"),
-            )
-        except TaskError as exc:
-            caught.append(exc)
-
-    proc = drive(session, driver())
-    assert proc._done
-    (err,) = caught
-    assert err.name == "doomed"
-    assert session.master.tasks_failed() == 3
     check_quiescent(session, deep=True)
     session.shutdown()
 

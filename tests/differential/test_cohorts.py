@@ -117,15 +117,17 @@ def test_keyed_kernels_build_one_table_per_key(monkeypatch, workload,
 
 
 #: runtime -> engine events of 24 256-thread ``mm`` tasks (eight warps
-#: per block, a barrier per tile), recorded when every warp was a
-#: process
-BARRIER_EVENTS = {"pagoda": 1811, "hyperq": 1648, "gemtc": 2803}
+#: per block, a barrier per tile): 1811 / 1648 / 2803 when every warp
+#: was a process, less the ``k - 1`` sync timers a lockstep cohort of
+#: ``k`` warps saves at each barrier (504 per runtime)
+BARRIER_EVENTS = {"pagoda": 1307, "hyperq": 1144, "gemtc": 2299}
 
 
 @pytest.mark.parametrize("runtime", sorted(BARRIER_EVENTS))
 def test_warps_pass_barriers_without_processes(monkeypatch, runtime):
-    """The SMM carries each warp through its barriers: the same engine
-    events as warp processes, and no process per warp."""
+    """The SMM carries each warp through its barriers: the engine
+    events of warp processes but one sync timer per lockstep cohort,
+    and no process per warp."""
     names = []
     engines = []
     proc_init = Process.__init__

@@ -20,8 +20,10 @@ unreached definition counts as reached.
 import ast
 import dataclasses
 import functools
+import io
 import pathlib
 import re
+import tokenize
 from collections import Counter
 
 from repro.baselines.gemtc import GemtcConfig
@@ -102,9 +104,13 @@ def _own_lines(lines, node):
 
 
 def _words(text):
-    """Identifier-like word -> count (``\\bname\\b`` matches, for
-    every name at once)."""
-    return Counter(re.findall(r"\w+", text))
+    """Identifier-like word -> count outside ``#`` comments
+    (``\\bname\\b`` matches, for every name at once): a name that
+    only a comment mentions is not reached."""
+    code = [token.string for token in
+            tokenize.generate_tokens(io.StringIO(text).readline)
+            if token.type != tokenize.COMMENT]
+    return Counter(re.findall(r"\w+", " ".join(code)))
 
 
 @functools.lru_cache(maxsize=None)
