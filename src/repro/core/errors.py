@@ -14,8 +14,8 @@ from a dead device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 class TaskError(RuntimeError):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from heapq import heappush
 from typing import Callable, Deque, Generator, List, Optional
 
 from repro.core.errors import (
@@ -35,7 +34,7 @@ from repro.core.tasktable import READY_COPIED, READY_SCHEDULING, TaskTable
 from repro.gpu.timing import TimingModel
 from repro.pcie.bus import Direction
 from repro.sim import Engine, Process
-from repro.sim.engine import _CALL, Op
+from repro.sim.engine import Op
 from repro.tasks import TaskResult, TaskSpec
 
 
@@ -250,10 +249,7 @@ class _TaskSpawn(Op):
                     f"taskSpawn of {self.spec.name!r} failed "
                     "(injected cuda.launch_fail)"
                 )
-        engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        heappush(engine._queue, (engine.now + host.timing.spawn_cpu_ns, seq,
-                                 _CALL, _TaskSpawn._claim, self))
+        self._after(host.timing.spawn_cpu_ns, _TaskSpawn._claim)
 
     def _claim(self) -> None:
         host = self.host
@@ -286,15 +282,12 @@ class _TaskSpawn(Op):
         # writes keep spawn order.
         if pipelined:
             host._prev_unpromoted = task_id
-            engine = self.engine
-            engine._seq = seq = engine._seq + 1
-            heappush(engine._queue, (
-                engine.now + host.table.post_cost(spec.param_bytes, 1), seq,
-                _CALL, _TaskSpawn._stored, self))
+            self._after(host.table.post_cost(spec.param_bytes, 1),
+                        _TaskSpawn._stored)
         else:
             copies = 2 if host.protocol == "two-copies" else 1
             self._after(host.table.post_cost(spec.param_bytes, copies),
-                   _TaskSpawn._stored_copy)
+                        _TaskSpawn._stored_copy)
 
     def _finalized(self, _value=None) -> None:
         if self._join(self.host.table.copy_back(), self._copied):
@@ -320,9 +313,7 @@ class _TaskSpawn(Op):
         result.post_time = self.engine.now
         # the copy starts from a ready-ring record, at the slot a
         # spawned copy process would start at
-        engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        engine._ready.append((seq, _CALL, _TaskSpawn._copy, self))
+        self.engine.call_soon_with(_TaskSpawn._copy, self)
         self._spawned(result.task_id)
 
     def _copy(self) -> None:
@@ -408,11 +399,7 @@ class _Post(_TaskSpawn):
         """Post :attr:`spec`: the input copy's issue, then taskSpawn."""
         self.attempt = 0
         if self.copy_name is not None and self.spec.input_bytes:
-            engine = self.engine
-            engine._seq = seq = engine._seq + 1
-            heappush(engine._queue, (
-                engine.now + self.host.timing.memcpy_issue_ns, seq,
-                _CALL, _Post._issued, self))
+            self._after(self.host.timing.memcpy_issue_ns, _Post._issued)
         else:
             self._spawn()
 
@@ -507,11 +494,8 @@ class _Collect(Op):
             nbytes = self.on_complete(task_id)
             if nbytes:
                 self.outcopy = (task_id, nbytes)
-                engine = self.engine
-                engine._seq = seq = engine._seq + 1
-                heappush(engine._queue, (
-                    engine.now + self.host.timing.memcpy_issue_ns, seq,
-                    _CALL, _Collect._issued, self))
+                self._after(self.host.timing.memcpy_issue_ns,
+                            _Collect._issued)
                 return
         if self.finished(self.idle):
             self._join_next()
@@ -539,9 +523,7 @@ class _Collect(Op):
             return
         transfer = transfers.popleft()
         if transfer._done:
-            engine = self.engine
-            engine._seq = seq = engine._seq + 1
-            engine._ready.append((seq, _CALL, _Collect._join_next, self))
+            self.engine.call_soon_with(_Collect._join_next, self)
         else:
             self.waiting_on = transfer
             transfer._waiters.append(self._join_next)

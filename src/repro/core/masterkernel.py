@@ -22,7 +22,6 @@ the scheduler warp still starts at boot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappush
 from types import MethodType
 from typing import Dict, List, Optional
 
@@ -44,7 +43,7 @@ from repro.gpu.device import Gpu
 from repro.gpu.phases import BlockSync
 from repro.gpu.smm import Smm
 from repro.sim import Engine, Event, Process, TimeWeighted
-from repro.sim.engine import _CALL, Op
+from repro.sim.engine import Op
 from repro.tasks import TaskSpec
 
 #: Shared memory each MTB statically reserves for task use on the
@@ -480,9 +479,7 @@ class _Scheduler(Op):
         one (a wait on a fired event), else inline at the next."""
         signal = self.mtb.warptable.free_signal
         if signal.pulse_count != self.armed:
-            engine = self.engine
-            engine._seq = seq = engine._seq + 1
-            engine._ready.append((seq, _CALL, step, self))
+            self.engine.call_soon_with(step, self)
         else:
             signal.wait()._add_waiter(MethodType(step, self))
 
@@ -505,10 +502,7 @@ class _Scheduler(Op):
         # not lost; the scan itself costs one warp-parallel poll.
         self.woken = False
         self.signal._pending.append(self)
-        engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        heappush(engine._queue, (engine.now + self.timing.poll_iteration_ns,
-                                 seq, _CALL, _Scheduler._scan, self))
+        self._after(self.timing.poll_iteration_ns, _Scheduler._scan)
 
     def _scan(self) -> None:
         if not self.alive:
@@ -571,9 +565,7 @@ class _Scheduler(Op):
         if self.woken:
             # the signal pulsed during the pass: the bounce a wait on a
             # fired event takes
-            engine = self.engine
-            engine._seq = seq = engine._seq + 1
-            engine._ready.append((seq, _CALL, _Scheduler._begin, self))
+            self.engine.call_soon_with(_Scheduler._begin, self)
         else:
             self.parked = True
 
@@ -739,10 +731,7 @@ class _Scheduler(Op):
         # arm before scanning so a retire during the pass is not a lost
         # wakeup
         self.armed = self.mtb.warptable.free_signal.pulse_count
-        engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        heappush(engine._queue, (engine.now + self.timing.psched_pass_ns,
-                                 seq, _CALL, _Scheduler._psched_pass, self))
+        self._after(self.timing.psched_pass_ns, _Scheduler._psched_pass)
 
     def _psched_pass(self) -> None:
         if not self.alive:

@@ -18,7 +18,6 @@ next — concurrent scheduling but no continuous spawning).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappush
 from typing import List, Optional
 
 from repro.core.host_api import PagodaHost, _caller_site, _Post
@@ -29,7 +28,6 @@ from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.pcie.bus import PcieBus
 from repro.sim import Engine, Process
-from repro.sim.engine import _CALL
 from repro.tasks import RunStats, TaskResult, TaskSpec
 
 
@@ -285,9 +283,7 @@ class _Spawner(_Post):
                     self._post_next()
                     return
                 gap = arrival - engine.now
-            engine._seq = seq = engine._seq + 1
-            heappush(engine._queue, (engine.now + gap, seq, _CALL,
-                                     _Spawner._arrived, self))
+            self._after(gap, _Spawner._arrived)
         else:
             self.results[i].spawn_time = engine.now
             self._post_next()

@@ -32,7 +32,6 @@ that exist.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +41,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.core.errors import QuarantineEvent, TaskError
 from repro.pcie.bus import Direction, PcieBus, Transfer
 from repro.sim import Engine, Process, Signal
-from repro.sim.engine import _CALL, Op
+from repro.sim.engine import Op
 from repro.tasks import TaskResult, TaskSpec
 
 READY_FREE = 0
@@ -441,9 +440,7 @@ class TaskTable:
                 # pointer can land first
                 delay += spec.magnitude_ns
         engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        heapq.heappush(engine._queue, (engine.now + delay, seq, _CALL,
-                                       self._land_cb, (col, row)))
+        engine.call_at_with(engine.now + delay, self._land_cb, (col, row))
 
     def _land_entry(self, cell: Tuple[int, int]) -> None:
         """The posted write of ``cell = (col, row)`` becomes visible
@@ -514,13 +511,12 @@ class TaskTable:
         self.mark_row_dirty(col, row)
         self.column_signals[col].pulse()
 
-    def copy_entry_unsafe_single(self, col: int, row: int,
-                                 hazard: bool = True) -> None:
+    def copy_entry_unsafe_single(self, col: int, row: int) -> None:
         """The broken §4.2.1 variant: parameters and ready flag in ONE
         transaction.  "The PCIe bus does not guarantee that the
         parameters will arrive in the GPU memory before the ready
-        flag" — with ``hazard`` the flag lands first, and the scheduler
-        warp observes a schedulable entry whose kernel pointer and
+        flag" — here the flag lands first, and the scheduler warp
+        observes a schedulable entry whose kernel pointer and
         arguments are still stale.  Exists to demonstrate the failure
         mode; never used by the real protocol.
 
@@ -531,13 +527,10 @@ class TaskTable:
         cell = (col, row)
         engine = self.engine
         half = self.timing.mapped_write_ns / 2
-        if hazard:
-            # flag first: the scheduler can race ahead of the params
-            first, second = self._land_unsafe_flag, self._land_unsafe_params
-        else:
-            first, second = self._land_unsafe_params, self._land_unsafe_flag
-        engine.call_at_with(engine.now + half, first, cell)
-        engine.call_at_with(engine.now + 2 * half, second, cell)
+        # flag first: the scheduler can race ahead of the params
+        engine.call_at_with(engine.now + half, self._land_unsafe_flag, cell)
+        engine.call_at_with(engine.now + 2 * half, self._land_unsafe_params,
+                            cell)
         engine.call_at_with(engine.now + 2 * half, self._count_unsafe_copy,
                             cell)
 

@@ -65,24 +65,8 @@ class FaultInjector:
         ``None`` — the overwhelmingly common case, which costs one
         dict probe on a zero-fault plan.
         """
-        queue = self._armed.get(kind)
-        if not queue:
-            return None
-        now = self.engine.now
-        for record in queue:
-            spec, remaining = record
-            if spec.at_ns > now:
-                break  # queue is time-ordered; nothing later is armed
-            if remaining <= 0 or not spec.matches_site(site):
-                continue
-            record[1] = remaining - 1
-            self.injected.append(InjectedFault(now, kind, site, spec))
-            if record[1] <= 0:
-                queue.remove(record)
-                if not queue:
-                    del self._armed[kind]
-            return spec
-        return None
+        return _dispense(self._armed, kind, self.engine.now, site,
+                         FaultSpec.matches_site, self.injected)
 
     def record_fired(self, spec: FaultSpec, site: Any = None) -> None:
         """Log a time-triggered fault at its firing moment."""
@@ -116,6 +100,37 @@ class FaultInjector:
 
 #: node-scoped outcomes of :meth:`FabricInjector.node_fate`.
 OK, DROP, HOLD = "ok", "drop", "hold"
+
+
+def _dispense(armed: Dict[str, List[List]], kind: str, now: float,
+              site: Any, match, injected: List[InjectedFault]
+              ) -> Optional[FaultSpec]:
+    """Consume one armed count spec of ``kind`` due by ``now`` for which
+    ``match(spec, site)`` holds: decrement its ``[spec, remaining]``
+    record, prune it (and its kind's queue) once spent, and log the
+    firing in ``injected``.  ``None`` when nothing applies."""
+    queue = armed.get(kind)
+    if not queue:
+        return None
+    for record in queue:
+        spec, remaining = record
+        if spec.at_ns > now:
+            break  # queue is time-ordered; nothing later is armed
+        if remaining <= 0 or not match(spec, site):
+            continue
+        record[1] = remaining - 1
+        injected.append(InjectedFault(now, kind, site, spec))
+        if record[1] <= 0:
+            queue.remove(record)
+            if not queue:
+                del armed[kind]
+        return spec
+    return None
+
+
+def _spec_on_link(spec: FaultSpec, site: Tuple[str, str]) -> bool:
+    """Whether a fabric count spec covers the ``site = (src, dst)`` link."""
+    return _match_link(spec.target, *site)
 
 
 def _match_link(target: Any, src: str, dst: str) -> bool:
@@ -260,23 +275,8 @@ class FabricInjector:
                 self.injected.append(
                     InjectedFault(now_ns, kind, site, spec))
                 return spec
-        queue = self._armed.get(kind)
-        if not queue:
-            return None
-        for record in queue:
-            spec, remaining = record
-            if spec.at_ns > now_ns:
-                break  # queue is time-ordered; nothing later is armed
-            if remaining <= 0 or not _match_link(spec.target, src, dst):
-                continue
-            record[1] = remaining - 1
-            self.injected.append(InjectedFault(now_ns, kind, site, spec))
-            if record[1] <= 0:
-                queue.remove(record)
-                if not queue:
-                    del self._armed[kind]
-            return spec
-        return None
+        return _dispense(self._armed, kind, now_ns, site, _spec_on_link,
+                         self.injected)
 
     # -- reporting -----------------------------------------------------------
 

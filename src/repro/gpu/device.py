@@ -8,7 +8,6 @@ from repro.gpu.smm import Smm
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.sim import Engine, Event, ProcessorSharing
-from repro.sim.engine import _CALL
 
 
 class Gpu:
@@ -96,13 +95,11 @@ class Gpu:
             else:
                 finish(item)
 
-        # inlined engine.call_soon of a _CALL record: each warp starts
-        # from its own ready-ring slot, which carries its warp id
-        engine = self.engine
-        ready = engine._ready
+        # each warp starts from its own ready-ring slot, which carries
+        # its warp id
+        call_soon_with = self.engine.call_soon_with
         for warp_id in range(left[0]):
-            engine._seq += 1
-            ready.append((engine._seq, _CALL, start, warp_id))
+            call_soon_with(start, warp_id)
         return done
 
     def find_smm(self, warps: int, registers: int,

@@ -19,13 +19,10 @@ it retires.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.gpu.phases import BarrierMismatch, BlockSync, Phase
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
 from repro.sim import Engine, Event, ProcessorSharing, TimeWeighted
-from repro.sim.engine import _FN
 
 #: :meth:`_Warp.start` result while a stage is in flight
 _PARKED = object()
@@ -259,7 +256,8 @@ class _Warp:
                     smm.issue._arrive(timing.phase_overhead_ns, inst, self)
                     return _PARKED
                 if timing.phase_overhead_ns:
-                    _sleep(smm.engine, timing.phase_overhead_ns, self.fire)
+                    smm.engine.call_after(timing.phase_overhead_ns,
+                                          self.fire)
                     return _PARKED
                 if mem_bytes:
                     self.issued = True
@@ -268,7 +266,7 @@ class _Warp:
             elif isinstance(item, BlockSync):
                 if self.barrier is None:
                     return item
-                _sleep(self.smm.engine, self.sync_ns, self.arrive)
+                self.smm.engine.call_after(self.sync_ns, self.arrive)
                 return _PARKED
             else:
                 raise TypeError(f"kernel yielded {item!r}")
@@ -370,7 +368,7 @@ class _Warp:
             return True
         if isinstance(item, BlockSync) and self.barrier is not None:
             self.pos = pos + 1
-            _sleep(smm.engine, self.sync_ns, self._sync)
+            smm.engine.call_after(self.sync_ns, self._sync)
             return True
         return False
 
@@ -499,13 +497,14 @@ class _Warp:
                 return
             if stall:
                 if cohort is None:
-                    _sleep(smm.engine, stall, self)
+                    smm.engine.call_after(stall, self)
                     return
                 if self.lockstep:
                     self._unlock()
                 self.cohort = None
+                call_after = smm.engine.call_after
                 for warp in cohort:
-                    _sleep(smm.engine, stall, warp)
+                    call_after(stall, warp)
                 return
         if cohort is None:
             self()
@@ -517,12 +516,3 @@ def _alive(warp) -> bool:
     """Whether the owner waiting on ``warp`` has not been killed."""
     waiters = warp.done._waiters
     return waiters is None or getattr(waiters[0], "alive", True)
-
-
-def _sleep(engine: Engine, delay: float, fn) -> None:
-    """A private latency with no pooled demand after it: one timer
-    record calling ``fn()``; inlined engine._push, as for a process's
-    numeric-delay yield."""
-    engine._seq += 1
-    heapq.heappush(engine._queue,
-                   (engine.now + delay, engine._seq, _FN, fn, None))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.tasks import RunStats
 

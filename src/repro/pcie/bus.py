@@ -12,11 +12,10 @@ D2H result copies exactly as CUDA streams allow.
 from __future__ import annotations
 
 import enum
-import heapq
 
 from repro.gpu.timing import TimingModel
 from repro.sim import Engine, FifoResource, Process
-from repro.sim.engine import _CALL, Op
+from repro.sim.engine import Op
 
 
 class Direction(enum.Enum):
@@ -118,8 +117,7 @@ class Transfer(Op):
         self.queued_at = engine.now
         if self.dma.request(self):
             # granted at once: the bounce a wait on a fired event takes
-            engine._seq = seq = engine._seq + 1
-            engine._ready.append((seq, _CALL, Transfer.fire, self))
+            engine.call_soon_with(Transfer.fire, self)
 
     def fire(self, _value=None) -> None:
         """The DMA engine is granted (a release fires the queued
@@ -140,9 +138,7 @@ class Transfer(Op):
             self.duration = duration
             self._replay()
             return
-        engine._seq = seq = engine._seq + 1
-        heapq.heappush(engine._queue, (engine.now + duration, seq, _CALL,
-                                       Transfer._delivered, self))
+        self._after(duration, Transfer._delivered)
 
     def _replay(self) -> None:
         """Fault draws after each service time: a ``pcie.drop`` loses
@@ -160,10 +156,7 @@ class Transfer(Op):
         elif faults.draw("pcie.dup", direction.value) is not None:
             bus.duplicated[direction] += 1
             self.duration *= 2.0
-        engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        heapq.heappush(engine._queue, (engine.now + self.duration, seq,
-                                       _CALL, step, self))
+        self._after(self.duration, step)
 
     def _delivered(self) -> None:
         self.dma.release()

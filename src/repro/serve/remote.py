@@ -24,7 +24,7 @@ still built, byte-deterministically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.serve.arrivals import ArrivalProcess
 from repro.serve.server import TaskServer, TenantSpec

@@ -28,17 +28,21 @@ so every digest and event count is the one a process would give.
 Hot-path design (the fast paths that make paper-scale runs practical):
 
 - **Slotted timer records.**  Heap entries are plain 5-tuples
-  ``(when, seq, kind, payload, value)``.  ``kind`` discriminates a bare
-  callback (``payload()``), a process resume and a one-argument call
-  (both ``payload(value)``), so neither a resume nor a callback that
-  needs one value (a processor-sharing timer's version, a join's
-  instant, a warp's id) allocates a closure: the record's tuple is
-  the only object — the seed implementation paid one closure plus
-  one 3-tuple per event.  ``seq`` is unique, so heap comparisons
-  never reach the non-comparable payload.
+  ``(when, seq, kind, payload, value)``.  ``kind`` is one of two: a
+  bare callback (``payload()``) or a one-argument call
+  (``payload(value)``).  A process is its own one-argument wake
+  callback, so its resume is a call record too, and neither a resume
+  nor a callback that needs one value (a processor-sharing timer's
+  version, a join's instant, a warp's id) allocates a closure: the
+  record's tuple is the only object — the seed implementation paid
+  one closure plus one 3-tuple per event.  ``seq`` is unique, so heap
+  comparisons never reach the non-comparable payload.  Only
+  ``repro.sim`` builds records; every other layer schedules through
+  the :class:`Engine` methods and :meth:`Op._after`.
 - **Ready ring.**  Zero-delay wakeups — process and operation
   spawns, joins on already-finished processes, bounces through
-  already-fired events and :meth:`Engine.call_soon` callbacks — skip
+  already-fired events and :meth:`Engine.call_soon` /
+  :meth:`Engine.call_soon_with` callbacks — skip
   the heap entirely and
   go onto a FIFO deque of ``(seq, kind, payload, value)`` records at
   the *current* instant.
@@ -46,12 +50,13 @@ Hot-path design (the fast paths that make paper-scale runs practical):
   order (ring entries all carry ``when == now``), so observable event
   ordering is bit-identical to the seed's all-heap behaviour while
   same-timestamp wakeups cost O(1) instead of O(log n).
-- **Branch-first dispatch.**  The run loop and
-  :meth:`Process.__call__` inline the command dispatch and test
-  ``type(command) is float`` first — the overwhelmingly common
-  numeric-delay case pays a single pointer compare.  Warps are not
-  processes (the SMM carries them), so event waits are rare enough
-  for :meth:`Engine._dispatch_slow`.
+- **One resume path.**  :meth:`Process.__call__` is the only code
+  that sends into a process's generator, whether a record, an event
+  fire or a join wakes it.  It dispatches the yielded command
+  branch-first, testing ``type(command) is float`` first — the
+  overwhelmingly common numeric-delay case pays a single pointer
+  compare.  Warps are not processes (the SMM carries them), so event
+  waits are rare enough for :meth:`Engine._dispatch_slow`.
 - **One run loop.**  ``run`` and ``run_until`` both drain through
   :meth:`Engine._drain`, one record at a time in global ``(when,
   seq)`` order.  A bound (``until``, ``max_events``) only stops the
@@ -62,16 +67,16 @@ Hot-path design (the fast paths that make paper-scale runs practical):
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.events import Event
 
 #: ``kind`` values for slotted timer records.
-_FN = 0      # payload is a zero-argument callable
-_RESUME = 1  # payload is a Process; resume it with ``value``
-_CALL = 2    # payload is a one-argument callable; call it with ``value``
+_FN = 0    # payload is a zero-argument callable
+_CALL = 1  # payload is a one-argument callable (a Process among them);
+           # call it with ``value``
 
 _INF = float("inf")
 
@@ -188,9 +193,10 @@ class Process:
 
         A process doubles as its own wake callback: the engine enrolls
         the process object directly as an event/join waiter instead of
-        allocating a closure per wait — event waits are the dominant
-        command on the Pagoda control path.  The engine's resume body
-        is inlined here because every event fire lands in this frame.
+        allocating a closure per wait, and its timer, spawn and bounce
+        records are ``_CALL`` records with the process as payload.  This
+        is the one resume path: every record, event fire and join that
+        wakes a process lands in this frame.
         """
         if not self.alive:
             return  # interrupted
@@ -204,9 +210,9 @@ class Process:
             if not command >= 0.0:  # also rejects NaN
                 raise ValueError(f"delay must be >= 0, got {command!r}")
             engine._seq = seq = engine._seq + 1
-            heapq.heappush(
+            heappush(
                 engine._queue,
-                (engine.now + command, seq, _RESUME, self, None),
+                (engine.now + command, seq, _CALL, self, None),
             )
         else:
             engine._dispatch_slow(self, command)
@@ -254,11 +260,10 @@ class Op(Process):
 
     def _after(self, delay: float, step: Callable[["Op"], None]) -> None:
         """Call ``step(self)`` after ``delay``: the timer record a
-        process's ``yield delay`` pushes (hot steps push it inline)."""
+        process's ``yield delay`` pushes, at the same slot."""
         engine = self.engine
         engine._seq = seq = engine._seq + 1
-        heapq.heappush(engine._queue, (engine.now + delay, seq, _CALL, step,
-                                       self))
+        heappush(engine._queue, (engine.now + delay, seq, _CALL, step, self))
 
     def _join(self, child: "Op", wake: Callable[[Any], None]) -> bool:
         """Start ``child`` inline, as ``yield from child`` does, and
@@ -340,33 +345,50 @@ class Engine:
                      value: Any) -> None:
         """Run ``fn(value)`` at absolute simulated time ``when``.
 
-        One ``_CALL`` record: a caller that binds ``fn`` once and passes
-        its argument as ``value`` builds no closure per call.  Rejects
-        NaN and past instants as :meth:`call_at` does.
+        One ``_CALL`` record, pushed here: a caller that binds ``fn``
+        once and passes its argument as ``value`` builds no closure per
+        call.  Rejects NaN and past instants as :meth:`call_at` does.
         """
         if not when >= self.now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule at {when!r}: the clock is at {self.now}")
-        self._push(when, _CALL, fn, value)
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (when, seq, _CALL, fn, value))
 
     def _push(self, when: float, kind: int, payload: Any, value: Any) -> None:
         """Schedule one slotted record at ``when``.
 
-        The per-event hot paths (:meth:`Process.__call__`, the run
-        loop, ``ProcessorSharing``, the SMM's phase runner) inline this
-        body instead of calling it.
+        The per-event hot paths (:meth:`Process.__call__`,
+        :meth:`Op._after`, :meth:`call_at_with`, :meth:`call_after`,
+        ``ProcessorSharing``) inline this body, each for its one record
+        kind, instead of calling it.
         """
         self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, kind, payload, value))
+        heappush(self._queue, (when, self._seq, kind, payload, value))
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` after ``delay`` simulated time units."""
-        self.call_at(self.now + delay, fn)
+        """Run ``fn()`` after ``delay`` simulated time units: one
+        ``_FN`` record pushed here, so an SMM sleep is one frame.
+        Rejects NaN and negative delays as :meth:`call_at` does."""
+        now = self.now
+        when = now + delay
+        if not when >= now:  # also rejects NaN
+            raise ValueError(
+                f"cannot schedule at {when!r}: the clock is at {now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (when, seq, _FN, fn, None))
 
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Run ``fn()`` now, after every record already due (a spawn's slot)."""
         self._seq += 1
         self._ready.append((self._seq, _FN, fn, None))
+
+    def call_soon_with(self, fn: Callable[[Any], None], value: Any) -> None:
+        """Run ``fn(value)`` now, after every record already due: the
+        ready-ring twin of :meth:`call_at_with` (the bounce a wait on a
+        fired event or a finished join takes, or a spawn's slot)."""
+        self._seq = seq = self._seq + 1
+        self._ready.append((seq, _CALL, fn, value))
 
     # -- processes ------------------------------------------------------------
 
@@ -388,6 +410,7 @@ class Engine:
             if daemon:
                 gen.daemon = True
             self._live.add(gen)
+            # call_soon_with inlined: every PCIe transfer starts here
             self._seq = seq = self._seq + 1
             self._ready.append((seq, _CALL, type(gen)._begin, gen))
             return gen
@@ -396,8 +419,7 @@ class Engine:
             gen = self.profiler.wrap(gen, name, self)
         proc = Process(self, gen, name, daemon)
         self._live.add(proc)
-        self._seq += 1
-        self._ready.append((self._seq, _RESUME, proc, None))
+        self.call_soon_with(proc, None)
         return proc
 
     def _dispatch_slow(self, proc: Process, command: Any) -> None:
@@ -406,15 +428,13 @@ class Engine:
             if command.fired:
                 # Bounce through the ready ring: waiting on a long chain
                 # of already-fired events must not recurse the C stack.
-                self._seq += 1
-                self._ready.append((self._seq, _RESUME, proc, command.value))
+                self.call_soon_with(proc, command.value)
             else:
                 proc.waiting_on = command
                 command._add_waiter(proc)
         elif isinstance(command, Process):  # also an Op
             if command._done:
-                self._seq += 1
-                self._ready.append((self._seq, _RESUME, proc, command.result))
+                self.call_soon_with(proc, command.result)
             else:
                 proc.waiting_on = command
                 command._on_done(proc)
@@ -422,9 +442,9 @@ class Engine:
             # int, bool, and float subclasses (e.g. numpy.float64)
             if not command >= 0:  # also rejects NaN
                 raise ValueError(f"delay must be >= 0, got {command!r}")
-            self._push(self.now + float(command), _RESUME, proc, None)
+            self._push(self.now + float(command), _CALL, proc, None)
         elif isinstance(command, Delay):
-            self._push(self.now + command.duration, _RESUME, proc, None)
+            self._push(self.now + command.duration, _CALL, proc, None)
         else:
             raise TypeError(
                 f"process {proc.name!r} yielded unsupported command: {command!r}"
@@ -488,11 +508,10 @@ class Engine:
         order.  A record that raises is not counted, and every record
         after it stays queued.
 
-        The process-resume fast path (send a value, get a numeric delay
-        back, push one slotted record) is inlined — one Python frame per
-        event; every other command goes through :meth:`_dispatch_slow`.
         A ``_CALL`` record is one ``payload(value)`` call and a ``_FN``
-        record one ``payload()`` call, both dispatched here directly.
+        record one ``payload()`` call.  A process resume is a ``_CALL``
+        of the process itself, so :meth:`Process.__call__` is the one
+        resume path and this loop never touches a generator.
         """
         if until is None:
             until = _INF
@@ -501,10 +520,9 @@ class Engine:
                 f"cannot run backwards: {until} < {self.now}")
         queue = self._queue
         ready = self._ready
-        pop = heapq.heappop
-        push = heapq.heappush
+        pop = heappop
+        push = heappush
         popleft = ready.popleft
-        slow = self._dispatch_slow
         now = self.now
         count = 0
         try:
@@ -522,27 +540,8 @@ class Engine:
                         self.now = until
                         break
                     self.now = now = when
-                if kind == _CALL:
+                if kind:
                     payload(value)
-                elif kind:
-                    if payload.alive:
-                        try:
-                            command = payload.gen.send(value)
-                        except StopIteration as stop:
-                            payload._finish(stop.value)
-                        else:
-                            if type(command) is float:
-                                if not command >= 0.0:  # also NaN
-                                    raise ValueError(
-                                        "delay must be >= 0, got "
-                                        f"{command!r}"
-                                    )
-                                self._seq = seq = self._seq + 1
-                                push(queue,
-                                     (now + command, seq, _RESUME, payload,
-                                      None))
-                            else:
-                                slow(payload, command)
                 else:
                     payload()
                 count += 1

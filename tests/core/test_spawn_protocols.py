@@ -85,9 +85,9 @@ def test_unsafe_single_transaction_corrupts_tasktable():
 
 
 def test_unsafe_single_benign_ordering_masks_the_bug():
-    """When the payload happens to land first (hazard=False), the same
-    broken protocol *appears* to work — why the bug is insidious on
-    real hardware."""
+    """When the payload happens to land first, the same broken
+    protocol *appears* to work — why the bug is insidious on real
+    hardware."""
     session = PagodaSession()
     eng, host, table = session.engine, session.host, session.table
     task = make_tasks(1)[0]
@@ -96,7 +96,12 @@ def test_unsafe_single_benign_ordering_masks_the_bug():
     def post() -> None:
         loc = table.take_free_entry()
         table.fill_cpu_entry(loc[0], loc[1], task, result, None)
-        table.copy_entry_unsafe_single(*loc, hazard=False)
+        # the single transaction's landings in the benign order: the
+        # parameters half the mapped-write latency before the flag
+        half = host.timing.mapped_write_ns / 2
+        eng.call_at_with(eng.now + half, table._land_unsafe_params, loc)
+        eng.call_at_with(eng.now + 2 * half, table._land_unsafe_flag, loc)
+        eng.call_at_with(eng.now + 2 * half, table._count_unsafe_copy, loc)
 
     eng.call_at(host.timing.spawn_cpu_ns, post)
     eng.run(until=5_000_000)
