@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bench.reporting import format_table
-from repro.core.runtime import PagodaConfig
 from repro.gpu.phases import Phase, phase_table
 from repro.partition import (
     ElasticConfig,
@@ -146,7 +145,7 @@ def _run_partitioned(tenants: List[TenantSpec],
                      elastic: Optional[ElasticConfig],
                      label: str) -> Dict[str, float]:
     plan = _plan(elastic)
-    config = ServeConfig(pagoda=PagodaConfig(partition=plan), label=label)
+    config = ServeConfig(partition=plan, label=label)
     stack = PartitionedStack(plan)
     reports = serve_partitioned(tenants, config, stack=stack)
     makespan = max(r.makespan_ns for r in reports.values())

@@ -27,7 +27,7 @@ from repro.gpu.device import Gpu
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.pcie.bus import PcieBus
-from repro.sim import Engine, Process
+from repro.sim import Engine, Process, ProcessorSharing
 from repro.tasks import RunStats, TaskResult, TaskSpec
 
 
@@ -78,85 +78,119 @@ class PagodaConfig:
     #: and puts a ``stats_snapshot`` into ``RunStats.meta``.  ``None``
     #: (the default) leaves the run bit-identical and unslowed.
     obs: Optional[object] = None
-    #: optional :class:`repro.partition.PartitionPlan`: split the GPU
-    #: into isolated compute partitions (SPX/DPX/QPX or arbitrary SMM
-    #: masks), each with its own MasterKernel/TaskTable/host.  A plain
-    #: :class:`PagodaSession` cannot host partitions — build a
-    #: :class:`repro.partition.PartitionedStack` (or let
-    #: ``repro.partition.serve.serve_partitioned`` do it); the serve
-    #: frontend dispatches there automatically when this is set.
-    partition: Optional[object] = None
+
+
+def boot_gpu(engine: Engine, spec: GpuSpec, timing: TimingModel,
+             obs=None) -> Gpu:
+    """Bring up one simulated device on ``engine``.  With an Obs
+    attached, its profiler hooks the engine, and the occupancy memo's
+    hit/miss counters restart from zero so the snapshot's counts are
+    per-run deterministic (the lru_caches are process-global)."""
+    if obs is not None:
+        if getattr(obs, "profiler", None):
+            engine.profiler = obs.profiler
+        from repro.gpu.occupancy import reset_memo_counters
+        reset_memo_counters()
+    return Gpu(engine, spec, timing, obs=obs)
 
 
 class PagodaSession:
-    """A live Pagoda stack, for API-level use (examples, tests)."""
+    """A live Pagoda stack: the host, the TaskTable and the MasterKernel
+    on one device or on a subset of its SMMs.
+
+    Every Pagoda stack is one of these: :func:`run_pagoda`'s, each GPU
+    of a :class:`~repro.core.multigpu.MultiGpuPagoda` node (so serve and
+    the cluster's), the ablations' and each compute partition's
+    (:class:`repro.partition.Partition`).
+
+    A session boots its own device unless it is handed a ``gpu``
+    (shared the way ``engine`` is), and owns ``smms`` of it — all of
+    them by default.  A session with a ``name`` is a compute
+    partition: its TaskTable recycles entries FIFO, its MTBs draw on
+    their own DRAM slice rated by its share of the SMMs, and its fault
+    sites read ``"<name>.mtb<c>"``.
+    """
 
     def __init__(self, spec: Optional[GpuSpec] = None,
                  timing: Optional[TimingModel] = None,
                  config: Optional[PagodaConfig] = None,
-                 engine: Optional[Engine] = None) -> None:
-        self.spec = spec or titan_x()
-        self.timing = timing or DEFAULT_TIMING
-        self.config = config or PagodaConfig()
-        if self.config.partition is not None:
-            raise ValueError(
-                "PagodaConfig.partition is set: a PagodaSession owns the "
-                "whole device; build a repro.partition.PartitionedStack "
-                "for partitioned runs"
-            )
+                 engine: Optional[Engine] = None,
+                 gpu: Optional[Gpu] = None,
+                 smms: Optional[List[int]] = None,
+                 name: Optional[str] = None) -> None:
+        self.config = config = config or PagodaConfig()
+        #: partition name (``None`` for a session owning a whole device).
+        self.name = name
         # a shared engine lets several sessions (e.g. one per GPU of a
         # multi-GPU node) advance on one simulated clock
         self.engine = engine or Engine()
         #: seeded fault injector shared by every layer (None when the
         #: config carries no fault plan).
         self.faults = None
-        if self.config.fault_plan is not None:
+        if config.fault_plan is not None:
             from repro.faults import FaultInjector
-            self.faults = FaultInjector(self.engine, self.config.fault_plan)
+            self.faults = FaultInjector(self.engine, config.fault_plan)
         #: optional Obs shared by every layer (None = no instrumentation).
-        self.obs = self.config.obs
-        if self.obs is not None and getattr(self.obs, "profiler", None):
-            self.engine.profiler = self.obs.profiler
-        if self.obs is not None:
-            # start the occupancy memo from a clean slate so the
-            # snapshot's hit/miss counters are per-run deterministic
-            # (the lru_caches are process-global otherwise)
-            from repro.gpu.occupancy import reset_memo_counters
-            reset_memo_counters()
-        self.gpu = Gpu(self.engine, self.spec, self.timing, obs=self.obs)
+        self.obs = config.obs
+        if gpu is None:
+            gpu = boot_gpu(self.engine, spec or titan_x(),
+                           timing or DEFAULT_TIMING, self.obs)
+        self.gpu = gpu
+        self.spec = gpu.spec
+        self.timing = gpu.timing
+        smms = range(self.spec.num_smms) if smms is None else sorted(smms)
+        columns = [s * MTBS_PER_SMM + k
+                   for s in smms for k in range(MTBS_PER_SMM)]
         self.bus = PcieBus(self.engine, self.timing,
                            faults=self.faults, obs=self.obs)
-        num_columns = self.spec.num_smms * MTBS_PER_SMM
         self.table = TaskTable(
-            self.engine, self.bus, num_columns, rows=self.config.rows,
-            faults=self.faults,
-            obs=self.obs,
+            self.engine, self.bus, self.spec.num_smms * MTBS_PER_SMM,
+            rows=config.rows, faults=self.faults, obs=self.obs,
+            open_columns=columns,
+            free_order="lifo" if name is None else "fifo",
         )
+        dram = None
+        if name is not None:
+            # a partition's DRAM slice is rated by its boot share of
+            # the SMM array and fixed across elastic moves, so its
+            # memory timing never depends on sibling activity
+            dram = ProcessorSharing(
+                self.engine,
+                rate=self.timing.dram_bytes_per_ns(
+                    self.spec.dram_bandwidth_gbps)
+                * (len(smms) / self.spec.num_smms),
+                name=f"dram.{name}",
+            )
         self.master = MasterKernel(
-            self.engine, self.gpu, self.table,
-            functional=self.config.functional,
-            serial_psched=self.config.serial_psched,
-            deferred_scheduling=self.config.deferred_scheduling,
-            watchdog_deadline_ns=self.config.watchdog_deadline_ns,
-            faults=self.faults,
-            obs=self.obs,
+            self.engine, gpu, self.table,
+            functional=config.functional,
+            serial_psched=config.serial_psched,
+            deferred_scheduling=config.deferred_scheduling,
+            watchdog_deadline_ns=config.watchdog_deadline_ns,
+            faults=self.faults, obs=self.obs,
+            smm_indices=smms, dram=dram, partition=name,
         )
         self.host = PagodaHost(self.engine, self.table, self.timing,
-                               protocol=self.config.protocol,
+                               protocol=config.protocol,
                                faults=self.faults)
         if self.faults is not None:
-            self._arm_timed_faults(num_columns)
+            self._arm_timed_faults(columns)
 
-    def _arm_timed_faults(self, num_columns: int) -> None:
+    def _arm_timed_faults(self, boot_columns: List[int]) -> None:
         """Schedule the plan's time-triggered faults (SMM brown-outs)
-        as engine callbacks.  ``gpu.die`` specs are left to the
-        serve node's driver, :class:`repro.serve.server.TaskServer`."""
+        as engine callbacks.  A target wraps within the boot columns;
+        a brown-out of a column the session no longer owns (a
+        partition lent its SMM away) fires nothing and records
+        nothing.  ``gpu.die`` specs are left to the serve node's
+        driver, :class:`repro.serve.server.TaskServer`."""
+        prefix = "mtb" if self.name is None else f"{self.name}.mtb"
         for spec in self.faults.time_triggered("gpu.brownout"):
-            column = (spec.target or 0) % num_columns
+            column = boot_columns[(spec.target or 0) % len(boot_columns)]
 
             def fire(s=spec, c=column):
-                self.master.brownout(c, reason=s.kind)
-                self.faults.record_fired(s, f"mtb{c}")
+                if c in self.master.by_column:
+                    self.master.brownout(c, reason=s.kind)
+                    self.faults.record_fired(s, f"{prefix}{c}")
 
             self.engine.call_at(spec.at_ns, fire)
 

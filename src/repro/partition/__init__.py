@@ -2,10 +2,10 @@
 multi-tenant rebalancing.
 
 Splits the device's SMMs into isolated logical partitions (SPX/DPX/QPX
-or arbitrary masks), each with its own MasterKernel, TaskTable, PCIe
-function, DRAM slice, and fault domain, plus Zorua-style virtualized
-shared-memory/register quotas that may oversubscribe the physical
-budget and rebalance at runtime.
+or arbitrary masks), each a Pagoda session on its SMMs with its own
+MasterKernel, TaskTable, PCIe function, DRAM slice, and fault domain,
+plus Zorua-style virtualized shared-memory/register quotas that may
+oversubscribe the physical budget and rebalance at runtime.
 """
 
 from repro.partition.elastic import ElasticConfig, elastic_controller

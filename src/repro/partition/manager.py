@@ -2,25 +2,32 @@
 
 A :class:`PartitionedStack` splits one simulated GPU's SMM array into
 isolated logical partitions (the MI300 SPX/DPX/QPX modes, or arbitrary
-masks).  Each partition is a *complete* Pagoda stack on its SMM
-subset:
+masks).  Each partition is a :class:`~repro.core.PagodaSession` named
+after its spec, on the spec's SMMs of the stack's one device — the
+same host, TaskTable and MasterKernel every Pagoda stack has:
 
-- its own :class:`~repro.core.MasterKernel` owning only the
-  partition's MTB columns (global column numbering is preserved so
-  SMMs can move between partitions at runtime);
-- its own full-width :class:`~repro.core.TaskTable` with only the
-  owned columns open for spawning;
+- its MasterKernel owns only the partition's MTB columns (global
+  column numbering is preserved so SMMs can move between partitions
+  at runtime);
+- its full-width TaskTable opens only the owned columns for spawning
+  and recycles entries FIFO;
 - its own PCIe bus (the SR-IOV virtual function: each partition's
   posted writes and copy-backs ride dedicated lanes);
 - its own DRAM bandwidth slice, rated by its share of the SMM array;
-- its own optional seeded fault plan and injector.
+- its own optional seeded fault plan and injector, whose brown-outs
+  land only on the partition's own boot columns.
+
+What the session does not have, :class:`Partition` adds: the quota
+signal, quota claims against the stack's ledger, and the refusal of a
+``gpu.die`` (the device is every partition's).
 
 Because partitions share **no timed resource**, a partition's
 schedule — and therefore the bytes of its serve report
 (:func:`repro.partition.serve.serve_partitioned`) — is unaffected by
-anything its siblings do, including brown-outs and bursts.  That is the isolation contract the tests pin, and it is what
-the shared-mode baseline (one SPX partition, every tenant in it)
-deliberately gives up.
+anything its siblings do, including brown-outs and bursts.  That is
+the isolation contract the tests pin, and it is what the shared-mode
+baseline (one SPX partition, every tenant in it) deliberately gives
+up.
 
 On top of the static split sit the Zorua-style virtual quotas
 (:mod:`repro.partition.quota`) and the elastic controller
@@ -31,20 +38,16 @@ whole SMMs at epoch boundaries, all as deterministic engine events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
-from repro.core.host_api import PagodaHost
-from repro.core.masterkernel import MTBS_PER_SMM, MasterKernel
-from repro.core.runtime import PagodaConfig
-from repro.core.tasktable import TaskTable
-from repro.gpu.device import Gpu
+from repro.core.masterkernel import MTBS_PER_SMM
+from repro.core.runtime import PagodaConfig, PagodaSession, boot_gpu
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.partition.modes import mode_masks, validate_masks
 from repro.partition.quota import QuotaLedger
-from repro.pcie.bus import PcieBus
-from repro.sim import Engine, ProcessorSharing, Signal
+from repro.sim import Engine, Signal
 from repro.tasks import TaskSpec
 
 def task_demand(task: TaskSpec) -> Tuple[int, int]:
@@ -111,70 +114,31 @@ class PartitionPlan:
         validate_masks([p.smms for p in self.partitions], num_smms)
 
 
-class Partition:
-    """One live partition: a session-shaped stack on an SMM subset."""
+class Partition(PagodaSession):
+    """One live partition: a :class:`PagodaSession` named after its
+    spec, on the spec's SMMs of the stack's device, plus its quota."""
 
     def __init__(self, stack: "PartitionedStack",
                  pspec: PartitionSpec) -> None:
         self.stack = stack
-        self.pspec = pspec
-        self.name = pspec.name
-        self.engine = stack.engine
-        self.timing = stack.timing
-        self.spec = stack.spec
-        config = stack.config
-        self.faults = None
-        if pspec.fault_plan is not None:
-            from repro.faults import FaultInjector
-            self.faults = FaultInjector(self.engine, pspec.fault_plan)
-            if self.faults.time_triggered("gpu.die"):
-                raise ValueError(
-                    f"gpu.die in partition {self.name!r}: the GPU is "
-                    "shared by every partition, so its death is not a "
-                    "partition fault; node death belongs in "
-                    "NodeSpec.fault_plan under repro.cluster"
-                )
-        self.obs = stack.obs
-        #: the partition's virtual function: its own PCIe lanes.
-        self.bus = PcieBus(self.engine, self.timing,
-                           faults=self.faults, obs=self.obs)
-        num_columns = self.spec.num_smms * MTBS_PER_SMM
-        columns = [s * MTBS_PER_SMM + k
-                   for s in sorted(pspec.smms)
-                   for k in range(MTBS_PER_SMM)]
-        self.table = TaskTable(
-            self.engine, self.bus, num_columns, rows=config.rows,
-            faults=self.faults,
-            obs=self.obs, open_columns=columns, free_order="fifo",
+        super().__init__(
+            config=replace(stack.config, fault_plan=pspec.fault_plan),
+            engine=stack.engine, gpu=stack.gpu, smms=pspec.smms,
+            name=pspec.name,
         )
-        #: the partition's DRAM bandwidth slice, rated by its boot-time
-        #: share of the SMM array.  Fixed across elastic moves so a
-        #: partition's memory timing never depends on sibling activity.
-        share = len(pspec.smms) / self.spec.num_smms
-        self.dram = ProcessorSharing(
-            self.engine,
-            rate=self.timing.dram_bytes_per_ns(
-                self.spec.dram_bandwidth_gbps) * share,
-            name=f"dram.{self.name}",
-        )
-        self.master = MasterKernel(
-            self.engine, stack.gpu, self.table,
-            functional=config.functional,
-            serial_psched=config.serial_psched,
-            deferred_scheduling=config.deferred_scheduling,
-            watchdog_deadline_ns=config.watchdog_deadline_ns,
-            faults=self.faults, obs=self.obs,
-            smm_indices=list(pspec.smms), dram=self.dram,
-            partition=self.name,
-        )
-        self.host = PagodaHost(self.engine, self.table, self.timing,
-                               protocol=config.protocol,
-                               faults=self.faults)
+        if self.faults is not None and self.faults.time_triggered("gpu.die"):
+            raise ValueError(
+                f"gpu.die in partition {self.name!r}: the GPU is "
+                "shared by every partition, so its death is not a "
+                "partition fault; node death belongs in "
+                "NodeSpec.fault_plan under repro.cluster"
+            )
         #: pulsed whenever quota grants may have grown (a release, an
         #: epoch borrow, an SMM adopt) — quota claimants block here.
         self.quota_signal = Signal()
-        smem_base = len(columns) * self.master.arena_bytes
-        regs_base = len(columns) * self.master._registers
+        num_columns = len(pspec.smms) * MTBS_PER_SMM
+        smem_base = num_columns * self.master.arena_bytes
+        regs_base = num_columns * self.master._registers
         stack.ledger.register(
             self.name,
             smem_base=smem_base, regs_base=regs_base,
@@ -184,33 +148,6 @@ class Partition:
         if self.obs is not None:
             self.obs.timeline(f"gpu.partition.{self.name}.smms").set(
                 0.0, len(pspec.smms))
-        if self.faults is not None:
-            self._arm_timed_faults()
-
-    @property
-    def columns(self) -> List[int]:
-        """The columns currently open for this partition, sorted."""
-        return sorted(self.table.open_columns)
-
-    def _arm_timed_faults(self) -> None:
-        """Brown-outs of this partition's plan land on its own columns
-        only — target indices wrap within the partition."""
-        boot_columns = [s * MTBS_PER_SMM + k
-                        for s in sorted(self.pspec.smms)
-                        for k in range(MTBS_PER_SMM)]
-        for fspec in self.faults.time_triggered("gpu.brownout"):
-            column = boot_columns[(fspec.target or 0) % len(boot_columns)]
-
-            def fire(s=fspec, c=column):
-                # the column may have moved to a sibling by now; a
-                # brown-out of hardware this partition no longer owns
-                # is a no-op for it
-                mtb = self.master.by_column.get(c)
-                if mtb is not None:
-                    mtb.brownout(s.kind)
-                    self.faults.record_fired(s, f"{self.name}.mtb{c}")
-
-            self.engine.call_at(fspec.at_ns, fire)
 
     # -- quota admission ---------------------------------------------------
 
@@ -229,9 +166,6 @@ class Partition:
     def release_quota(self, claim: Tuple[int, int]) -> None:
         self.stack.ledger.release(self.name, *claim)
         self.quota_signal.pulse()
-
-    def shutdown(self) -> None:
-        self.master.shutdown()
 
 
 class PartitionedStack:
@@ -254,12 +188,7 @@ class PartitionedStack:
         plan.validate(self.spec.num_smms)
         self.engine = engine or Engine()
         self.obs = self.config.obs
-        if self.obs is not None and getattr(self.obs, "profiler", None):
-            self.engine.profiler = self.obs.profiler
-        if self.obs is not None:
-            from repro.gpu.occupancy import reset_memo_counters
-            reset_memo_counters()
-        self.gpu = Gpu(self.engine, self.spec, self.timing, obs=self.obs)
+        self.gpu = boot_gpu(self.engine, self.spec, self.timing, self.obs)
         self.ledger = QuotaLedger(obs=self.obs)
         self.partitions: Dict[str, Partition] = {}
         for pspec in plan.partitions:
@@ -348,7 +277,7 @@ class PartitionedStack:
         # detach from the completing executor's stack frame (the done
         # pulse resumes this proc synchronously from inside it) before
         # release_smm shuts that same MTB down
-        yield self.engine.timeout(0.0)
+        yield 0.0
         d.master.release_smm(smm_index)
         now = self.engine.now
         arena = d.master.arena_bytes

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.core.runtime import PagodaConfig
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
 from repro.partition.manager import (
@@ -76,16 +75,6 @@ class PartitionServer(TaskServer):
             self.partition.release_quota(claim)
 
 
-def _partition_config(config: ServeConfig) -> PagodaConfig:
-    """The per-partition PagodaConfig: the serve pagoda config minus
-    the plan itself (the stack holds it) and the device-wide fault
-    plan slot (partitions carry their own)."""
-    base = config.pagoda
-    fields = {k: getattr(base, k) for k in base.__dataclass_fields__}
-    fields["partition"] = None
-    return PagodaConfig(**fields)
-
-
 def serve_partitioned(tenants: List[TenantSpec],
                       config: ServeConfig,
                       spec: Optional[GpuSpec] = None,
@@ -97,17 +86,16 @@ def serve_partitioned(tenants: List[TenantSpec],
     served at least one tenant.  Pass a prebuilt ``stack`` to inspect
     partition state (ledger, moves) after the run.
     """
-    plan: PartitionPlan = config.pagoda.partition
+    plan: PartitionPlan = config.partition
     if plan is None and stack is None:
-        raise ValueError("config.pagoda.partition carries no PartitionPlan")
+        raise ValueError("config.partition carries no PartitionPlan")
     if config.num_gpus != 1:
         raise ValueError(
             "partitioned serving runs on one device; scale out with "
             "repro.cluster instead of num_gpus"
         )
     if stack is None:
-        stack = PartitionedStack(plan, spec, timing,
-                                 _partition_config(config))
+        stack = PartitionedStack(plan, spec, timing, config.pagoda)
     else:
         plan = stack.plan
     # -- pin tenants to partitions -----------------------------------------

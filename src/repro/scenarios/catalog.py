@@ -368,8 +368,7 @@ def _noisy_neighbor_runner(params: ScenarioParams) -> ScenarioOutcome:
                                    names=["victim", "aggressor"])
     parts = serve(
         _nn_tenants(params.seed, True),
-        ServeConfig(pagoda=PagodaConfig(partition=plan),
-                    label="static"))
+        ServeConfig(partition=plan, label="static"))
     shared_p99 = shared.tenant_stats["victim"]["hist"].percentile(99)
     static_p99 = parts["victim"].tenant_stats["victim"][
         "hist"].percentile(99)

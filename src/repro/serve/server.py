@@ -66,7 +66,7 @@ class TenantSpec:
     arrivals: ArrivalProcess
     slo: SloClass = field(default_factory=SloClass)
     #: name of the compute partition serving this tenant, when the
-    #: pagoda config carries a :class:`repro.partition.PartitionPlan`.
+    #: serve config carries a :class:`repro.partition.PartitionPlan`.
     #: Required whenever the plan has more than one partition; ignored
     #: (and must be None) on unpartitioned runs.
     partition: Optional[str] = None
@@ -214,6 +214,12 @@ class ServeConfig:
     #: ``target % num_gpus`` and fails its work over to the survivors;
     #: one GPU has none, so there it raises ``ValueError``.
     num_gpus: int = 1
+    #: optional :class:`repro.partition.PartitionPlan`: split the one
+    #: GPU into isolated compute partitions (SPX/DPX/QPX or arbitrary
+    #: SMM masks), each a :class:`~repro.core.PagodaSession` on its
+    #: SMMs behind its own server
+    #: (:func:`repro.partition.serve.serve_partitioned`).
+    partition: Optional[object] = None
     #: report label.
     label: str = "serve"
 
@@ -634,17 +640,17 @@ def serve(tenants: List[TenantSpec],
           timing: Optional[TimingModel] = None):
     """Run one serving experiment.
 
-    Returns a :class:`~repro.serve.report.ServeReport` — or, when the
-    pagoda config carries a :class:`repro.partition.PartitionPlan`, a
-    dict of per-partition reports from the partitioned frontend.
+    Returns a :class:`~repro.serve.report.ServeReport` — or, when
+    ``config.partition`` holds a :class:`repro.partition.PartitionPlan`,
+    a dict of per-partition reports from the partitioned frontend.
     """
-    if config is not None and config.pagoda.partition is not None:
+    if config is not None and config.partition is not None:
         from repro.partition.serve import serve_partitioned
         return serve_partitioned(tenants, config, spec, timing)
     for t in tenants:
         if t.partition is not None:
             raise ValueError(
                 f"tenant {t.name!r} names partition {t.partition!r} but "
-                "the pagoda config carries no PartitionPlan"
+                "the serve config carries no PartitionPlan"
             )
     return TaskServer(tenants, config, spec, timing).run()

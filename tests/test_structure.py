@@ -11,6 +11,10 @@
 - **Two record kinds, one resume path.**  ``repro.sim.engine`` defines
   two record kinds, and ``Process.__call__`` is the only code there
   that sends into a generator.
+- **One Pagoda stack assembly.**  ``PagodaSession.__init__`` builds
+  every Pagoda stack, a compute partition's included, so no module
+  but ``repro/core/runtime.py`` constructs a ``TaskTable``, a
+  ``MasterKernel`` or a ``PagodaHost``.
 - **No unused imports.**  Every name a non-``__init__`` module imports
   is used in it (``__init__`` modules import to re-export).
 """
@@ -117,6 +121,43 @@ def test_engine_has_two_record_kinds_and_one_resume_path():
                    for node in ast.walk(fn)):
                 senders.append(f"{cls.name}.{fn.name}")
     assert senders == ["Process.__call__"]
+
+
+#: the parts of a Pagoda stack, and the one module that assembles them.
+STACK_PARTS = {"TaskTable", "MasterKernel", "PagodaHost"}
+STACK_ASSEMBLY = "core/runtime.py"
+
+
+def _stack_builders():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == STACK_ASSEMBLY:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name in STACK_PARTS:
+                found.append(f"{rel}:{node.lineno} constructs {name}")
+    return found
+
+
+def test_only_the_session_assembles_a_pagoda_stack():
+    assert _stack_builders() == []
+
+
+def test_the_session_still_assembles_every_stack_part():
+    """The rule names the module that builds the parts; if they move,
+    the rule must move with them."""
+    tree = ast.parse((SRC / STACK_ASSEMBLY).read_text())
+    built = {node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)}
+    assert STACK_PARTS <= built
 
 
 def _bound_names(tree):
