@@ -136,7 +136,7 @@ def _run_shared(tenants: List[TenantSpec]) -> Dict[str, float]:
     config = ServeConfig(label="shared")
     server = TaskServer(tenants, config)
     report = server.run()
-    util = _issue_utilization(server.node.sessions[0].gpu,
+    util = _issue_utilization(server.sessions[0].gpu,
                               report.makespan_ns)
     return _cell([report], util, moves=0)
 

@@ -13,7 +13,9 @@ Layout mirrors the paper's §4-§5 structure:
 - :mod:`~repro.core.named_barriers` — sub-threadblock synchronization
   via PTX named barriers (§5.2);
 - :mod:`~repro.core.host_api` — Table 1's CPU-side API;
-- :mod:`~repro.core.runtime` — end-to-end runner / session.
+- :mod:`~repro.core.runtime` — end-to-end runner / session (a
+  multi-GPU node is :class:`repro.serve.TaskServer` over several
+  sessions on one engine).
 """
 
 from repro.core.buddy import BuddyAllocator
@@ -29,7 +31,6 @@ from repro.core.errors import (
 from repro.core.host_api import PagodaHost
 from repro.core.masterkernel import MasterKernel, Mtb, MTB_ARENA_BYTES
 from repro.core.named_barriers import NamedBarrierPool, PTX_NAMED_BARRIERS
-from repro.core.multigpu import MultiGpuPagoda
 from repro.core.runtime import PagodaConfig, PagodaSession, run_pagoda
 from repro.core.validation import (
     InvariantViolation,
@@ -63,7 +64,6 @@ __all__ = [
     "PagodaConfig",
     "PagodaSession",
     "run_pagoda",
-    "MultiGpuPagoda",
     "InvariantViolation",
     "check_session",
     "check_quiescent",

@@ -99,9 +99,10 @@ class PagodaSession:
     on one device or on a subset of its SMMs.
 
     Every Pagoda stack is one of these: :func:`run_pagoda`'s, each GPU
-    of a :class:`~repro.core.multigpu.MultiGpuPagoda` node (so serve and
-    the cluster's), the ablations' and each compute partition's
-    (:class:`repro.partition.Partition`).
+    a :class:`repro.serve.TaskServer` builds (so serve's, multi-GPU
+    nodes' and the cluster's), the ablations' and each compute
+    partition's (:class:`repro.partition.Partition`, handed to its
+    partition server as the server's one session).
 
     A session boots its own device unless it is handed a ``gpu``
     (shared the way ``engine`` is), and owns ``smms`` of it — all of

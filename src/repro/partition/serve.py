@@ -2,10 +2,13 @@
 
 Tenants are pinned to partitions (``TenantSpec.partition``); each
 partition gets its own ingress queue, admission gate, dispatcher, and
-collector — a full :class:`~repro.serve.server.TaskServer` — wired to
-that partition's stack via a :class:`PartitionNode` adapter.  All
-servers share one engine and one ``engine.run``, so cross-partition
-virtual time is common while every timed resource stays private.
+collector — a full :class:`~repro.serve.server.TaskServer` — whose one
+session is the partition itself (a partition is a named
+:class:`~repro.core.runtime.PagodaSession`).  The stack owns the
+partitions' lifetime and their timed faults, so a partition server
+shuts nothing down and arms no ``gpu.die``.  All servers share one
+engine and one ``engine.run``, so cross-partition virtual time is
+common while every timed resource stays private.
 
 Dispatch additionally claims the partition's Zorua quota
 (:mod:`repro.partition.quota`) per request: a request whose footprint
@@ -30,33 +33,13 @@ from repro.serve.server import ServeConfig, TaskServer, TenantSpec
 from repro.tasks import TaskSpec
 
 
-class PartitionNode:
-    """Adapter giving one partition the MultiGpuPagoda node shape the
-    serve layer drives (one 'GPU': the partition)."""
-
-    #: the stack arms the device's timed faults, not the serve layer.
-    faults = None
-
-    def __init__(self, partition: Partition) -> None:
-        self.partition = partition
-        self.engine = partition.engine
-        self.sessions = [partition]
-        self._outstanding = [0]
-
-    def pick_gpu(self) -> int:
-        return 0
-
-    def shutdown(self) -> None:
-        """The stack owns partition lifetime; nothing per-server."""
-
-
 class PartitionServer(TaskServer):
     """A TaskServer whose backend is one compute partition, with
     quota-ledger admission on the dispatch path."""
 
     def __init__(self, tenants: List[TenantSpec],
                  config: ServeConfig, partition: Partition) -> None:
-        super().__init__(tenants, config, node=PartitionNode(partition))
+        super().__init__(tenants, config, sessions=[partition])
         self.partition = partition
         self._name_prefix = f"{partition.name}."
         self._quota_claims: Dict[int, tuple] = {}

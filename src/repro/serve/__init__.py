@@ -3,8 +3,10 @@
 The paper's whole argument is that a GPU should stay saturated under
 *streams* of narrow tasks; this package is the layer that produces and
 disciplines those streams.  It sits above the runtime
-(:mod:`repro.core.runtime` / :mod:`repro.core.multigpu`) and below the
-experiments (:mod:`repro.bench`), and composes with
+(:mod:`repro.core.runtime`: a server drives its
+:class:`~repro.core.PagodaSession` stacks directly, one per GPU of a
+multi-GPU node) and below the experiments (:mod:`repro.bench`), and
+composes with
 :mod:`repro.faults` (serving under chaos is just a
 :class:`~repro.core.PagodaConfig` with a fault plan).
 
@@ -19,7 +21,11 @@ Pieces, in pipeline order:
   ahead of the TaskTable;
 - :mod:`~repro.serve.slo` — deadlines and tenant tiers mapped onto the
   scheduler's priority knob;
-- :mod:`~repro.serve.server` — the sim processes wiring it together;
+- :mod:`~repro.serve.server` — the sim processes wiring it together
+  over the server's own sessions (shortest-queue placement and
+  ``gpu.die`` failover included);
+- :mod:`~repro.serve.remote` — the stepped, injection-fed frontend a
+  cluster shard drives;
 - :mod:`~repro.serve.histogram` / :mod:`~repro.serve.report` — the
   latency accountant: HDR-style per-stage histograms and a canonical,
   byte-replayable JSON report.

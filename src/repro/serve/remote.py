@@ -2,12 +2,17 @@
 
 A :class:`NodeFrontend` is a :class:`~repro.serve.server.TaskServer`
 whose requests arrive over a (simulated) network instead of from local
-load generators.  Two things change:
+load generators.  It starts and finishes as the server does
+(:meth:`~repro.serve.server.TaskServer.start` spawns no load generator
+for it), and adds only injection, stepping, answers, status and abort:
 
 - **Ingress is injection.**  :meth:`NodeFrontend.inject` schedules a
-  request at an absolute virtual arrival instant; the admission gate,
-  queue, dispatcher, collectors, and latency accountant downstream are
-  exactly the single-box serve pipeline.
+  request at an absolute virtual arrival instant.  The arrival runs no
+  process: a ready-ring callback offers the request to the admission
+  gate, and a request the gate holds back retries inline on the
+  dispatcher's next space pulse.  The gate, queue, dispatcher,
+  collectors, and latency accountant downstream are exactly the
+  single-box serve pipeline.
 - **Execution is stepped.**  Instead of one ``engine.run()`` to
   quiescence, the owner advances the node epoch by epoch with
   :meth:`step_until` (conservative lockstep — see
@@ -84,11 +89,9 @@ class NodeFrontend(TaskServer):
         #: request index -> rid (cluster-global request id).
         self._rid_of_index: Dict[int, int] = {}
         self._closed = False
-        self._started = False
         self.aborted = False
         #: requests handed back for cross-shard failover by `abort`.
         self.failed_over = 0
-        self._collectors: List = []
         #: rids ever injected here — at-least-once delivery upstream
         #: (fabric retransmits, hedged re-placements) must stay
         #: exactly-once at the frontend.
@@ -106,19 +109,6 @@ class NodeFrontend(TaskServer):
             "NodeFrontend is stepped (start/step_until/close_and_drain); "
             "use TaskServer for run-to-quiescence serving"
         )
-
-    def start(self) -> None:
-        """Bring up the dispatcher and collectors (no load generators:
-        every request arrives through :meth:`inject`)."""
-        if self._started:
-            raise RuntimeError("frontend already started")
-        self._started = True
-        self._dispatch_proc = self.engine.spawn(self._dispatch(),
-                                                "serve-dispatch")
-        self._collectors = [
-            self.engine.spawn(self._collect(i), f"serve-collect.{i}")
-            for i in range(self.config.num_gpus)
-        ]
 
     def _generators_done(self) -> bool:
         # remote mode: "the load is over" means the owner closed the
@@ -160,11 +150,15 @@ class NodeFrontend(TaskServer):
         tenant = self._tenant_by_name[tenant_name]
         req = self._new_request(tenant, spec, at_ns)
         self._rid_of_index[req.index] = rid
-        self.engine.spawn(self._ingress(req), f"serve-ingress.{rid}")
+        self.engine.call_soon_with(self._ingress, req)
 
-    def _ingress(self, req):
-        yield from self._offer(req)
-        self._pending_arrivals -= 1
+    def _ingress(self, req) -> None:
+        """Offer one arrived request; a request the gate holds back
+        enrols a retry on the next space pulse, which runs it inline."""
+        if self._offer(req):
+            self._pending_arrivals -= 1
+        else:
+            self._space.wait()._add_waiter(lambda _: self._ingress(req))
 
     def _note_terminal(self, req) -> None:
         # feed the cluster answer ledger: "done" reads as "completed"
@@ -184,7 +178,7 @@ class NodeFrontend(TaskServer):
 
     def step_until(self, when: float) -> float:
         """Advance this node's virtual time to ``when`` (one epoch)."""
-        if not self._started:
+        if self._dispatch_proc is None:
             raise RuntimeError("start() the frontend before stepping")
         return self.engine.run_until(when)
 
@@ -224,20 +218,7 @@ class NodeFrontend(TaskServer):
         self._closed = True
         self._work.pulse()
         self.engine.run(raise_on_deadlock=True)
-        for proc in [self._dispatch_proc] + self._collectors:
-            if not proc._done:
-                raise RuntimeError(
-                    f"node drain did not complete ({proc.name} stuck)"
-                )
-        self.makespan = self._finish_ns
-        self.node.shutdown()
-        if (self.completed + self.failed) != self.admitted:
-            raise RuntimeError(
-                f"served {self.completed}+{self.failed} of "
-                f"{self.admitted} admitted requests"
-            )
-        from repro.serve.report import build_report
-        return build_report(self)
+        return self.finish()
 
     def abort(self, at_ns: float):
         """The node died at ``at_ns``: stop the engine right there and
@@ -270,6 +251,6 @@ class NodeFrontend(TaskServer):
         self._inflight_count = 0
         self.queue.clear()
         self.makespan = at_ns
-        self.node.shutdown()
+        self.shutdown()
         from repro.serve.report import build_report
         return build_report(self), respawns

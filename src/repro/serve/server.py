@@ -1,16 +1,19 @@
 """The task server: ingress, admission, dispatch, and collection.
 
-This is the serve layer's engine room.  It turns a
-:class:`~repro.core.MultiGpuPagoda` node (one stack for the common
-single-GPU case) into a request server wired from four kinds of sim
-processes:
+This is the serve layer's engine room.  A :class:`TaskServer` owns
+its Pagoda node directly: ``num_gpus``
+:class:`~repro.core.runtime.PagodaSession` stacks on one engine (one
+stack for the common single-GPU case), or the one compute partition it
+is handed.  It turns them into a request server wired from four kinds
+of sim processes:
 
 - one **load generator** per tenant, replaying that tenant's seeded
   :class:`~repro.serve.arrivals.ArrivalProcess` open-loop (arrivals
   track the schedule regardless of progress);
 - the **admission gate** (:mod:`repro.serve.policies`), consulted at
   every arrival against the bounded ingress queue — drops are counted
-  and answered immediately, backpressure blocks the source;
+  and answered immediately, backpressure holds the request until the
+  dispatcher makes space;
 - one **dispatcher**, which pops queue-front batches (optionally fused
   by the :mod:`repro.serve.batcher`), remaps priorities through the
   SLO shim, picks the shortest-queue GPU, and posts the task
@@ -22,9 +25,12 @@ processes:
   ready → warp exec).
 
 A multi-GPU node survives device death: each ``gpu.die`` of the pagoda
-config's fault plan kills its GPU at ``at_ns``, and the requests in
-flight there go back to the queue front for the survivors (recorded
-as a :class:`~repro.core.errors.DegradationEvent` on the node).
+config's fault plan kills its GPU at ``at_ns`` (its host's spawn and
+wait loops raise :class:`~repro.core.errors.GpuDeadError` from then
+on), and the requests in flight there go back to the queue front for
+the survivors.  Each failover is recorded as a
+:class:`~repro.core.errors.DegradationEvent` on the server; the run
+never deadlocks.
 
 Determinism: every source of variation — arrival schedules, admission
 state, fault plans — is fixed before ``engine.run()``; the report of
@@ -39,8 +45,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
 from repro.core.errors import DegradationEvent, GpuDeadError
-from repro.core.multigpu import MultiGpuPagoda
-from repro.core.runtime import PagodaConfig
+from repro.core.runtime import PagodaConfig, PagodaSession
+from repro.faults import FaultInjector
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
 from repro.serve.arrivals import ArrivalProcess
@@ -48,7 +54,7 @@ from repro.serve.batcher import BatchPolicy, fuse_key, fuse_specs
 from repro.serve.histogram import LatencyHistogram
 from repro.serve.policies import ADMIT, DROP, WAIT, AdmissionPolicy
 from repro.serve.slo import SloClass, apply_slo
-from repro.sim import Event, Signal
+from repro.sim import Engine, Event, Signal
 from repro.tasks import TaskResult, TaskSpec
 
 #: latency pipeline stages, in order (report + trace rows use these).
@@ -225,7 +231,9 @@ class ServeConfig:
 
 
 class TaskServer:
-    """One serving run over a live Pagoda node."""
+    """One serving run over a live Pagoda node: its sessions, the
+    shortest-queue placement over them and their ``gpu.die``
+    failover."""
 
     #: remote frontends (:class:`repro.serve.remote.NodeFrontend`)
     #: receive their tasks by injection instead of local generators.
@@ -238,24 +246,50 @@ class TaskServer:
                  config: Optional[ServeConfig] = None,
                  spec: Optional[GpuSpec] = None,
                  timing: Optional[TimingModel] = None,
-                 node=None) -> None:
+                 sessions: Optional[List[PagodaSession]] = None) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
         for t in tenants:
+            if t.tasks and self.remote:
+                raise ValueError(
+                    f"tenant {t.name!r} carries tasks; a remote frontend "
+                    "receives every request by injection")
             if not t.tasks and not self.remote:
                 raise ValueError(f"tenant {t.name!r} has no tasks")
         self.tenants = list(tenants)
-        self.config = config or ServeConfig()
-        #: the Pagoda node served against — built here for the common
-        #: case, or injected prebuilt (a partition of a shared stack,
-        #: in which case several servers share one engine and the
-        #: caller owns ``engine.run``).
-        self.node = node if node is not None else MultiGpuPagoda(
-            self.config.num_gpus, spec, timing, self.config.pagoda)
-        self.engine = self.node.engine
+        self.config = config = config or ServeConfig()
+        #: node-level fault injector: it arms the ``gpu.die`` specs;
+        #: per-GPU faults live in each session's own injector.
+        self.faults = None
+        #: a server shuts down only the sessions it built; handed
+        #: ``sessions`` (a partition of a shared stack, several servers
+        #: on one engine), the caller owns their lifetime and
+        #: ``engine.run``.
+        self._owns_sessions = sessions is None
+        if sessions is None:
+            if config.num_gpus < 1:
+                raise ValueError("num_gpus must be >= 1")
+            self.engine = Engine()
+            sessions = [
+                PagodaSession(spec, timing, config.pagoda, engine=self.engine)
+                for _ in range(config.num_gpus)
+            ]
+            if config.pagoda.fault_plan is not None:
+                self.faults = FaultInjector(self.engine,
+                                            config.pagoda.fault_plan)
+        else:
+            self.engine = sessions[0].engine
+        #: the Pagoda stacks served against, one per GPU.
+        self.sessions: List[PagodaSession] = sessions
+        #: host-side estimate of outstanding tasks per GPU.
+        self._outstanding = [0] * len(sessions)
+        #: indices of GPUs that died mid-run.
+        self.dead_gpus: set = set()
+        #: one record per failover (see :meth:`_fail_over`).
+        self.degradation_events: List[DegradationEvent] = []
         self.policy = self.config.policy
         self.queue = IngressQueue(self.tenants,
                                   fair=self.policy.fair_dequeue)
@@ -303,7 +337,7 @@ class TaskServer:
         self._space = Signal()
         self._dispatch_idle = False
         self._inflight: List[Dict[int, List[Request]]] = [
-            {} for _ in range(self.config.num_gpus)
+            {} for _ in sessions
         ]
         self._inflight_count = 0
         self._gen_procs: List = []
@@ -311,19 +345,54 @@ class TaskServer:
         self._collector_procs: List = []
         self._finish_ns = 0.0
 
-        faults = self.node.faults
-        deaths = (faults.time_triggered("gpu.die")
-                  if faults is not None else [])
-        if deaths and self.config.num_gpus == 1:
+        deaths = (self.faults.time_triggered("gpu.die")
+                  if self.faults is not None else [])
+        if deaths and config.num_gpus == 1:
             raise ValueError(
                 "gpu.die on a one-GPU server leaves no GPU to fail over "
                 "to; node death belongs in NodeSpec.fault_plan under "
                 "repro.cluster"
             )
         for die in deaths:
-            gpu_idx = (die.target or 0) % self.config.num_gpus
+            gpu_idx = (die.target or 0) % config.num_gpus
             self.engine.call_at(
                 die.at_ns, lambda d=die, g=gpu_idx: self._fail_over(d, g))
+
+    # -- the node -------------------------------------------------------------
+
+    @property
+    def survivors(self) -> List[int]:
+        """Indices of GPUs still alive."""
+        return [i for i in range(len(self.sessions))
+                if i not in self.dead_gpus]
+
+    def pick_gpu(self) -> int:
+        """Shortest-queue-first placement over the *surviving* GPUs."""
+        alive = self.survivors
+        if not alive:
+            raise GpuDeadError("every GPU in the node is dead")
+        return min(alive, key=lambda i: self._outstanding[i])
+
+    def kill_gpu(self, gpu_idx: int) -> bool:
+        """Declare one GPU dead: its MasterKernel daemons stop and its
+        host's spawn/wait loops raise :class:`GpuDeadError` from now
+        on.  Refuses to kill the last surviving GPU (there would be
+        nothing to fail over to).  Returns whether the kill happened;
+        :meth:`_fail_over` re-queues the dead device's work."""
+        if gpu_idx in self.dead_gpus or len(self.survivors) <= 1:
+            return False
+        self.dead_gpus.add(gpu_idx)
+        session = self.sessions[gpu_idx]
+        session.host.dead = True
+        session.shutdown()
+        self._outstanding[gpu_idx] = 0
+        return True
+
+    def shutdown(self) -> None:
+        """Interrupt the daemons of the sessions this server built."""
+        if self._owns_sessions:
+            for session in self.sessions:
+                session.shutdown()
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -370,38 +439,36 @@ class TaskServer:
             self._obs_offered.inc()
         return req
 
-    def _offer(self, req: Request) -> Generator:
-        """Put one request through the admission gate (may block the
-        caller under a backpressure policy)."""
-        while True:
-            decision = self.policy.admit(req, self.queue, self.engine.now)
-            if decision == ADMIT:
-                req.admit_ns = self.engine.now
-                req.status = "queued"
-                self.admitted += 1
-                self.queue.append(req)
-                if self.obs is not None:
-                    self._obs_admitted.inc()
-                self._sample()
-                self._work.pulse()
-                return
-            if decision == DROP:
-                req.status = "dropped"
-                self.dropped += 1
-                self.tenant_stats[req.tenant]["dropped"] += 1
-                if self.obs is not None:
-                    self._obs_dropped.inc()
-                    self.obs.instant("serve", "drop", self.engine.now,
-                                     tenant=req.tenant, index=req.index)
-                self._sample()
-                self._note_terminal(req)
-                req.done.fire(None)
-                return
-            if decision != WAIT:
-                raise ValueError(
-                    f"admission policy returned {decision!r}"
-                )
-            yield self._space.wait()
+    def _offer(self, req: Request) -> bool:
+        """Put one request through the admission gate.  Returns False
+        when the gate holds it back (``WAIT``, under backpressure): the
+        caller offers it again on the next ``_space`` pulse."""
+        decision = self.policy.admit(req, self.queue, self.engine.now)
+        if decision == ADMIT:
+            req.admit_ns = self.engine.now
+            req.status = "queued"
+            self.admitted += 1
+            self.queue.append(req)
+            if self.obs is not None:
+                self._obs_admitted.inc()
+            self._sample()
+            self._work.pulse()
+            return True
+        if decision == DROP:
+            req.status = "dropped"
+            self.dropped += 1
+            self.tenant_stats[req.tenant]["dropped"] += 1
+            if self.obs is not None:
+                self._obs_dropped.inc()
+                self.obs.instant("serve", "drop", self.engine.now,
+                                 tenant=req.tenant, index=req.index)
+            self._sample()
+            self._note_terminal(req)
+            req.done.fire(None)
+            return True
+        if decision != WAIT:
+            raise ValueError(f"admission policy returned {decision!r}")
+        return False
 
     def _generate(self, tenant: TenantSpec) -> Generator:
         engine = self.engine
@@ -412,7 +479,8 @@ class TaskServer:
             # the arrival instant is the *offered-load* schedule point
             # even if backpressure delayed the previous offer
             req = self._new_request(tenant, spec, at)
-            yield from self._offer(req)
+            while not self._offer(req):
+                yield self._space.wait()
         # wake the dispatcher so "generators done" is re-evaluated —
         # deferred one engine step, because a pulse fired from inside
         # this generator's final send() would wake the dispatcher
@@ -441,8 +509,8 @@ class TaskServer:
                     if len(batch) > 1 else head.spec)
             spec = apply_slo(spec, head.slo, head.arrival_ns, now)
             claim = yield from self._acquire_slot(spec)
-            gpu_idx = self.node.pick_gpu()
-            session = self.node.sessions[gpu_idx]
+            gpu_idx = self.pick_gpu()
+            session = self.sessions[gpu_idx]
             result = TaskResult(0, spec.name)
             try:
                 task_id = yield from session.host.post(
@@ -461,7 +529,7 @@ class TaskServer:
             for r in batch:
                 r.result = result
                 r.gpu_index = gpu_idx
-            self.node._outstanding[gpu_idx] += len(batch)
+            self._outstanding[gpu_idx] += len(batch)
             self._inflight[gpu_idx][task_id] = batch
             self._inflight_count += len(batch)
             self._sample()
@@ -509,10 +577,10 @@ class TaskServer:
         if batch is None:
             return 0
         self._release_slot(task_id)
-        err = self.node.sessions[gpu_idx].table.errors.get(task_id)
+        err = self.sessions[gpu_idx].table.errors.get(task_id)
         now = self.engine.now
         self._inflight_count -= len(batch)
-        self.node._outstanding[gpu_idx] -= len(batch)
+        self._outstanding[gpu_idx] -= len(batch)
         for r in batch:
             r.observed_ns = now
             if err is not None:
@@ -538,19 +606,18 @@ class TaskServer:
     def _fail_over(self, die, gpu_idx: int) -> None:
         """``die`` fired: kill GPU ``gpu_idx`` and put the requests in
         flight on it back at the queue front, for the survivors."""
-        node = self.node
-        if not node.kill_gpu(gpu_idx):
+        if not self.kill_gpu(gpu_idx):
             return
-        node.faults.record_fired(die, f"gpu{gpu_idx}")
+        self.faults.record_fired(die, f"gpu{gpu_idx}")
         lost = self._inflight[gpu_idx]
         self._inflight[gpu_idx] = {}
         requests = sorted((r for batch in lost.values() for r in batch),
                           key=lambda r: r.index)
         self.queue.requeue(requests)
         self._inflight_count -= len(requests)
-        node.degradation_events.append(DegradationEvent(
+        self.degradation_events.append(DegradationEvent(
             when_ns=self.engine.now, gpu_index=gpu_idx,
-            resubmitted=len(requests), survivors=tuple(node.survivors),
+            resubmitted=len(requests), survivors=tuple(self.survivors),
             reason=die.kind))
         self._sample()
         if not requests:
@@ -575,7 +642,7 @@ class TaskServer:
         # dropped at t=0): then it never polls.  Otherwise it stops on
         # the state after the poll.
         if not self._all_done():
-            yield from self.node.sessions[gpu_idx].host.collect(
+            yield from self.sessions[gpu_idx].host.collect(
                 self._spawning_over, lambda idle: self._all_done(),
                 lambda task_id: self._finish_batch(gpu_idx, task_id),
                 f"serve-outcopy.{gpu_idx}.")
@@ -584,22 +651,28 @@ class TaskServer:
     # -- driver ---------------------------------------------------------------
 
     def start(self) -> List:
-        """Spawn this server's sim processes (no engine.run).
+        """Spawn this server's sim processes (no engine.run): one load
+        generator per tenant (none on a remote frontend, whose requests
+        arrive by injection), the dispatcher and one collector per GPU.
 
         Returns the processes whose completion marks the run done, so a
         caller multiplexing several servers onto one engine (the
         partitioned frontend) can drive and check them itself.
         """
+        if self._dispatch_proc is not None:
+            raise RuntimeError("server already started")
         engine = self.engine
         pre = self._name_prefix
-        for tenant in self.tenants:
-            self._gen_procs.append(engine.spawn(
-                self._generate(tenant), f"{pre}serve-gen.{tenant.name}"))
+        if not self.remote:
+            for tenant in self.tenants:
+                self._gen_procs.append(engine.spawn(
+                    self._generate(tenant),
+                    f"{pre}serve-gen.{tenant.name}"))
         self._dispatch_proc = engine.spawn(self._dispatch(),
                                            f"{pre}serve-dispatch")
         self._collector_procs = [
             engine.spawn(self._collect(i), f"{pre}serve-collect.{i}")
-            for i in range(self.config.num_gpus)
+            for i in range(len(self.sessions))
         ]
         return [self._dispatch_proc] + self._collector_procs
 
@@ -611,7 +684,7 @@ class TaskServer:
                     f"serving run did not complete ({proc.name} stuck)"
                 )
         self.makespan = self._finish_ns
-        self.node.shutdown()
+        self.shutdown()
         if (self.completed + self.failed) != self.admitted:
             raise RuntimeError(
                 f"served {self.completed}+{self.failed} of "
@@ -629,8 +702,8 @@ class TaskServer:
     def faults_injected(self) -> int:
         """Faults fired across every session's injector and the
         node's (``gpu.die``)."""
-        injectors = [s.faults for s in self.node.sessions]
-        injectors.append(self.node.faults)
+        injectors = [s.faults for s in self.sessions]
+        injectors.append(self.faults)
         return sum(f.injected_count for f in injectors if f is not None)
 
 

@@ -38,7 +38,7 @@ def chaos_spec() -> GpuSpec:
 
 def serve_batch(tasks, num_gpus, pagoda, spec=None):
     """Offer every task at t=0 from one tenant to a ``num_gpus`` serve
-    node and run it; returns the finished server (its node keeps the
+    node and run it; returns the finished server (it keeps the
     failover record) and its report."""
     server = TaskServer(
         [TenantSpec("batch", tasks, DeterministicArrivals(0.0))],

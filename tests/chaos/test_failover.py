@@ -12,7 +12,6 @@ import pytest
 from repro.bench import harness
 from repro.core import PagodaConfig
 from repro.core.errors import GpuDeadError
-from repro.core.multigpu import MultiGpuPagoda
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve import DeterministicArrivals, ServeConfig, TenantSpec
 from repro.serve.server import TaskServer
@@ -40,8 +39,8 @@ def test_gpu_death_fails_over_to_survivor():
     # every request completed despite losing half the node mid-run
     assert report.completed == report.admitted == len(tasks)
     assert report.faults_injected == 1
-    assert server.node.dead_gpus == {0}
-    (event,) = server.node.degradation_events
+    assert server.dead_gpus == {0}
+    (event,) = server.degradation_events
     assert event.gpu_index == 0
     assert event.when_ns == 40_000.0
     assert event.survivors == (1,)
@@ -64,7 +63,7 @@ def test_gpu_death_keeps_dispatch_off_the_dead_gpu():
     assert report.faults_injected == 1
     assert not [r for r in report.requests
                 if r.gpu_index == 0 and r.dispatch_ns >= 20_000.0]
-    (event,) = server.node.degradation_events
+    (event,) = server.degradation_events
     assert event.resubmitted > 0
 
 
@@ -75,7 +74,7 @@ def test_gpu_death_after_the_last_post_restarts_the_dispatcher():
     server, report = serve_batch(tasks, 2, death_config(100_000.0),
                                  chaos_spec())
     assert server._dispatch_proc.name == "serve-redispatch.0"
-    (event,) = server.node.degradation_events
+    (event,) = server.degradation_events
     assert event.resubmitted > 0
     assert report.completed == len(tasks)
     assert report.spawns == len(tasks) + event.resubmitted
@@ -109,29 +108,35 @@ def test_gpu_death_run_is_deterministic():
     assert run() == run()
 
 
+def _two_gpu_server():
+    return TaskServer(
+        [TenantSpec("batch", long_tasks(2), DeterministicArrivals(0.0))],
+        ServeConfig(num_gpus=2), chaos_spec())
+
+
 def test_node_refuses_to_kill_last_survivor():
-    node = MultiGpuPagoda(num_gpus=2, spec=chaos_spec())
-    assert node.kill_gpu(0) is True
-    assert node.survivors == [1]
+    server = _two_gpu_server()
+    assert server.kill_gpu(0) is True
+    assert server.survivors == [1]
     # the last GPU standing cannot be killed (nothing to fail over to)
-    assert node.kill_gpu(1) is False
-    assert node.survivors == [1]
+    assert server.kill_gpu(1) is False
+    assert server.survivors == [1]
     # killing an already-dead device is a no-op, not a double-kill
-    assert node.kill_gpu(0) is False
-    node.shutdown()
+    assert server.kill_gpu(0) is False
+    server.shutdown()
 
 
 def test_dead_host_raises_instead_of_spinning():
-    node = MultiGpuPagoda(num_gpus=2, spec=chaos_spec())
-    node.kill_gpu(0)
-    host = node.sessions[0].host
+    server = _two_gpu_server()
+    server.kill_gpu(0)
+    host = server.sessions[0].host
     with pytest.raises(GpuDeadError):
         # spawn on a dead device must fail fast, not wedge the driver
         gen = host.task_spawn(TaskSpec("t", 32, 1, const_kernel(100)))
         next(gen)
     # placement keeps working, routed to the survivor
-    assert node.pick_gpu() == 1
-    node.shutdown()
+    assert server.pick_gpu() == 1
+    server.shutdown()
 
 
 def test_launch_failure_is_retried_not_fatal():
@@ -143,8 +148,8 @@ def test_launch_failure_is_retried_not_fatal():
     assert report.completed == len(tasks)
     assert report.failed == 0
     assert report.faults_injected > 0
-    assert server.node.degradation_events == []
-    assert server.node.dead_gpus == set()
+    assert server.degradation_events == []
+    assert server.dead_gpus == set()
     assert {r.gpu_index for r in report.requests} == {0, 1}
     # the failures were real: the retry backoff moved the schedule
     _, clean = serve_batch(tasks, 2, PagodaConfig())

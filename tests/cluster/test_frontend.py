@@ -3,9 +3,20 @@
 import pytest
 
 from repro.gpu.phases import Phase
-from repro.serve import NodeFrontend, ServeConfig, remote_tenants
+from repro.serve import (
+    Backpressure,
+    DeterministicArrivals,
+    NodeFrontend,
+    ServeConfig,
+    TenantSpec,
+    remote_tenants,
+)
 from repro.serve.slo import SloClass
+from repro.sim import Engine
+from repro.sim.engine import Op
 from repro.tasks import TaskSpec
+
+from tests.differential.harness import run_pinned
 
 
 def _kernel(task, block_id, warp_id):
@@ -134,3 +145,69 @@ def test_status_is_plain_ints():
         assert type(value) is int, (key, value)
     fe.step_until(50_000.0)
     fe.close_and_drain()
+
+
+def test_a_tenant_carrying_tasks_is_refused():
+    """Remote tenants receive every request by injection: tasks on
+    the spec would never be offered, so the frontend refuses them."""
+    tenant = TenantSpec("t", [_spec()], DeterministicArrivals(0.0))
+    with pytest.raises(ValueError, match="injection"):
+        NodeFrontend([tenant], ServeConfig())
+
+
+def test_injected_requests_spawn_no_process():
+    """Ingress is a callback at the arrival's slot: 50 injected
+    requests spawn no generator beyond the dispatcher and collector."""
+    names = []
+    spawn = Engine.spawn
+
+    def counting(self, gen, name="", daemon=False):
+        if not isinstance(gen, Op):
+            names.append(name)
+        return spawn(self, gen, name, daemon)
+
+    Engine.spawn = counting
+    try:
+        fe = _frontend()
+        for rid in range(50):
+            fe.inject(rid, "t", _spec(f"k{rid}"), at_ns=1_000.0 * rid)
+        fe.step_until(50_000.0)
+        report = fe.close_and_drain()
+    finally:
+        Engine.spawn = spawn
+    assert report.completed == 50
+    assert names == ["serve-dispatch", "serve-collect.0"]
+
+
+#: ``(sha256 of report.to_json(), summed engine events)`` of the
+#: backpressured burst below, recorded while ingress still ran one
+#: process per request.
+BACKPRESSURE_PIN = (
+    "241e11b6d39c1eae024f9510920e29b73802a866e2c38cce3e18b10e4cb5f257", 281)
+
+
+def _backpressured_burst():
+    fe = NodeFrontend(remote_tenants([("t", SloClass())]),
+                      ServeConfig(policy=Backpressure(max_depth=2)))
+    fe.start()
+    for rid in range(12):
+        fe.inject(rid, "t", _spec(f"k{rid}"), at_ns=10_000.0)
+    epoch_end = 0.0
+    while fe.status()["pending"]:
+        epoch_end += 5_000.0
+        fe.step_until(epoch_end)
+    return fe.close_and_drain()
+
+
+def test_backpressured_burst_leaves_the_gate_in_arrival_order():
+    """A same-instant burst into a gate of depth 2: the requests that
+    find it full wait for space and are admitted in arrival order."""
+    report, pin = run_pinned(_backpressured_burst)
+    requests = report.requests
+    assert report.admitted == report.completed == 12
+    assert any(r.admit_ns > r.arrival_ns for r in requests)
+    admits = [r.admit_ns for r in requests]
+    dispatches = [r.dispatch_ns for r in requests]
+    assert admits == sorted(admits)
+    assert dispatches == sorted(dispatches)
+    assert pin == BACKPRESSURE_PIN

@@ -1,4 +1,5 @@
-"""Multi-GPU Pagoda extension tests, driven through the serve node."""
+"""Multi-GPU Pagoda extension tests, driven through the serve node
+(a :class:`TaskServer` over ``num_gpus`` sessions)."""
 
 import hashlib
 
@@ -6,9 +7,10 @@ import pytest
 
 from repro.bench import harness
 from repro.core import PagodaConfig
-from repro.core.multigpu import MultiGpuPagoda
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
+from repro.serve import DeterministicArrivals, ServeConfig, TenantSpec
+from repro.serve.server import TaskServer
 from repro.tasks import TaskSpec
 
 from tests.chaos.harness import serve_batch
@@ -26,9 +28,15 @@ def make_tasks(n, inst=50_000):
     return [TaskSpec(f"t{i}", 128, 1, const_kernel(inst)) for i in range(n)]
 
 
+def _server(num_gpus):
+    return TaskServer(
+        [TenantSpec("batch", make_tasks(4), DeterministicArrivals(0.0))],
+        ServeConfig(num_gpus=num_gpus))
+
+
 def test_validation():
-    with pytest.raises(ValueError):
-        MultiGpuPagoda(num_gpus=0)
+    with pytest.raises(ValueError, match="num_gpus must be >= 1"):
+        _server(0)
 
 
 def test_all_tasks_complete_across_two_gpus():
@@ -62,10 +70,10 @@ def test_two_gpus_speed_up_gpu_bound_work():
 
 
 def test_pick_gpu_prefers_shorter_queue():
-    node = MultiGpuPagoda(num_gpus=3)
-    node._outstanding = [5, 2, 7]
-    assert node.pick_gpu() == 1
-    node.shutdown()
+    server = _server(3)
+    server._outstanding = [5, 2, 7]
+    assert server.pick_gpu() == 1
+    server.shutdown()
 
 
 #: sha256 of ``ServeReport.to_json()`` for 64 mb tasks on two GPUs
@@ -94,6 +102,6 @@ def test_failover_run_matches_recording():
     ])
     server, report = serve_batch(harness.make_tasks("mb", 64, 128, 0), 2,
                                  PagodaConfig(fault_plan=plan))
-    (event,) = server.node.degradation_events
+    (event,) = server.degradation_events
     assert event.resubmitted > 0
     assert _pin(report) == FAILOVER_PIN
