@@ -87,7 +87,6 @@ def main() -> int:
     assert counters["serve.offered"] == report.offered
     assert counters["serve.completed"] == report.completed
     assert counters["sched.tasks_done"] == report.completed
-    assert snap["profile"]["top"], "profiler recorded nothing"
 
     # -- obs on/off: byte-identical report -----------------------------
     assert run(None).to_json() == report.to_json(), \

@@ -163,7 +163,7 @@ def run_cluster(
     cobs = None
     if obs and reliable:
         from repro.obs import Obs
-        cobs = Obs(profile=False)
+        cobs = Obs()
 
     # runaway bound: a fleet that has not quiesced this long after
     # its last arrival never will

@@ -110,12 +110,13 @@ class NodeShard:
         return outbox, self.status()
 
     def _drain_answers(self, outbox: List[Outbound]) -> None:
-        """Reliable lane only: every terminal outcome since the last
-        drain becomes one ``ANSWER`` for the coordinator's ledger."""
-        if not self.reliable:
-            return
-        for when_ns, rid, outcome in self.frontend.drain_answered():
-            outbox.append((ANSWER, when_ns, (rid, outcome)))
+        """Clear the frontend's log of terminal outcomes since the last
+        drain; on the reliable lane each becomes one ``ANSWER`` for the
+        coordinator's ledger."""
+        answered = self.frontend.drain_answered()
+        if self.reliable:
+            for when_ns, rid, outcome in answered:
+                outbox.append((ANSWER, when_ns, (rid, outcome)))
 
     def status(self) -> Dict[str, int]:
         s = self.frontend.status()

@@ -16,6 +16,7 @@ Everything here is plain data: each shard is built from its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -61,18 +62,23 @@ class Topology:
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names in {names}")
-        if self.link_ns <= 0:
-            raise ValueError("link_ns must be > 0")
-        for key, lat in self.links.items():
-            if lat <= 0:
-                raise ValueError(f"link {key} latency must be > 0")
-        if self.epoch_ns is not None and self.epoch_ns > self.lookahead_ns:
+        # `0 < x < inf` is false for NaN as well
+        if not 0 < self.link_ns < math.inf:
             raise ValueError(
-                f"epoch_ns {self.epoch_ns} exceeds the lookahead "
-                f"{self.lookahead_ns}: messages could arrive mid-epoch"
-            )
-        if self.epoch_ns is not None and self.epoch_ns <= 0:
-            raise ValueError("epoch_ns must be > 0")
+                f"link_ns={self.link_ns!r} must be finite and > 0")
+        for key, lat in self.links.items():
+            if not 0 < lat < math.inf:
+                raise ValueError(
+                    f"link {key} latency {lat!r} must be finite and > 0")
+        if self.epoch_ns is not None:
+            if not 0 < self.epoch_ns < math.inf:
+                raise ValueError(
+                    f"epoch_ns={self.epoch_ns!r} must be finite and > 0")
+            if self.epoch_ns > self.lookahead_ns:
+                raise ValueError(
+                    f"epoch_ns {self.epoch_ns} exceeds the lookahead "
+                    f"{self.lookahead_ns}: messages could arrive mid-epoch"
+                )
 
     @property
     def node_names(self) -> List[str]:

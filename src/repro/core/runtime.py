@@ -72,23 +72,21 @@ class PagodaConfig:
     #: scheduling started (None disables the MasterKernel watchdog).
     watchdog_deadline_ns: Optional[float] = None
     #: optional :class:`repro.obs.Obs`; attaching one instruments every
-    #: layer of the stack (engine profiler, PCIe counters, TaskTable
-    #: occupancy, scheduler decisions as ``sched.mtb<N>`` instants,
-    #: per-SMM utilization timelines)
-    #: and puts a ``stats_snapshot`` into ``RunStats.meta``.  ``None``
-    #: (the default) leaves the run bit-identical and unslowed.
+    #: layer of the stack (PCIe counters, TaskTable occupancy,
+    #: scheduler decisions as ``sched.mtb<N>`` instants, per-SMM
+    #: utilization timelines) and puts a ``stats_snapshot`` into
+    #: ``RunStats.meta``.  ``None`` (the default) leaves the run
+    #: bit-identical and unslowed.
     obs: Optional[object] = None
 
 
 def boot_gpu(engine: Engine, spec: GpuSpec, timing: TimingModel,
              obs=None) -> Gpu:
     """Bring up one simulated device on ``engine``.  With an Obs
-    attached, its profiler hooks the engine, and the occupancy memo's
-    hit/miss counters restart from zero so the snapshot's counts are
-    per-run deterministic (the lru_caches are process-global)."""
+    attached, the occupancy memo's hit/miss counters restart from zero
+    so the snapshot's counts are per-run deterministic (the lru_caches
+    are process-global)."""
     if obs is not None:
-        if getattr(obs, "profiler", None):
-            engine.profiler = obs.profiler
         from repro.gpu.occupancy import reset_memo_counters
         reset_memo_counters()
     return Gpu(engine, spec, timing, obs=obs)

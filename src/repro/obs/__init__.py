@@ -1,15 +1,12 @@
 """``repro.obs`` — the unified observability layer.
 
-Three pieces, all off by default and contractually free when off:
+Two pieces, both off by default and contractually free when off:
 
 - the **metrics registry** (:class:`Obs`): counters, time-weighted
   gauges (a named :class:`~repro.sim.trace.TimeWeighted`), per-sample
   distributions and counter-track timelines, shared by name, plus the
   instant/span event stream — scheduler decisions are the
   ``sched.mtb<N>`` instants, the stack's one decision record;
-- the **sim profiler** (:class:`SimProfiler`): deterministic
-  per-process event and virtual-time accounting, attached through
-  ``engine.profiler``;
 - the **Perfetto exporter** (:mod:`repro.obs.perfetto`): one
   trace-event JSON carrying task spans, serve counters, obs counter
   tracks (per-SMM utilization) and scheduler-decision instants.
@@ -31,7 +28,6 @@ from repro.obs.perfetto import (
     obs_instant_events,
     serve_counter_events,
 )
-from repro.obs.profiler import ProcStat, SimProfiler
 from repro.obs.registry import (
     AGGREGATE_SCHEMA,
     SNAPSHOT_SCHEMA,
@@ -54,8 +50,6 @@ __all__ = [
     "Series",
     "SNAPSHOT_SCHEMA",
     "validate_snapshot",
-    "SimProfiler",
-    "ProcStat",
     "chrome_trace_events",
     "export_chrome_trace",
     "export_serve_trace",

@@ -121,13 +121,22 @@ class Series:
 class Obs:
     """One run's observability context: registry + event stream.
 
-    ``profile=True`` additionally attaches a :class:`SimProfiler` to
-    every engine the caller wires it into (see
-    :meth:`repro.sim.Engine.spawn`), producing the deterministic
-    top-N-processes report in :meth:`snapshot`.
+    It keeps only what the simulated system records: counters, gauges,
+    distributions, timelines and events that the layers of the stack
+    emit on the engine's clock.  Where the engine spends its events is
+    a question about the simulator, answered from outside it
+    (``perf/trace.py``).
+
+    ``profile`` accepts only ``False``; ``True`` raises ``ValueError``,
+    since an ``Obs`` attaches nothing to the engine.
     """
 
-    def __init__(self, profile: bool = True, top_n: int = 10) -> None:
+    def __init__(self, profile: bool = False) -> None:
+        if profile:
+            raise ValueError(
+                "profile=True: Obs attaches no profiler to the engine; "
+                "attribute engine events from outside the simulator "
+                "(perf/trace.py)")
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.distributions: Dict[str, Distribution] = {}
@@ -136,11 +145,6 @@ class Obs:
         self.instants: List[Tuple[str, str, float, dict]] = []
         #: structured spans: (track, name, t_ns, dur_ns, args-dict).
         self.spans: List[Tuple[str, str, float, float, dict]] = []
-        self.top_n = top_n
-        self.profiler = None
-        if profile:
-            from repro.obs.profiler import SimProfiler
-            self.profiler = SimProfiler()
 
     # -- instrument lookup (same name -> same instrument) --------------------
 
@@ -225,8 +229,6 @@ class Obs:
                 "events_executed": engine.event_count,
                 "final_now_ns": now,
             }
-        if self.profiler is not None:
-            snap["profile"] = self.profiler.report(self.top_n)
         return validate_snapshot(snap)
 
 
@@ -361,17 +363,4 @@ def validate_snapshot(snap: dict) -> dict:
                 or not isinstance(sim.get("events_executed"), int)
                 or not isinstance(sim.get("final_now_ns"), (int, float))):
             raise ValueError("snapshot.sim shape invalid")
-    if "profile" in snap:
-        prof = snap["profile"]
-        if not isinstance(prof, dict) or not isinstance(
-                prof.get("top"), list):
-            raise ValueError("snapshot.profile.top must be a list")
-        for row in prof["top"]:
-            if (not isinstance(row, dict)
-                    or not isinstance(row.get("name"), str)
-                    or not isinstance(row.get("events"), int)
-                    or not isinstance(row.get("vtime_ns"), (int, float))):
-                raise ValueError("snapshot.profile.top rows malformed")
-        if not isinstance(prof.get("heap_peak"), int):
-            raise ValueError("snapshot.profile.heap_peak must be an int")
     return snap

@@ -61,9 +61,8 @@ def _serve_tasks(prefix: str, n: int) -> List[TaskSpec]:
 
 
 def _obs_config(**pagoda_kwargs):
-    """A ServeConfig wired for snapshots (profile off: scenario results
-    must not carry host-time numbers)."""
-    obs = Obs(profile=False)
+    """A ServeConfig wired for snapshots."""
+    obs = Obs()
     config = ServeConfig(
         pagoda=PagodaConfig(obs=obs, **pagoda_kwargs))
     return config, obs

@@ -18,6 +18,7 @@ along unused, exactly like the paper's base scheduler.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 from repro.tasks import TaskSpec
@@ -39,6 +40,16 @@ class SloClass:
     #: base scheduling priority (higher = scheduled first when the
     #: runtime runs with deferred scheduling).
     priority: int = 0
+
+    def __post_init__(self) -> None:
+        # 0, a negative or a non-finite deadline reads three ways: as
+        # "none" to describe() and slo_priority, as almost nothing
+        # good to goodput accounting, or as urgent at arrival
+        if self.deadline_ns is not None and not (
+                0.0 < self.deadline_ns < math.inf):
+            raise ValueError(
+                f"deadline_ns={self.deadline_ns!r}: must be None or a "
+                "finite number > 0")
 
     def describe(self) -> str:
         """Stable one-line description (goes into the report JSON)."""

@@ -325,12 +325,6 @@ class Engine:
         #: (:mod:`repro.gpu.smm`) looks for killed warps only once it
         #: has moved
         self.kill_epoch = 0
-        #: optional :class:`repro.obs.SimProfiler`.  When attached,
-        #: :meth:`spawn` wraps each process in the profiler's
-        #: pass-through generator (per-process event and virtual-time
-        #: tallies); when ``None`` — the default — spawn pays one
-        #: ``is None`` test and the run loop is untouched.
-        self.profiler = None
 
     # -- low-level scheduling -------------------------------------------------
 
@@ -401,8 +395,7 @@ class Engine:
         the deadlock reporter ignores them.
 
         An :class:`Op` is started instead, by a ready-ring ``_CALL``
-        record at the same slot; it is no process, so an attached
-        profiler gets no row for it.
+        record at the same slot; it is no process.
         """
         if isinstance(gen, Op):
             if name:
@@ -414,9 +407,6 @@ class Engine:
             self._seq = seq = self._seq + 1
             self._ready.append((seq, _CALL, type(gen)._begin, gen))
             return gen
-        if self.profiler is not None:
-            name = name or getattr(gen, "__name__", "process")
-            gen = self.profiler.wrap(gen, name, self)
         proc = Process(self, gen, name, daemon)
         self._live.add(proc)
         self.call_soon_with(proc, None)

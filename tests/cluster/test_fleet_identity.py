@@ -19,6 +19,7 @@ from repro.cluster import (
     Topology,
     run_cluster,
 )
+from repro.cluster.node import NodeShard
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
 from repro.serve import PoissonArrivals, TenantSpec
@@ -119,6 +120,24 @@ def test_identity_with_obs_aggregation():
     agg = report.to_dict()["obs"]
     assert agg["schema"] == "repro.obs/aggregate/2"
     assert agg["nodes"] == [f"n{i}" for i in range(8)]
+
+
+def test_clean_lane_shards_drain_their_answer_log_every_step(monkeypatch):
+    """Without the reliable lane no ``ANSWER`` is sent, yet the
+    frontend's log of terminal outcomes is still cleared on every
+    step: it must not hold every request for the whole run."""
+    step = NodeShard.step
+    held = []
+
+    def checked(self, epoch_end, deliveries):
+        out = step(self, epoch_end, deliveries)
+        held.append(len(self.frontend.answered_log))
+        return out
+
+    monkeypatch.setattr(NodeShard, "step", checked)
+    report = _run()
+    assert report.totals()["completed"] == 2 * REQUESTS
+    assert held and set(held) == {0}
 
 
 @pytest.mark.parametrize("workers", (1, 2))

@@ -12,8 +12,6 @@ from repro.serve import (
     remote_tenants,
 )
 from repro.serve.slo import SloClass
-from repro.sim import Engine
-from repro.sim.engine import Op
 from repro.tasks import TaskSpec
 
 from tests.differential.harness import run_pinned
@@ -155,28 +153,16 @@ def test_a_tenant_carrying_tasks_is_refused():
         NodeFrontend([tenant], ServeConfig())
 
 
-def test_injected_requests_spawn_no_process():
+def test_injected_requests_spawn_no_process(process_spawns):
     """Ingress is a callback at the arrival's slot: 50 injected
     requests spawn no generator beyond the dispatcher and collector."""
-    names = []
-    spawn = Engine.spawn
-
-    def counting(self, gen, name="", daemon=False):
-        if not isinstance(gen, Op):
-            names.append(name)
-        return spawn(self, gen, name, daemon)
-
-    Engine.spawn = counting
-    try:
-        fe = _frontend()
-        for rid in range(50):
-            fe.inject(rid, "t", _spec(f"k{rid}"), at_ns=1_000.0 * rid)
-        fe.step_until(50_000.0)
-        report = fe.close_and_drain()
-    finally:
-        Engine.spawn = spawn
+    fe = _frontend()
+    for rid in range(50):
+        fe.inject(rid, "t", _spec(f"k{rid}"), at_ns=1_000.0 * rid)
+    fe.step_until(50_000.0)
+    report = fe.close_and_drain()
     assert report.completed == 50
-    assert names == ["serve-dispatch", "serve-collect.0"]
+    assert process_spawns == ["serve-dispatch", "serve-collect.0"]
 
 
 #: ``(sha256 of report.to_json(), summed engine events)`` of the

@@ -49,6 +49,18 @@ def test_validation_errors():
         Topology(nodes=_nodes(2)).node("missing")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_latencies_rejected(bad):
+    """``<= 0`` lets NaN through, and run_cluster then failed converting
+    it to an integer; inf is no latency either."""
+    with pytest.raises(ValueError, match="link_ns"):
+        Topology(nodes=_nodes(1), link_ns=bad)
+    with pytest.raises(ValueError, match="latency"):
+        Topology(nodes=_nodes(2), links={("n0", "n1"): bad})
+    with pytest.raises(ValueError, match="epoch_ns"):
+        Topology(nodes=_nodes(2), epoch_ns=bad)
+
+
 def test_describe_is_stable():
     topo = Topology(nodes=_nodes(4), link_ns=25_000.0)
     assert topo.describe() == topo.describe()

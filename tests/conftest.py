@@ -12,8 +12,28 @@ import gc
 
 import pytest
 
+from repro.sim import Engine
+from repro.sim.engine import Op
+
 
 @pytest.fixture(autouse=True)
 def _collect_session_garbage():
     yield
     gc.collect()
+
+
+@pytest.fixture
+def process_spawns(monkeypatch):
+    """The name of every generator process spawned during the test:
+    ``Engine.spawn`` counts each one that is not a callback
+    :class:`~repro.sim.engine.Op`."""
+    names = []
+    spawn = Engine.spawn
+
+    def counting(self, gen, name="", daemon=False):
+        if not isinstance(gen, Op):
+            names.append(name or getattr(gen, "__name__", "process"))
+        return spawn(self, gen, name, daemon)
+
+    monkeypatch.setattr(Engine, "spawn", counting)
+    return names

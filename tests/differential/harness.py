@@ -121,8 +121,8 @@ def chaos_fingerprint(seed: int, faulty: bool = False) -> tuple:
 
 def obs_snapshot_json(seed: int) -> str:
     """Canonical JSON of a fully instrumented run's stats snapshot
-    (profiler attached, so ``profile.heap_peak`` is part of the
-    comparison)."""
+    (counters, gauges, distributions, timelines, event counts and the
+    engine's ``sim`` section)."""
     stats = run_pagoda(chaos_tasks(seed), spec=chaos_spec(),
                        config=PagodaConfig(
                            copy_inputs=False, copy_outputs=False,

@@ -172,12 +172,11 @@ def test_chaos_seed_identical_under_fault_plan(seed):
 
 @pytest.mark.parametrize("seed", [0, 7, 19])
 def test_obs_snapshot_byte_identical(seed):
-    """Instrumented runs agree to the byte — including the profiler's
-    ``heap_peak`` queue depth and the occupancy-memo counters."""
+    """Instrumented runs agree to the byte — including the
+    occupancy-memo counters."""
     plain, sliced = drained_both_ways(obs_snapshot_json, seed)
     assert plain == sliced
     assert '"gpu.occupancy.memo_hits"' in plain
-    assert '"heap_peak"' in plain
 
 
 def test_serve_report_byte_identical():

@@ -93,6 +93,16 @@ def test_slo_priority_boosts_when_deadline_near():
     assert slo_priority(slo, arrival_ns=0.0, now=600.0) == 3
 
 
+@pytest.mark.parametrize("deadline_ns",
+                         [0.0, -5.0, float("nan"), float("inf")])
+def test_slo_rejects_a_deadline_its_readers_disagree_on(deadline_ns):
+    """describe() and slo_priority read 0 as "no deadline" while
+    goodput accounting reads it as one nothing meets; a negative one
+    boosts every request at arrival."""
+    with pytest.raises(ValueError, match="deadline_ns"):
+        SloClass("svc", deadline_ns=deadline_ns)
+
+
 def test_apply_slo_rewrites_priority_only_when_needed():
     spec = TaskSpec("t", 64, 1, kernel, priority=0)
     slo = SloClass("svc", deadline_ns=None, priority=0)

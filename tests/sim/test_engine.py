@@ -192,6 +192,36 @@ def test_interrupt_wakes_joiners():
     assert joined == [2.5]
 
 
+def test_interrupt_runs_the_generators_finally():
+    """interrupt() closes the generator: its finally blocks run (the
+    resource cleanup of a torn-down daemon relies on this)."""
+    eng = Engine()
+    closed = []
+
+    def daemon():
+        try:
+            yield 10.0
+            yield Event()  # parks forever; only interrupt() ends it
+        finally:
+            closed.append(eng.now)
+
+    proc = eng.spawn(daemon(), "d", daemon=True)
+    eng.run()
+    assert closed == []
+    proc.interrupt()
+    assert closed == [10.0]
+
+
+def test_unnamed_process_takes_the_generator_name():
+    eng = Engine()
+
+    def my_proc():
+        yield 1.0
+
+    assert eng.spawn(my_proc()).name == "my_proc"
+    assert eng.spawn(my_proc(), "named").name == "named"
+
+
 def test_negative_delay_rejected():
     with pytest.raises(ValueError):
         Delay(-1.0)

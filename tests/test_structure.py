@@ -31,12 +31,8 @@ ENGINE = SRC / "sim" / "engine.py"
 ENGINE_PRIVATE = {"_seq", "_ready", "_queue"}
 
 #: reads of the engine's record containers outside ``repro.sim`` that
-#: stay, one reason each: ``(module, attribute) -> reason``.
-ALLOWED = {
-    ("obs/profiler.py", "_queue"):
-        "the profiler's heap_peak samples len(engine._queue); it reads "
-        "the heap's length and builds no record",
-}
+#: stay, one reason each: ``(module, attribute) -> reason``.  None do.
+ALLOWED: dict = {}
 
 
 def _outside_sim():
