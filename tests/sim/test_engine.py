@@ -156,6 +156,32 @@ def test_yield_from_subroutine():
     assert trace == [3.0, 7.0, 14]
 
 
+def test_return_value_passes_through():
+    """A generator's return value survives every hop: ``yield from`` a
+    subroutine hands it to the caller, the process keeps it as
+    ``result``, and a process that joins it receives it."""
+    eng = Engine()
+    got = []
+
+    def inner():
+        yield 1.0
+        return 42
+
+    def outer():
+        value = yield from inner()
+        got.append(value)
+        return value + 1
+
+    def joiner(proc):
+        got.append((yield proc))
+
+    proc = eng.spawn(outer(), "outer")
+    eng.spawn(joiner(proc))
+    eng.run()
+    assert got == [42, 43]
+    assert proc.result == 43
+
+
 def test_interrupt_stops_daemon():
     eng = Engine()
     ticks = []
