@@ -1,8 +1,9 @@
 """``repro.cluster`` — fleet simulation in conservative lockstep.
 
 The cluster layer scales the single-box serve stack out to a fleet:
-``N`` GPU nodes, each a self-contained engine + Pagoda runtime +
-serve frontend (its own :class:`~repro.cluster.node.NodeShard`),
+``N`` GPU nodes, each a :class:`~repro.cluster.node.NodeShard` (the
+single-box serve pipeline: a :class:`~repro.serve.TaskServer` on its
+own engine and one-GPU Pagoda runtime, with no load generators),
 coupled *only* through a simulated network fabric with explicit
 per-link latency.  Shards advance in conservative lockstep epochs
 (epoch length <= the fabric lookahead), exchanging messages at epoch

@@ -191,6 +191,14 @@ def run_cluster(
                 overlay[name] = bad
         return FleetView(overlay)
 
+    def _forward(req: RouteRequest, dst: str, send_ns: float,
+                 payload) -> None:
+        fabric.post(FORWARD, ROUTER, dst, send_ns, payload)
+        if reliable:
+            placements.setdefault(req.rid, []).append(dst)
+        if not req.respawn:
+            routed[dst] += 1
+
     def _place(req: RouteRequest, send_ns: float, payload) -> Optional[str]:
         nonlocal deferred_total
         try:
@@ -205,11 +213,7 @@ def run_cluster(
             events.append(DegradationEvent(send_ns, "defer", ROUTER,
                                            rid=req.rid))
             return None
-        fabric.post(FORWARD, ROUTER, dst, send_ns, payload)
-        if reliable:
-            placements.setdefault(req.rid, []).append(dst)
-        if not req.respawn:
-            routed[dst] += 1
+        _forward(req, dst, send_ns, payload)
         return dst
 
     def _replay(rid: int) -> Tuple[RouteRequest, tuple]:
@@ -234,10 +238,7 @@ def run_cluster(
                     deferred.append((req, payload))
                     continue
                 deferred_rids.discard(req.rid)
-                fabric.post(FORWARD, ROUTER, dst, epoch_start, payload)
-                placements.setdefault(req.rid, []).append(dst)
-                if not req.respawn:
-                    routed[dst] += 1
+                _forward(req, dst, epoch_start, payload)
         for msg in fabric.deliver(epoch):
             if reliable:
                 if msg.kind == ACK:
@@ -256,18 +257,12 @@ def run_cluster(
             if msg.dst == ROUTER:
                 # a node handed a request back (death failover or
                 # dead-node bounce): re-place it on a live node
-                rid, tenant, spec = msg.payload
+                rid = msg.payload[0]
                 if reliable and rid in ledger:
                     continue  # already answered elsewhere
-                index = identity[rid][1]
                 respawned += 1
-                _place(
-                    RouteRequest(rid=rid, tenant=tenant, index=index,
-                                 kernel=spec.name,
-                                 num_blocks=spec.num_blocks,
-                                 deadline_ns=deadline_of[tenant],
-                                 respawn=True),
-                    msg.arrive_ns, msg.payload)
+                req, payload = _replay(rid)
+                _place(req, msg.arrive_ns, payload)
             else:
                 inboxes.setdefault(msg.dst, []).append(msg)
         while cursor < len(arrivals) and arrivals[cursor][0] < boundary:

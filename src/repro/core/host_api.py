@@ -209,7 +209,6 @@ class _Finished(Op):
 
     def __init__(self) -> None:
         Process.__init__(self, None, None, "finished")
-        self._done = True
         self.alive = False
 
     def _begin(self) -> None:
@@ -522,7 +521,7 @@ class _Collect(Op):
             self._finish(None)
             return
         transfer = transfers.popleft()
-        if transfer._done:
+        if not transfer.alive:
             self.engine.call_soon_with(_Collect._join_next, self)
         else:
             self.waiting_on = transfer

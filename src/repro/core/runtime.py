@@ -234,7 +234,7 @@ def run_pagoda(tasks: List[TaskSpec],
 
     collector._on_done(collector_finished)
     engine.run(raise_on_deadlock=True)
-    if not collector._done:
+    if collector.alive:
         raise RuntimeError("Pagoda run did not complete (deadlock?)")
     makespan = finish_time[0]
     session.shutdown()
@@ -345,7 +345,7 @@ class _Spawner(_Post):
             # subroutine, on a process started here and now
             wait = Process(self.engine, self.host.wait_all(), self.name)
             wait()
-            if not wait._done:
+            if wait.alive:
                 self.waiting_on = wait
                 wait._waiters.append(self._next)
                 return

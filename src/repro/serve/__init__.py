@@ -23,9 +23,9 @@ Pieces, in pipeline order:
   scheduler's priority knob;
 - :mod:`~repro.serve.server` — the sim processes wiring it together
   over the server's own sessions (shortest-queue placement and
-  ``gpu.die`` failover included);
-- :mod:`~repro.serve.remote` — the stepped, injection-fed frontend a
-  cluster shard drives;
+  ``gpu.die`` failover included; a fleet node,
+  :class:`repro.cluster.node.NodeShard`, is a server fed by the
+  fabric);
 - :mod:`~repro.serve.histogram` / :mod:`~repro.serve.report` — the
   latency accountant: HDR-style per-stage histograms and a canonical,
   byte-replayable JSON report.
@@ -64,7 +64,6 @@ from repro.serve.policies import (
     TenantFairQueue,
     TokenBucket,
 )
-from repro.serve.remote import NodeFrontend, RemoteArrivals, remote_tenants
 from repro.serve.report import ServeReport, build_report
 from repro.serve.server import (
     STAGES,
@@ -99,9 +98,6 @@ __all__ = [
     "slo_priority",
     "apply_slo",
     "LatencyHistogram",
-    "NodeFrontend",
-    "RemoteArrivals",
-    "remote_tenants",
     "ServeReport",
     "build_report",
     "STAGES",

@@ -115,25 +115,12 @@ class LatencyHistogram:
     def percentile(self, pct: float) -> int:
         """Value (ns) at the given percentile, upper-bucket-edge
         convention; max relative error ``2**-PRECISION_BITS``."""
-        if self.total == 0:
-            raise ValueError("empty histogram")
-        target = self._rank(pct)
-        cumulative = 0
-        for idx in sorted(self.counts):
-            cumulative += self.counts[idx]
-            if cumulative >= target:
-                # never report past the true maximum (the top bucket's
-                # upper edge can exceed it)
-                return min(self._bucket_high(idx), self.max_value)
-        return self.max_value  # unreachable: rank <= total
+        return self.percentiles((pct,))[0][1]
 
     def percentiles(self, pcts: Iterable[float]) -> List[Tuple[float, int]]:
-        """Batch percentile read in ONE cumulative walk.
-
-        Results match :meth:`percentile` exactly (asserted by the test
-        suite) but the sorted bucket array is traversed once for the
-        whole batch instead of once per entry.
-        """
+        """Batch percentile read in ONE cumulative walk: the sorted
+        bucket array is traversed once for the whole batch instead of
+        once per entry."""
         pcts = list(pcts)
         if self.total == 0:
             raise ValueError("empty histogram")
@@ -150,6 +137,8 @@ class LatencyHistogram:
             value = None
             while k < len(targets) and cumulative >= targets[k][0]:
                 if value is None:
+                    # never report past the true maximum (the top
+                    # bucket's upper edge can exceed it)
                     value = min(self._bucket_high(idx), self.max_value)
                 out[targets[k][1]] = value
                 k += 1

@@ -235,8 +235,9 @@ class TaskServer:
     shortest-queue placement over them and their ``gpu.die``
     failover."""
 
-    #: remote frontends (:class:`repro.serve.remote.NodeFrontend`)
-    #: receive their tasks by injection instead of local generators.
+    #: set only by a fleet node (:class:`repro.cluster.node.NodeShard`),
+    #: which receives its requests over the fabric instead of from
+    #: local load generators, so its tenants carry no tasks.
     remote = False
     #: prefix for this server's process names — set by multiplexing
     #: frontends (one server per partition) to keep traces readable.
@@ -253,10 +254,6 @@ class TaskServer:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
         for t in tenants:
-            if t.tasks and self.remote:
-                raise ValueError(
-                    f"tenant {t.name!r} carries tasks; a remote frontend "
-                    "receives every request by injection")
             if not t.tasks and not self.remote:
                 raise ValueError(f"tenant {t.name!r} has no tasks")
         self.tenants = list(tenants)
@@ -411,9 +408,9 @@ class TaskServer:
 
     def _note_terminal(self, req: Request) -> None:
         """Hook: ``req`` just reached a terminal status (``done`` /
-        ``failed`` / ``dropped``).  The remote node frontend overrides
-        this to log the answer for the cluster's reliability ledger;
-        the local server needs nothing."""
+        ``failed`` / ``dropped``).  A fleet node overrides this to
+        answer the cluster's reliability ledger; the local server needs
+        nothing."""
 
     def _generators_done(self) -> bool:
         return not any(p.alive for p in self._gen_procs)
@@ -421,7 +418,7 @@ class TaskServer:
     def _all_done(self) -> bool:
         return (self._generators_done()
                 and self._dispatch_proc is not None
-                and self._dispatch_proc._done
+                and not self._dispatch_proc.alive
                 and len(self.queue) == 0
                 and self._inflight_count == 0)
 
@@ -622,7 +619,7 @@ class TaskServer:
         self._sample()
         if not requests:
             return
-        if self._dispatch_proc._done:
+        if not self._dispatch_proc.alive:
             # the dispatcher already returned; the re-queued work needs
             # a fresh one or it would never be posted
             self._dispatch_proc = self.engine.spawn(
@@ -634,11 +631,12 @@ class TaskServer:
     def _spawning_over(self) -> bool:
         """No spawn is imminent: the dispatcher sleeps or has ended."""
         return self._dispatch_idle or (
-            self._dispatch_proc is not None and self._dispatch_proc._done)
+            self._dispatch_proc is not None
+            and not self._dispatch_proc.alive)
 
     def _collect(self, gpu_idx: int) -> Generator:
         # the run may be over before this collector first looks (a
-        # frontend closed before its first step, or every arrival
+        # fleet node finished before its first step, or every arrival
         # dropped at t=0): then it never polls.  Otherwise it stops on
         # the state after the poll.
         if not self._all_done():
@@ -652,8 +650,8 @@ class TaskServer:
 
     def start(self) -> List:
         """Spawn this server's sim processes (no engine.run): one load
-        generator per tenant (none on a remote frontend, whose requests
-        arrive by injection), the dispatcher and one collector per GPU.
+        generator per tenant (none on a remote server, whose requests
+        arrive over the fabric), the dispatcher and one collector per GPU.
 
         Returns the processes whose completion marks the run done, so a
         caller multiplexing several servers onto one engine (the
@@ -679,7 +677,7 @@ class TaskServer:
     def finish(self):
         """Post-run checks + report (engine already drained)."""
         for proc in [self._dispatch_proc] + self._collector_procs:
-            if not proc._done:
+            if proc.alive:
                 raise RuntimeError(
                     f"serving run did not complete ({proc.name} stuck)"
                 )

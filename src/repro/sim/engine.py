@@ -132,8 +132,8 @@ class Process:
     can join by yielding the process object.
     """
 
-    __slots__ = ("engine", "gen", "name", "alive", "result", "_done",
-                 "_waiters", "daemon", "waiting_on", "error")
+    __slots__ = ("engine", "gen", "name", "alive", "result", "_waiters",
+                 "daemon", "waiting_on", "error")
 
     def __init__(self, engine: "Engine", gen: Optional[Generator],
                  name: str = "", daemon: bool = False) -> None:
@@ -143,7 +143,6 @@ class Process:
         self.alive = True
         self.result: Any = None
         self._waiters: list = []
-        self._done = False
         #: daemon processes (scheduler warps, dispatch loops) may still
         #: be blocked when the queue drains without it being a deadlock.
         self.daemon = daemon
@@ -157,7 +156,6 @@ class Process:
 
     def _finish(self, result: Any) -> None:
         self.alive = False
-        self._done = True
         self.result = result
         self.engine._live.discard(self)
         waiters = self._waiters
@@ -167,7 +165,7 @@ class Process:
                 wake(result)
 
     def _on_done(self, wake: Callable[[Any], None]) -> None:
-        if self._done:
+        if not self.alive:
             wake(self.result)
         else:
             self._waiters.append(wake)
@@ -178,7 +176,6 @@ class Process:
         if not self.alive:
             return
         self.alive = False
-        self._done = True
         engine = self.engine
         engine.kill_epoch += 1
         engine._live.discard(self)
@@ -270,9 +267,9 @@ class Op(Process):
         call ``wake(result)`` when it finishes; returns True (and
         enrols nothing) when it finished at once."""
         self.waiting_on = child
-        if not child._done:  # a finished one has nothing to run
+        if child.alive:  # a finished one has nothing to run
             child._begin()
-        if child._done:
+        if not child.alive:
             return True
         child._waiters.append(wake)
         return False
@@ -292,7 +289,7 @@ class Op(Process):
         # joiner waits on the operation itself (a join) and gets its
         # result, or its error raised
         self._begin()
-        if not self._done:
+        if self.alive:
             yield self
         if self.error is not None:
             raise self.error
@@ -423,7 +420,7 @@ class Engine:
                 proc.waiting_on = command
                 command._add_waiter(proc)
         elif isinstance(command, Process):  # also an Op
-            if command._done:
+            if not command.alive:
                 self.call_soon_with(proc, command.result)
             else:
                 proc.waiting_on = command

@@ -56,7 +56,7 @@ def test_watchdog_reclaims_stuck_warp():
             caught.append(exc)
 
     proc = drive(session, driver())
-    assert proc._done, "waitAll hung on the wedged task"
+    assert not proc.alive, "waitAll hung on the wedged task"
     (err,) = caught
     assert err.name == "hog"
     assert "watchdog" in err.reason
@@ -94,7 +94,7 @@ def test_quarantine_retires_repeatedly_lethal_slot():
                 failures.append(exc)
 
     proc = drive(session, driver())
-    assert proc._done
+    assert not proc.alive
     # the first three died in the same slot...
     assert len(failures) == 3
     assert slots[0] == slots[1] == slots[2]
@@ -139,7 +139,7 @@ def test_brownout_kills_resident_tasks_and_recovers():
             caught.append(exc)
 
     proc = drive(session, driver())
-    assert proc._done, "waitAll hung after the brown-out"
+    assert not proc.alive, "waitAll hung after the brown-out"
     failed = master.tasks_failed()
     assert failed >= 1, "the brown-out killed nothing"
     assert caught, "brown-out deaths never surfaced from waitAll"

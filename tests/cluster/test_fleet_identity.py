@@ -19,6 +19,7 @@ from repro.cluster import (
     Topology,
     run_cluster,
 )
+from repro.cluster.fabric import ANSWER
 from repro.cluster.node import NodeShard
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
@@ -122,22 +123,23 @@ def test_identity_with_obs_aggregation():
     assert agg["nodes"] == [f"n{i}" for i in range(8)]
 
 
-def test_clean_lane_shards_drain_their_answer_log_every_step(monkeypatch):
-    """Without the reliable lane no ``ANSWER`` is sent, yet the
-    frontend's log of terminal outcomes is still cleared on every
-    step: it must not hold every request for the whole run."""
+def test_clean_lane_nodes_hold_no_answer_state(monkeypatch):
+    """Without the reliable lane a node sends no ``ANSWER`` and keeps
+    none: the only place a terminal outcome could go is the current
+    step's outbox, and on the clean lane that never carries one."""
     step = NodeShard.step
-    held = []
+    answers = []
 
     def checked(self, epoch_end, deliveries):
-        out = step(self, epoch_end, deliveries)
-        held.append(len(self.frontend.answered_log))
-        return out
+        outbox, status = step(self, epoch_end, deliveries)
+        assert self._outbox is outbox
+        answers.extend(entry for entry in outbox if entry[0] == ANSWER)
+        return outbox, status
 
     monkeypatch.setattr(NodeShard, "step", checked)
     report = _run()
     assert report.totals()["completed"] == 2 * REQUESTS
-    assert held and set(held) == {0}
+    assert answers == []
 
 
 @pytest.mark.parametrize("workers", (1, 2))

@@ -76,7 +76,7 @@ def test_slot_retired_before_its_first_start(monkeypatch, fault):
 
     proc = session.engine.spawn(driver(), name="driver")
     session.engine.run(until=1.0e7)
-    assert proc._done
+    assert not proc.alive
     # warm's start, bad's warp 0 at once, the three queued starts, and
     # good's four dispatches at once
     assert runs == ([(0, True), (0, True), (1, False), (2, False),

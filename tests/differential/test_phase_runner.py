@@ -300,7 +300,7 @@ def test_pagoda_turns_a_kernel_exception_into_a_task_error():
 
     proc = session.engine.spawn(driver(), name="driver")
     session.engine.run(until=1.0e7)
-    assert proc._done and caught
+    assert not proc.alive and caught
     assert session.master.tasks_failed() == 2
     assert {e.reason for e in host.task_errors()} == {
         "kernel exception: RuntimeError: kernel bug"}
@@ -359,7 +359,7 @@ def test_pagoda_fails_a_barrier_mismatch(late):
 
     proc = session.engine.spawn(driver(), name="driver")
     session.engine.run(until=1.0e7)
-    assert proc._done and caught
+    assert not proc.alive and caught
     assert session.master.tasks_failed() == 2
     reasons = {e.reason for e in host.task_errors()}
     assert len(reasons) == 1

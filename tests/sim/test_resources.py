@@ -250,14 +250,16 @@ def test_call_at_with_pushes_one_call_record_and_guards_the_clock():
 
 
 def test_entry_landings_and_remote_arrivals_carry_their_value():
-    """A posted TaskTable entry lands, and an injected remote request
-    arrives, through a ``_CALL`` record of a callback bound once per
-    table / frontend; ``(col, row)`` and the ``rid`` travel as the
+    """A posted TaskTable entry lands, and a request delivered to a
+    fleet node arrives, through a ``_CALL`` record of a callback bound
+    once per table / node; ``(col, row)`` and the ``rid`` travel as the
     record's value, so no closure is built per task."""
+    from repro.cluster.fabric import FORWARD, Message
+    from repro.cluster.node import NodeShard
+    from repro.cluster.topology import ROUTER, NodeSpec
     from repro.core import TaskTable
     from repro.gpu.timing import DEFAULT_TIMING
     from repro.pcie import PcieBus
-    from repro.serve import NodeFrontend, ServeConfig, remote_tenants
     from repro.serve.slo import SloClass
     from repro.tasks import TaskResult, TaskSpec
 
@@ -274,17 +276,17 @@ def test_entry_landings_and_remote_arrivals_carry_their_value():
     eng.run()
     assert table.gpu[col][row].spec is spec and table.entry_copies == 1
 
-    fe = NodeFrontend(remote_tenants([("t", SloClass())]), ServeConfig())
-    fe.start()
-    queued = len(fe.engine._queue)
-    fe.inject(7, "t", spec, at_ns=1_000.0)
-    fe.inject(8, "t", spec, at_ns=2_000.0)
-    records = sorted(fe.engine._queue)[-2:]
-    assert len(fe.engine._queue) == queued + 2
+    node = NodeShard(NodeSpec("n0"), [("t", SloClass())])
+    deliveries = [Message(FORWARD, ROUTER, "n0", 0.0, at_ns, rid,
+                          (rid, "t", spec))
+                  for rid, at_ns in ((7, 1_000.0), (8, 2_000.0))]
+    node.step(500.0, deliveries)   # ends before either arrival
+    records = sorted(r for r in node.engine._queue
+                     if 1_000.0 <= r[0] <= 2_000.0)
     assert [r[0] for r in records] == [1_000.0, 2_000.0]
-    assert [r[2:] for r in records] == [(_CALL, fe._arrive_cb, 7),
-                                        (_CALL, fe._arrive_cb, 8)]
-    assert all(r[3] is fe._arrive_cb for r in records)
+    assert [r[2:] for r in records] == [(_CALL, node._arrive_cb, 7),
+                                        (_CALL, node._arrive_cb, 8)]
+    assert all(r[3] is node._arrive_cb for r in records)
 
 
 def test_ps_invalid_rate_rejected():

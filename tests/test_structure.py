@@ -15,6 +15,11 @@
   every Pagoda stack, a compute partition's included, so no module
   but ``repro/core/runtime.py`` constructs a ``TaskTable``, a
   ``MasterKernel`` or a ``PagodaHost``.
+- **One fleet node.**  A fleet node is a serve server fed by the
+  fabric, and ``repro/cluster/node.py`` is the one module that makes
+  a server remote (sets ``TaskServer.remote``); ``repro.serve`` is the
+  single-box layer under the cluster, so nothing in ``repro/serve/``
+  imports from ``repro.cluster``.
 - **No unused imports.**  Every name a non-``__init__`` module imports
   is used in it (``__init__`` modules import to re-export).
 """
@@ -154,6 +159,61 @@ def test_the_session_still_assembles_every_stack_part():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name)}
     assert STACK_PARTS <= built
+
+
+#: the one module that makes a server remote, and the layer below it.
+REMOTE_NODE = "cluster/node.py"
+SERVE_LAYER = "serve/"
+
+
+def _remote_setters():
+    """Modules that set ``remote``: in a class body (``TaskServer``'s
+    own default excepted) or by an attribute store."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                if rel == "serve/server.py" and node.name == "TaskServer":
+                    continue
+                targets = [t for stmt in node.body
+                           if isinstance(stmt, ast.Assign)
+                           for t in stmt.targets]
+                targets += [stmt.target for stmt in node.body
+                            if isinstance(stmt, ast.AnnAssign)]
+                if any(isinstance(t, ast.Name) and t.id == "remote"
+                       for t in targets):
+                    found.add(rel)
+            elif (isinstance(node, ast.Attribute) and node.attr == "remote"
+                  and isinstance(node.ctx, ast.Store)):
+                found.add(rel)
+    return found
+
+
+def _serve_imports_of_cluster():
+    found = []
+    for path in sorted((SRC / SERVE_LAYER).rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found.extend(f"{rel}:{node.lineno} imports {name}"
+                         for name in names
+                         if name == "repro.cluster"
+                         or name.startswith("repro.cluster."))
+    return found
+
+
+def test_only_the_fleet_node_is_a_remote_server():
+    assert _remote_setters() == {REMOTE_NODE}
+
+
+def test_the_serve_layer_imports_nothing_from_the_cluster():
+    assert _serve_imports_of_cluster() == []
 
 
 def _bound_names(tree):
